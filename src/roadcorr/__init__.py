@@ -18,14 +18,12 @@ from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, TailIntegral,
                       hyp2f1, integrate_finite, integrate_semi_infinite,
                       upper_incomplete_gamma)
 from .analytic import (AnalyticCurve, CovarianceBreakdown, covariance, curve,
-                       close_pairs_ahead_approx, close_pairs_behind_approx,
                        close_pairs_expansion, close_pairs_numeric,
                        distant_pairs_exact, distant_pairs_expansion, rho,
                        rho_ppp, same_vehicle_term, variance)
-from .sim import (CorrelationEstimate, InterferencePair, PairDistanceHistogram,
-                  PairMoments, VehicleConfiguration, default_window, estimate,
-                  interference_at, pair_distance_histogram, sample_configuration,
-                  sample_pair, truncation_bias_bound)
+from .sim import (CorrelationEstimate, PairDistanceHistogram, PairMoments,
+                  default_window, estimate, pair_distance_histogram,
+                  truncation_bias_bound)
 
 __all__ = [
     "__version__",
@@ -36,12 +34,10 @@ __all__ = [
     "DEFAULT_QUADRATURE", "QuadratureSpec", "TailIntegral", "hyp2f1",
     "integrate_finite", "integrate_semi_infinite", "upper_incomplete_gamma",
     "AnalyticCurve", "CovarianceBreakdown", "covariance", "curve",
-    "close_pairs_ahead_approx", "close_pairs_behind_approx",
     "close_pairs_expansion", "close_pairs_numeric", "distant_pairs_exact",
     "distant_pairs_expansion", "rho", "rho_ppp", "same_vehicle_term",
     "variance",
-    "CorrelationEstimate", "InterferencePair", "PairDistanceHistogram",
-    "PairMoments", "VehicleConfiguration", "default_window", "estimate",
-    "interference_at", "pair_distance_histogram", "sample_configuration",
-    "sample_pair", "truncation_bias_bound",
+    "CorrelationEstimate", "PairDistanceHistogram", "PairMoments",
+    "default_window", "estimate", "pair_distance_histogram",
+    "truncation_bias_bound",
 ]

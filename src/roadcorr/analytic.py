@@ -35,8 +35,6 @@ __all__ = [
     "distant_pairs_exact",
     "distant_pairs_expansion",
     "close_pairs_numeric",
-    "close_pairs_ahead_approx",
-    "close_pairs_behind_approx",
     "close_pairs_expansion",
     "covariance",
     "variance",
@@ -184,12 +182,12 @@ def _normalized_gain(x: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _close_pair_quadrature(t: float, traffic: TrafficModel, geom: NetworkGeometry,
-                           spec: QuadratureSpec, bands: str) -> float:
+                           spec: QuadratureSpec) -> float:
     """Nested quadrature of the neighbor-band pair integrals.
 
-    bands selects the ahead band (separations in (min_gap, 2 min_gap) in
-    front of the reference vehicle), the behind band, or both. All lengths
-    are scaled by the guard radius so the integrals are O(1).
+    Sums the ahead band (separations in (min_gap, 2 min_gap) in front of
+    the reference vehicle) and the behind band. All lengths are scaled by
+    the guard radius so the integrals are O(1).
     """
     lam = traffic.intensity
     c = traffic.min_gap
@@ -203,21 +201,18 @@ def _close_pair_quadrature(t: float, traffic: TrafficModel, geom: NetworkGeometr
     w = rate * r0
 
     def inner(s: float) -> float:
-        total = 0.0
-        if bands in ("ahead", "both"):
-            total += integrate_finite(
-                lambda v: _normalized_gain(s + v + shift, eta) * np.exp(-w * (v - b)),
-                b, 2.0 * b, spec)
-        if bands in ("behind", "both"):
-            total += integrate_finite(
-                lambda v: _normalized_gain(s + v + shift, eta) * np.exp(-w * (-v - b)),
-                -2.0 * b, -b, spec)
-        return total
+        ahead = integrate_finite(
+            lambda v: _normalized_gain(s + v + shift, eta) * np.exp(-w * (v - b)),
+            b, 2.0 * b, spec)
+        behind = integrate_finite(
+            lambda v: _normalized_gain(s + v + shift, eta) * np.exp(-w * (-v - b)),
+            -2.0 * b, -b, spec)
+        return ahead + behind
 
     def outer(s_values: np.ndarray) -> np.ndarray:
         return np.array([s ** (-eta) * inner(float(s)) for s in s_values])
 
-    band_mass = (1.0 - math.exp(-w * b)) / w * (2.0 if bands == "both" else 1.0)
+    band_mass = 2.0 * (1.0 - math.exp(-w * b)) / w
     result = integrate_semi_infinite(outer, 1.0, spec,
                                      tail_power=2.0 * eta,
                                      tail_coef=1.0001 * band_mass)
@@ -236,52 +231,7 @@ def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     """
     window = TimeLagWindow.from_params(traffic, geom)
     _require_lag(t, window.t_lo, window.t_hi, "close_pairs_numeric")
-    return 2.0 * _close_pair_quadrature(t, traffic, geom, spec, "both")
-
-
-def close_pairs_ahead_approx(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    """Closed-form large-distance approximation of the ahead-neighbor band.
-
-    One quarter of the close-pairs term comes from the neighbor ahead of a
-    reference vehicle to the right of the receiver; this is its second-order
-    closed form, accurate to O((rate * guard_radius)**-2) relative.
-    """
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, window.t_lo, window.t_hi, "close_pairs_ahead_approx")
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    c = traffic.min_gap
-    if c == 0.0:
-        return 0.0
-    rate = traffic.gap_rate
-    decay = math.exp(-c * rate)
-    z = -(c + t * geom.speed) / r0
-    return traffic.intensity * r0 ** (-2.0 * eta) * (
-        (1.0 - decay) * r0 / (2.0 * eta - 1.0)
-        * hyp2f1(eta, 2.0 * eta - 1.0, 2.0 * eta, z)
-        + (c * rate * decay - 1.0 + decay) / (2.0 * rate)
-        * hyp2f1(2.0 * eta, eta + 1.0, 2.0 * eta + 1.0, z)
-    )
-
-
-def close_pairs_behind_approx(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    """Mirror of close_pairs_ahead_approx for the neighbor behind."""
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, window.t_lo, window.t_hi, "close_pairs_behind_approx")
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    c = traffic.min_gap
-    if c == 0.0:
-        return 0.0
-    rate = traffic.gap_rate
-    decay = math.exp(-c * rate)
-    z = (c - t * geom.speed) / r0
-    return traffic.intensity * r0 ** (-2.0 * eta) * (
-        (1.0 - decay) * r0 / (2.0 * eta - 1.0)
-        * hyp2f1(eta, 2.0 * eta - 1.0, 2.0 * eta, z)
-        + (1.0 - c * rate * decay - decay) / (2.0 * rate)
-        * hyp2f1(2.0 * eta, eta + 1.0, 2.0 * eta + 1.0, z)
-    )
+    return 2.0 * _close_pair_quadrature(t, traffic, geom, spec)
 
 
 def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:

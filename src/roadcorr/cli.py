@@ -73,6 +73,10 @@ class RunConfig:
             raise ConfigError(f"simulation needs n_samples >= {sim.MIN_SAMPLES}")
         if self.n_partitions < 1:
             raise ConfigError("n_partitions must be positive")
+        if ("simulation" in self.methods and self.n_samples
+                // max(self.n_partitions, sim.MIN_PARTITIONS_FOR_JACKKNIFE) < 2):
+            raise ConfigError(f"n_partitions {self.n_partitions} leaves fewer than "
+                              f"two samples per block at n_samples {self.n_samples}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

@@ -150,11 +150,6 @@ class TimeLagWindow:
             t_max=2.0 * geom.guard_radius / geom.speed,
         )
 
-    @property
-    def spacing_ratio(self) -> float:
-        """Minimum spacing over guard radius (equals t_lo / t_max)."""
-        return self.t_lo / self.t_max
-
 
 def pathloss(r, geom: NetworkGeometry):
     """Power-law gain |r| ** -exponent outside the guard zone, 0 inside.
@@ -172,8 +167,12 @@ def pathloss(r, geom: NetworkGeometry):
     return out
 
 
-def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel,
-                            asymptote_cutoff: float = 64.0) -> np.ndarray:
+# Beyond this many minimum gaps the pair correlation is taken to sit on its
+# squared-intensity asymptote.
+_ASYMPTOTE_CUTOFF_GAPS = 64.0
+
+
+def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     """Vectorized core of pair_correlation; d must be nonnegative."""
     d = np.asarray(d, dtype=float)
     lam = traffic.intensity
@@ -182,7 +181,7 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel,
     if c == 0.0:
         return out
     out[d < c] = 0.0
-    mid = (d >= c) & (d <= asymptote_cutoff * c)
+    mid = (d >= c) & (d <= _ASYMPTOTE_CUTOFF_GAPS * c)
     if not np.any(mid):
         return out
     dm = d[mid]
@@ -201,19 +200,18 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel,
     return out
 
 
-def pair_correlation(d: float, traffic: TrafficModel, *, asymptote_cutoff: float = 64.0) -> float:
+def pair_correlation(d: float, traffic: TrafficModel) -> float:
     """Second-order product density of the vehicle stream at separation d.
 
     Zero below the minimum spacing; on (k, k+1] minimum gaps it sums the k
     shifted Erlang renewal densities (higher orders evaluated in the log
-    domain so they cannot overflow), times the intensity. Beyond
-    asymptote_cutoff minimum gaps the squared-intensity asymptote is
-    returned directly. With min_gap == 0 the stream is Poisson and the
-    density is flat.
+    domain so they cannot overflow), times the intensity. Beyond 64
+    minimum gaps the squared-intensity asymptote is returned directly.
+    With min_gap == 0 the stream is Poisson and the density is flat.
     """
     if not (math.isfinite(d) and d >= 0):
         raise ParameterError(f"separation must be nonnegative, got {d!r}")
-    return float(_pair_correlation_array(np.array([d]), traffic, asymptote_cutoff)[0])
+    return float(_pair_correlation_array(np.array([d]), traffic)[0])
 
 
 def normalized_pair_correlation(d_over_c: float, traffic: TrafficModel) -> float:

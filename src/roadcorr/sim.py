@@ -15,68 +15,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, ParameterError
-from .model import NetworkGeometry, TimeLagWindow, TrafficModel, pathloss
+from .model import NetworkGeometry, TimeLagWindow, TrafficModel
 
 __all__ = [
-    "VehicleConfiguration",
-    "InterferencePair",
     "CorrelationEstimate",
     "PairMoments",
     "PairDistanceHistogram",
     "default_window",
     "truncation_bias_bound",
-    "sample_configuration",
-    "interference_at",
-    "sample_pair",
     "estimate",
     "pair_distance_histogram",
 ]
 
 MIN_SAMPLES = 1000
 MIN_PARTITIONS_FOR_JACKKNIFE = 20
-GAP_SLACK = 1e-12
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class VehicleConfiguration:
-    """One realization of vehicle positions inside a window."""
-
-    positions: np.ndarray
-    window: tuple[float, float]
-    min_gap: float
-
-    def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        w_lo, w_hi = self.window
-        if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
-            raise ParameterError(f"invalid window {self.window!r}")
-        if positions.size:
-            gaps = np.diff(positions)
-            if np.any(gaps <= 0.0):
-                raise ParameterError("positions must be strictly ascending")
-            if np.any(gaps < self.min_gap - GAP_SLACK):
-                raise ParameterError("a gap is below the minimum spacing")
-            if positions[0] < w_lo or positions[-1] > w_hi:
-                raise ParameterError("positions fall outside the window")
-        positions.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-
-
-@dataclass(frozen=True)
-class InterferencePair:
-    """Received interference at the two slots of one realization."""
-
-    i_tau: float
-    i_tau_t: float
-
-    def __post_init__(self) -> None:
-        if not (self.i_tau >= 0.0 and self.i_tau_t >= 0.0):
-            raise ParameterError("interference powers must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,11 +64,10 @@ class CorrelationEstimate:
 
 
 class PairMoments:
-    """Streaming bivariate moments: count, means, centered second moments.
+    """Bivariate moments: count, means, centered second moments.
 
-    Supports one-at-a-time updates, exact batch construction, and an
-    order-insensitive merge, so partitions can be accumulated independently
-    and combined afterwards.
+    Supports exact batch construction and an order-insensitive merge, so
+    partitions can be accumulated independently and combined afterwards.
     """
 
     __slots__ = ("n", "mean_x", "mean_y", "sxx", "syy", "sxy")
@@ -123,16 +79,6 @@ class PairMoments:
         self.sxx = 0.0
         self.syy = 0.0
         self.sxy = 0.0
-
-    def update(self, x: float, y: float) -> None:
-        self.n += 1
-        dx = x - self.mean_x
-        self.mean_x += dx / self.n
-        dy = y - self.mean_y
-        self.mean_y += dy / self.n
-        self.sxx += dx * (x - self.mean_x)
-        self.syy += dy * (y - self.mean_y)
-        self.sxy += dx * (y - self.mean_y)
 
     @classmethod
     def from_arrays(cls, x: np.ndarray, y: np.ndarray) -> "PairMoments":
@@ -240,48 +186,13 @@ def _position_matrix(traffic: TrafficModel, window: tuple[float, float],
     return pos
 
 
-def sample_configuration(traffic: TrafficModel, window: tuple[float, float],
-                         rng_stream: np.random.Generator) -> VehicleConfiguration:
-    """Draw one stationary realization of the vehicle stream on the window."""
-    w_lo, w_hi = window
-    if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
-        raise DomainError(f"window must be finite, got {window!r}")
-    if (w_hi - w_lo) * traffic.intensity < 100.0:
-        raise DomainError("window must cover at least one hundred mean spacings")
-    pos = _position_matrix(traffic, window, 1, rng_stream)[0]
-    return VehicleConfiguration(positions=pos[pos <= w_hi], window=window,
-                                min_gap=traffic.min_gap)
-
-
-def interference_at(config: VehicleConfiguration, shift: float,
-                    geom: NetworkGeometry, rng_stream: np.random.Generator) -> float:
-    """Interference at the origin with every vehicle displaced by shift.
-
-    One unit-mean exponential fading gain is drawn per vehicle per call,
-    so repeated calls on the same configuration model separate slots.
-    """
-    gains = pathloss(config.positions + shift, geom)
-    fading = rng_stream.exponential(1.0, size=config.positions.size)
-    return float(np.dot(gains, fading))
-
-
-def sample_pair(traffic: TrafficModel, geom: NetworkGeometry, t: float,
-                window: tuple[float, float],
-                rng_stream: np.random.Generator) -> InterferencePair:
-    """One realization observed at both slots, lag t apart."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"lag must be nonnegative, got {t!r}")
-    config = sample_configuration(traffic, window, rng_stream)
-    return InterferencePair(
-        i_tau=interference_at(config, 0.0, geom, rng_stream),
-        i_tau_t=interference_at(config, geom.speed * t, geom, rng_stream),
-    )
-
-
 def _pair_block(traffic: TrafficModel, geom: NetworkGeometry, t: float,
                 n_rows: int, window: tuple[float, float],
                 rng: np.random.Generator) -> PairMoments:
-    """Vectorized block of paired samples, identical in law to sample_pair."""
+    """Paired samples from n_rows realizations, each seen at lags 0 and t.
+
+    Fading is drawn independently per vehicle and per slot.
+    """
     w_hi = window[1]
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
@@ -403,6 +314,8 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ParameterError(f"bin width must be positive, got {bin_width!r}")
     w_lo, w_hi = window
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
+        raise DomainError(f"window must be finite, got {window!r}")
     if (w_hi - w_lo) * traffic.intensity < 100.0:
         raise DomainError("window must cover at least one hundred mean spacings")
     edges = bin_width * np.arange(bins + 1)
@@ -410,8 +323,8 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
     rng = _block_rng(seed, 0)
     counts = np.zeros((n_realizations, bins))
     for i in range(n_realizations):
-        config = sample_configuration(traffic, window, rng)
-        pos = config.positions
+        pos = _position_matrix(traffic, window, 1, rng)[0]
+        pos = pos[pos <= w_hi]
         upper = np.searchsorted(pos, pos + max_d, side="right")
         seps = []
         for j in range(pos.size - 1):

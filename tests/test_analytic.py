@@ -9,8 +9,6 @@ import oracles
 from roadcorr.analytic import (
     AnalyticCurve,
     CovarianceBreakdown,
-    close_pairs_ahead_approx,
-    close_pairs_behind_approx,
     close_pairs_expansion,
     close_pairs_numeric,
     covariance,
@@ -202,24 +200,6 @@ class TestClosePairs:
 
     def test_poisson_stream_contributes_nothing(self, traffic_ppp, geom):
         assert close_pairs_numeric(5.0, traffic_ppp, geom) == 0.0
-        assert close_pairs_ahead_approx(5.0, traffic_ppp, geom) == 0.0
-        assert close_pairs_behind_approx(5.0, traffic_ppp, geom) == 0.0
-
-    @pytest.mark.parametrize("t", [0.8, 5.0, 29.2])
-    def test_closed_forms_track_the_bands(self, t, traffic, geom):
-        ahead = oracles.close_band_defining(t, traffic, geom, "ahead")
-        behind = oracles.close_band_defining(t, traffic, geom, "behind")
-        assert math.isclose(close_pairs_ahead_approx(t, traffic, geom), ahead,
-                            rel_tol=2e-2)
-        assert math.isclose(close_pairs_behind_approx(t, traffic, geom), behind,
-                            rel_tol=2e-2)
-
-    @pytest.mark.parametrize("t", [0.8, 5.0, 29.2])
-    def test_closed_form_sum_tracks_numeric(self, t, traffic, geom):
-        total = (close_pairs_ahead_approx(t, traffic, geom)
-                 + close_pairs_behind_approx(t, traffic, geom))
-        assert math.isclose(total, close_pairs_numeric(t, traffic, geom) / 2.0,
-                            rel_tol=2e-2)
 
     def test_expansion_is_occupancy_scaled_same_vehicle(self, traffic, geom):
         occ = traffic.occupancy

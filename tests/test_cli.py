@@ -204,6 +204,14 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_too_many_partitions_is_a_config_error(self, tmp_path, capsys):
+        code, out = self.run_main(
+            tmp_path, "methods = simulation\nn_samples = 1000\n",
+            extra=("--partitions", "600"))
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag(self, capsys):
         assert main(["run", "--nope"]) == 1
         capsys.readouterr()

@@ -57,7 +57,6 @@ class TestTimeLagWindow:
         assert window.t_lo == 2.0 * 4.0 / 10.0
         assert window.t_hi == 2.0 * (150.0 - 4.0) / 10.0
         assert window.t_max == 2.0 * 150.0 / 10.0
-        assert window.spacing_ratio == window.t_lo / window.t_max
 
     def test_poisson_window_starts_at_zero(self, traffic_ppp, geom):
         window = TimeLagWindow.from_params(traffic_ppp, geom)
