@@ -19,8 +19,8 @@ from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, TailIntegral,
                       upper_incomplete_gamma)
 from .analytic import (AnalyticCurve, CovarianceBreakdown, covariance, curve,
                        close_pairs_expansion, close_pairs_numeric,
-                       distant_pairs_exact, distant_pairs_expansion, rho,
-                       rho_ppp, same_vehicle_term, variance)
+                       distant_pairs_exact, rho, rho_ppp, same_vehicle_term,
+                       variance)
 from .sim import (CorrelationEstimate, PairDistanceHistogram, PairMoments,
                   default_window, estimate, pair_distance_histogram,
                   truncation_bias_bound)
@@ -35,8 +35,7 @@ __all__ = [
     "integrate_finite", "integrate_semi_infinite", "upper_incomplete_gamma",
     "AnalyticCurve", "CovarianceBreakdown", "covariance", "curve",
     "close_pairs_expansion", "close_pairs_numeric", "distant_pairs_exact",
-    "distant_pairs_expansion", "rho", "rho_ppp", "same_vehicle_term",
-    "variance",
+    "rho", "rho_ppp", "same_vehicle_term", "variance",
     "CorrelationEstimate", "PairDistanceHistogram", "PairMoments",
     "default_window", "estimate", "pair_distance_histogram",
     "truncation_bias_bound",

@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
-from .model import (NetworkGeometry, TimeLagWindow, TrafficModel,
-                    _pair_correlation_array, mean_interference)
+from .errors import ConvergenceError, DomainError, ParameterError
+from .model import (_ASYMPTOTE_CUTOFF_GAPS, NetworkGeometry, TimeLagWindow,
+                    TrafficModel, _pair_correlation_array, mean_interference)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X,
                       hyp2f1, integrate_finite, integrate_semi_infinite)
 
@@ -33,7 +33,6 @@ __all__ = [
     "AnalyticCurve",
     "same_vehicle_term",
     "distant_pairs_exact",
-    "distant_pairs_expansion",
     "close_pairs_numeric",
     "close_pairs_expansion",
     "covariance",
@@ -164,14 +163,6 @@ def _distant_excess_expansion(t: float, traffic: TrafficModel, geom: NetworkGeom
             * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -t * geom.speed / r0))
 
 
-def distant_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    """First-order (in min_gap / guard_radius) form of distant_pairs_exact."""
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, window.t_lo, window.t_hi, "distant_pairs_expansion")
-    mean = mean_interference(traffic, geom)
-    return mean * mean + _distant_excess_expansion(t, traffic, geom)
-
-
 def _normalized_gain(x: np.ndarray, eta: float) -> np.ndarray:
     """Guard-zone power law in units of the guard radius."""
     ax = np.abs(x)
@@ -181,57 +172,20 @@ def _normalized_gain(x: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
-def _close_pair_quadrature(t: float, traffic: TrafficModel, geom: NetworkGeometry,
-                           spec: QuadratureSpec) -> float:
-    """Nested quadrature of the neighbor-band pair integrals.
-
-    Sums the ahead band (separations in (min_gap, 2 min_gap) in front of
-    the reference vehicle) and the behind band. All lengths are scaled by
-    the guard radius so the integrals are O(1).
-    """
-    lam = traffic.intensity
-    c = traffic.min_gap
-    if c == 0.0:
-        return 0.0
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    rate = traffic.gap_rate
-    b = c / r0
-    shift = t * geom.speed / r0
-    w = rate * r0
-
-    def inner(s: float) -> float:
-        ahead = integrate_finite(
-            lambda v: _normalized_gain(s + v + shift, eta) * np.exp(-w * (v - b)),
-            b, 2.0 * b, spec)
-        behind = integrate_finite(
-            lambda v: _normalized_gain(s + v + shift, eta) * np.exp(-w * (-v - b)),
-            -2.0 * b, -b, spec)
-        return ahead + behind
-
-    def outer(s_values: np.ndarray) -> np.ndarray:
-        return np.array([s ** (-eta) * inner(float(s)) for s in s_values])
-
-    band_mass = 2.0 * (1.0 - math.exp(-w * b)) / w
-    result = integrate_semi_infinite(outer, 1.0, spec,
-                                     tail_power=2.0 * eta,
-                                     tail_coef=1.0001 * band_mass)
-    return lam * rate * r0 ** (2.0 - 2.0 * eta) * result.value
-
-
 def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Pair contribution from neighbor separations below two minimum gaps.
 
-    Evaluated by nested quadrature of the two neighbor bands against the
-    exact first-order band of the pair correlation (only first neighbors
-    can sit closer than two minimum gaps), then doubled to cover reference
-    vehicles on both sides of the receiver. Valid for lags in [t_lo, t_hi],
-    where both bands clear the guard zone at the shifted instant.
+    Quadrature of the first-neighbor band against the exact pair
+    correlation (only first neighbors can sit closer than two minimum
+    gaps), over reference vehicles on both sides of the receiver. The
+    exact-quadrature route uses the same integral on [0, t_max]; here the
+    lag is held to [t_lo, t_hi], the window of the distant-pair closed form
+    it is paired with.
     """
     window = TimeLagWindow.from_params(traffic, geom)
     _require_lag(t, window.t_lo, window.t_hi, "close_pairs_numeric")
-    return 2.0 * _close_pair_quadrature(t, traffic, geom, spec)
+    return _exact_pair_integral(t, traffic, geom, spec, "close")
 
 
 def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -250,25 +204,34 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
             * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -t * geom.speed / r0))
 
 
-def _deviation_reach(traffic: TrafficModel, tol: float = 1e-10, cap: int = 64) -> int:
+def _deviation_reach(traffic: TrafficModel) -> int:
     """Number of minimum-gap bands until the pair correlation sits on its asymptote.
 
     Returns the smallest k with two consecutive bands whose deviation from
-    the squared intensity stays below tol relative, capped at cap bands.
+    the squared intensity stays below 1e-10 relative. Raises
+    ConvergenceError, with the relative deviation still left, when that
+    takes more bands than the pair correlation resolves before it switches
+    to its asymptote.
     """
     lam2 = traffic.intensity ** 2
     c = traffic.min_gap
     quiet = 0
-    for k in range(1, cap + 1):
+    residual = 0.0
+    for k in range(1, int(_ASYMPTOTE_CUTOFF_GAPS) + 1):
         probes = c * (k + np.linspace(0.02, 0.98, 9))
         dev = np.max(np.abs(_pair_correlation_array(probes, traffic) - lam2))
-        if dev <= tol * lam2:
+        if dev <= 1e-10 * lam2:
             quiet += 1
             if quiet == 2:
                 return k - 1
         else:
-            quiet = 0
-    return cap
+            quiet, residual = 0, float(dev / lam2)
+    raise ConvergenceError(
+        f"pair correlation still deviates from its asymptote at "
+        f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
+        best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
+        error_bound=residual,
+    )
 
 
 _UNIT_NODES = 0.5 + 0.5 * _GK_X
@@ -284,14 +247,14 @@ def _segment_nodes(v0: np.ndarray, v1: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
-                         spec: QuadratureSpec, first_band_only: bool,
-                         use_full_density: bool) -> float:
+                         spec: QuadratureSpec, part: str) -> float:
     """Two-sided pair integral against the exact pair correlation.
 
     Integrates gain(x) * (gain(y + shift) + gain(y - shift)) over reference
-    positions x beyond the guard radius and neighbor offsets y - x within
-    the deviation reach of the pair correlation, weighting either by the
-    full pair density (use_full_density) or by its deviation from the
+    positions x beyond the guard radius and neighbor offsets y - x. part
+    "close" weights the first-neighbor band (offsets between one and two
+    minimum gaps) by the full pair density; part "deviation" weights every
+    band within the deviation reach by the density's deviation from the
     squared intensity. The two shifted gains fold the x < 0 half-line onto
     x > 0. Lengths are scaled by the guard radius. The offset integral uses
     a fixed Kronrod rule per smooth piece (pieces are cut at band edges and
@@ -307,14 +270,13 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     r0 = geom.guard_radius
     b = c / r0
     shift = t * geom.speed / r0
-    if first_band_only:
-        start_band, reach = 1, 2
+    if part == "close":
+        start_band, reach, offset = 1, 2, 0.0
     else:
-        start_band, reach = 0, _deviation_reach(traffic)
+        start_band, reach, offset = 0, _deviation_reach(traffic), lam2
 
     def weight_of(v_abs: np.ndarray) -> np.ndarray:
-        density = _pair_correlation_array(r0 * v_abs, traffic)
-        return density if use_full_density else density - lam2
+        return _pair_correlation_array(r0 * v_abs, traffic) - offset
 
     bands = np.arange(start_band, reach, dtype=float)
     pos_lo, pos_hi = bands * b, (bands + 1.0) * b
@@ -327,6 +289,14 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     # guard boundary inside the offset range, so no segment needs cutting
     # and the cached per-segment weights apply unmasked.
     split_end = 1.0 + shift + reach * b + 1e-9
+    # Below it the offset integral has a kink wherever a guard-zone crossing
+    # (offset +-1 - s -+ shift) passes a band edge. Splitting the adaptive
+    # range there leaves smooth pieces, on which its error estimate holds.
+    edges = np.union1d(base_lo, base_hi)
+    kinks = np.concatenate([boundary + moved - edges
+                            for boundary in (1.0, -1.0) for moved in (shift, -shift)])
+    kinks = np.unique(kinks[(kinks > 1.0) & (kinks < split_end)])
+    near_points = np.concatenate([[1.0], kinks, [split_end]])
 
     def integrand_far(s_values: np.ndarray) -> np.ndarray:
         args_plus = s_values[:, None, None] + base_nodes[None, :, :] + shift
@@ -357,7 +327,8 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
             out[i] = s ** (-eta) * total
         return out
 
-    near = integrate_finite(integrand_near, 1.0, split_end, spec)
+    near = math.fsum(integrate_finite(integrand_near, lo, hi, spec)
+                     for lo, hi in zip(near_points[:-1], near_points[1:]))
     far = integrate_semi_infinite(integrand_far, split_end, spec,
                                   tail_power=2.0 * eta).value
     return r0 ** (2.0 - 2.0 * eta) * (near + far)
@@ -385,7 +356,7 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
 
     Methods: "exact-quadrature" integrates the pair terms against the exact
     pair correlation (valid on [0, t_max]); "pcf-approx" uses the closed
-    distant-pair form plus nested quadrature of the neighbor bands;
+    distant-pair form plus the same first-neighbor band integral;
     "expansion" uses the second-order occupancy expansion of both (each
     valid on [t_lo, t_hi]). The squared mean is cancelled symbolically, so
     the result does not suffer the near-equal-difference loss.
@@ -396,10 +367,8 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     if method == "exact-quadrature":
         _require_lag(t, 0.0, window.t_max, "covariance (exact-quadrature)")
         base = same_vehicle_term(t, traffic, geom)
-        deviation = _exact_pair_integral(t, traffic, geom, spec,
-                                         first_band_only=False, use_full_density=False)
-        close = _exact_pair_integral(t, traffic, geom, spec,
-                                     first_band_only=True, use_full_density=True)
+        deviation = _exact_pair_integral(t, traffic, geom, spec, "deviation")
+        close = _exact_pair_integral(t, traffic, geom, spec, "close")
         cov = base + deviation
         return CovarianceBreakdown(
             same_vehicle=base,

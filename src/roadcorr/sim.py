@@ -150,6 +150,12 @@ def truncation_bias_bound(traffic: TrafficModel, geom: NetworkGeometry,
     return lam * (right ** (1.0 - eta) + left ** (1.0 - eta)) / (eta - 1.0)
 
 
+def _require_window(window: tuple[float, float]) -> None:
+    w_lo, w_hi = window
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
+        raise DomainError(f"window must be finite with w_lo < w_hi, got {window!r}")
+
+
 def _equilibrium_delay(traffic: TrafficModel, first_uniform: np.ndarray) -> np.ndarray:
     """Distance from the window edge to the first vehicle, at stationarity.
 
@@ -241,6 +247,7 @@ def estimate(traffic: TrafficModel, geom: NetworkGeometry, t: float,
         raise ParameterError("too many partitions for the sample count")
     if window is None:
         window = default_window(traffic, geom, t)
+    _require_window(window)
     base, rem = divmod(n_samples, n_blocks)
     blocks = []
     for k in range(n_blocks):
@@ -313,9 +320,8 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
         bin_width = traffic.min_gap / 8.0 if traffic.min_gap > 0.0 else 1.0 / traffic.intensity
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ParameterError(f"bin width must be positive, got {bin_width!r}")
+    _require_window(window)
     w_lo, w_hi = window
-    if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
-        raise DomainError(f"window must be finite, got {window!r}")
     if (w_hi - w_lo) * traffic.intensity < 100.0:
         raise DomainError("window must cover at least one hundred mean spacings")
     edges = bin_width * np.arange(bins + 1)

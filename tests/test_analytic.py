@@ -14,13 +14,12 @@ from roadcorr.analytic import (
     covariance,
     curve,
     distant_pairs_exact,
-    distant_pairs_expansion,
     rho,
     rho_ppp,
     same_vehicle_term,
     variance,
 )
-from roadcorr.errors import DomainError, ParameterError
+from roadcorr.errors import ConvergenceError, DomainError, ParameterError
 from roadcorr.model import NetworkGeometry, TrafficModel, mean_interference
 
 # Reference values for the canonical configuration (intensity 0.05 /m,
@@ -45,11 +44,15 @@ RHO_PPP = {
     15.0: 0.08470770839917964,
     29.2: 0.030288457122182297,
 }
+# t = 0 and t = 30 come from a solve at rel_tol 1e-13, abs_tol 1e-300,
+# tail_tol 1e-14.
 RHO_EXACT = {
+    0.0: 0.39387566230310617,
     0.8: 0.3404864018582446,
     5.0: 0.1875439154831788,
     15.0: 0.06571338293399318,
     29.2: 0.023492573995278227,
+    30.0: 0.019463443158688996,
 }
 
 
@@ -96,7 +99,7 @@ class TestFrozenValues:
     def test_rho_exact_route(self, t, traffic, geom):
         value = (covariance(t, traffic, geom, "exact-quadrature").covariance
                  / exact_variance(traffic, geom))
-        assert math.isclose(value, RHO_EXACT[t], rel_tol=1e-6)
+        assert math.isclose(value, RHO_EXACT[t], rel_tol=1e-8)
 
 
 class TestSameVehicleTerm:
@@ -159,8 +162,9 @@ class TestDistantPairs:
         mean_sq = mean_interference(traffic_ppp, geom) ** 2
         assert math.isclose(distant_pairs_exact(5.0, traffic_ppp, geom),
                             mean_sq, rel_tol=1e-12)
-        assert math.isclose(distant_pairs_expansion(5.0, traffic_ppp, geom),
-                            mean_sq, rel_tol=1e-12)
+        assert math.isclose(
+            covariance(5.0, traffic_ppp, geom, "expansion").distant_pairs,
+            mean_sq, rel_tol=1e-12)
 
     def test_rejects_lag_outside_window(self, traffic, geom):
         with pytest.raises(DomainError):
@@ -174,19 +178,27 @@ class TestDistantPairs:
         to first order in min_gap / guard_radius, not just the total."""
         mean_sq = mean_interference(traffic, geom) ** 2
         exact = distant_pairs_exact(t, traffic, geom)
-        expn = distant_pairs_expansion(t, traffic, geom)
+        expn = covariance(t, traffic, geom, "expansion").distant_pairs
         correction = abs(mean_sq - expn)
         bound = 2.0 * traffic.min_gap / geom.guard_radius
         assert abs(exact - expn) <= bound * correction
 
 
 class TestClosePairs:
-    @pytest.mark.parametrize("t", [0.8, 1.0, 5.0, 15.0, 29.2])
-    def test_numeric_matches_defining_bands(self, t, traffic, geom):
-        defining = 2.0 * (oracles.close_band_defining(t, traffic, geom, "ahead")
-                          + oracles.close_band_defining(t, traffic, geom, "behind"))
-        assert math.isclose(close_pairs_numeric(t, traffic, geom), defining,
-                            rel_tol=1e-8)
+    @pytest.mark.parametrize("t", [0.8, 1.0, 5.0, 15.0, 26.0, 29.2])
+    def test_numeric_matches_defining_bands(self, t, geom):
+        for lam in (0.02, 0.05, 0.2):
+            tr = TrafficModel.from_intensity(lam, 4.0)
+            defining = 2.0 * (oracles.close_band_defining(t, tr, geom, "ahead")
+                              + oracles.close_band_defining(t, tr, geom, "behind"))
+            assert math.isclose(close_pairs_numeric(t, tr, geom), defining,
+                                rel_tol=1e-9)
+
+    @pytest.mark.parametrize("t", [0.8, 5.0, 29.2])
+    def test_routes_share_the_band_integral(self, t, traffic, geom):
+        exact = covariance(t, traffic, geom, "exact-quadrature")
+        approx = covariance(t, traffic, geom, "pcf-approx")
+        assert exact.close_pairs == approx.close_pairs
 
     def test_numeric_matches_brute_force_grid(self, traffic, geom):
         grid = oracles.close_pairs_grid_sum(1.0, traffic, geom)
@@ -296,6 +308,13 @@ class TestCovariance:
             covariance(29.3, traffic, geom, "expansion")
         with pytest.raises(DomainError):
             covariance(30.5, traffic, geom, "exact-quadrature")
+
+    def test_exact_route_refuses_unsettled_pair_correlation(self, geom):
+        """At occupancy 0.9 the pair correlation still deviates from its
+        asymptote where it switches to it, 64 minimum gaps out."""
+        jammed = TrafficModel.from_intensity(0.225, 4.0)
+        with pytest.raises(ConvergenceError, match="64 minimum gaps"):
+            covariance(5.0, jammed, geom, "exact-quadrature")
 
     def test_unknown_method_rejected(self, traffic, geom):
         with pytest.raises(ParameterError):

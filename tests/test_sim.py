@@ -184,6 +184,12 @@ class TestEstimate:
         with pytest.raises(DomainError):
             estimate(traffic, geom, 30.1, 2000, SEED)
 
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (100.0, 0.0),
+                                        (math.nan, 10.0)])
+    def test_window_domain(self, window, traffic, geom):
+        with pytest.raises(DomainError, match="window must be finite"):
+            estimate(traffic, geom, 5.0, 1000, SEED, window=window)
+
     def test_degenerate_sample_rejected(self, traffic):
         silent = NetworkGeometry(guard_radius=10000.0, pathloss_exponent=3.0,
                                  speed=10.0)
@@ -237,7 +243,8 @@ class TestPairDistanceHistogram:
         with pytest.raises(ParameterError):
             pair_distance_histogram(traffic, window, 10, 16, SEED,
                                     bin_width=-1.0)
-        for bad_window in ((0.0, 50.0), (0.0, math.inf)):
+        for bad_window in ((0.0, 50.0), (0.0, math.inf), (100.0, 0.0),
+                           (math.nan, 10.0)):
             with pytest.raises(DomainError):
                 pair_distance_histogram(traffic, bad_window, 10, 16, SEED)
 
