@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
-from .model import (_ASYMPTOTE_CUTOFF_GAPS, NetworkGeometry, TimeLagWindow,
-                    TrafficModel, _pair_correlation_array, mean_interference)
+from .errors import DomainError, ParameterError
+from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _deviation_reach,
+                    _pair_correlation_array, mean_interference)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X,
                       hyp2f1, integrate_finite, integrate_semi_infinite)
 
@@ -163,15 +163,6 @@ def _distant_excess_expansion(t: float, traffic: TrafficModel, geom: NetworkGeom
             * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -t * geom.speed / r0))
 
 
-def _normalized_gain(x: np.ndarray, eta: float) -> np.ndarray:
-    """Guard-zone power law in units of the guard radius."""
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    outside = ax > 1.0
-    np.place(out, outside, ax[outside] ** (-eta))
-    return out
-
-
 def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Pair contribution from neighbor separations below two minimum gaps.
@@ -204,46 +195,8 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
             * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -t * geom.speed / r0))
 
 
-def _deviation_reach(traffic: TrafficModel) -> int:
-    """Number of minimum-gap bands until the pair correlation sits on its asymptote.
-
-    Returns the smallest k with two consecutive bands whose deviation from
-    the squared intensity stays below 1e-10 relative. Raises
-    ConvergenceError, with the relative deviation still left, when that
-    takes more bands than the pair correlation resolves before it switches
-    to its asymptote.
-    """
-    lam2 = traffic.intensity ** 2
-    c = traffic.min_gap
-    quiet = 0
-    residual = 0.0
-    for k in range(1, int(_ASYMPTOTE_CUTOFF_GAPS) + 1):
-        probes = c * (k + np.linspace(0.02, 0.98, 9))
-        dev = np.max(np.abs(_pair_correlation_array(probes, traffic) - lam2))
-        if dev <= 1e-10 * lam2:
-            quiet += 1
-            if quiet == 2:
-                return k - 1
-        else:
-            quiet, residual = 0, float(dev / lam2)
-    raise ConvergenceError(
-        f"pair correlation still deviates from its asymptote at "
-        f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
-        best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
-        error_bound=residual,
-    )
-
-
 _UNIT_NODES = 0.5 + 0.5 * _GK_X
 _UNIT_WEIGHTS = 0.5 * _GK_WK
-
-
-def _segment_nodes(v0: np.ndarray, v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod nodes and weights for a batch of segments (one row each)."""
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    width = (v1 - v0)[:, None]
-    return v0[:, None] + width * _UNIT_NODES[None, :], width * _UNIT_WEIGHTS[None, :]
 
 
 def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
@@ -256,11 +209,11 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     minimum gaps) by the full pair density; part "deviation" weights every
     band within the deviation reach by the density's deviation from the
     squared intensity. The two shifted gains fold the x < 0 half-line onto
-    x > 0. Lengths are scaled by the guard radius. The offset integral uses
-    a fixed Kronrod rule per smooth piece (pieces are cut at band edges and
-    at the guard-zone crossings of either shifted gain), which resolves
-    these analytic pieces to roundoff; the reference-position integral is
-    adaptive.
+    x > 0. Lengths are scaled by the guard radius. For each shifted gain,
+    every band segment is clipped to the two half-lines of offsets that put
+    the neighbor outside the guard zone, and each piece gets a fixed
+    Kronrod rule, which resolves these analytic pieces to roundoff; the
+    reference-position integral is adaptive.
     """
     lam2 = traffic.intensity ** 2
     c = traffic.min_gap
@@ -275,19 +228,16 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     else:
         start_band, reach, offset = 0, _deviation_reach(traffic), lam2
 
-    def weight_of(v_abs: np.ndarray) -> np.ndarray:
-        return _pair_correlation_array(r0 * v_abs, traffic) - offset
-
     bands = np.arange(start_band, reach, dtype=float)
     pos_lo, pos_hi = bands * b, (bands + 1.0) * b
     base_lo = np.concatenate([-pos_hi[::-1], pos_lo])
     base_hi = np.concatenate([-pos_lo[::-1], pos_hi])
-    base_nodes, base_weights = _segment_nodes(base_lo, base_hi)
-    base_weight_values = weight_of(np.abs(base_nodes)) * base_weights
+    base_width = base_hi - base_lo
+    base_nodes = base_lo[:, None] + base_width[:, None] * _UNIT_NODES
+    base_density = _pair_correlation_array(r0 * np.abs(base_nodes), traffic) - offset
 
     # Beyond this reference position neither shifted gain can cross the
-    # guard boundary inside the offset range, so no segment needs cutting
-    # and the cached per-segment weights apply unmasked.
+    # guard boundary inside the offset range, so no segment is clipped.
     split_end = 1.0 + shift + reach * b + 1e-9
     # Below it the offset integral has a kink wherever a guard-zone crossing
     # (offset +-1 - s -+ shift) passes a band edge. Splitting the adaptive
@@ -298,38 +248,32 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     kinks = np.unique(kinks[(kinks > 1.0) & (kinks < split_end)])
     near_points = np.concatenate([[1.0], kinks, [split_end]])
 
-    def integrand_far(s_values: np.ndarray) -> np.ndarray:
-        args_plus = s_values[:, None, None] + base_nodes[None, :, :] + shift
-        args_minus = s_values[:, None, None] + base_nodes[None, :, :] - shift
-        gains = args_plus ** (-eta) + np.abs(args_minus) ** (-eta)
-        inner = np.einsum("npk,pk->n", gains, base_weight_values)
+    def integrand(s_values: np.ndarray) -> np.ndarray:
+        s = s_values[:, None]
+        inner = np.zeros_like(s_values)
+        for moved in (shift, -shift):
+            below, above = -1.0 - s - moved, 1.0 - s - moved
+            # An empty piece collapses onto its guard-zone crossing, where
+            # the gain is finite, so its zero width zeroes it cleanly.
+            for lo, hi in ((np.minimum(base_lo, below), np.minimum(base_hi, below)),
+                           (np.maximum(base_lo, above), np.maximum(base_hi, above))):
+                width = hi - lo
+                nodes = lo[:, :, None] + width[:, :, None] * _UNIT_NODES
+                # Unclipped pieces sit on the band nodes; only shortened
+                # ones need the density afresh.
+                density = np.broadcast_to(base_density, nodes.shape)
+                clipped = (width > 0.0) & (width < base_width)
+                if np.any(clipped):
+                    density = density.copy()
+                    density[clipped] = (_pair_correlation_array(
+                        r0 * np.abs(nodes[clipped]), traffic) - offset)
+                gains = np.abs(s[:, :, None] + nodes + moved) ** (-eta)
+                inner += np.sum((gains * density) @ _UNIT_WEIGHTS * width, axis=1)
         return s_values ** (-eta) * inner
 
-    def integrand_near(s_values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s_values)
-        for i, s in enumerate(np.asarray(s_values, dtype=float)):
-            cuts = (1.0 - s - shift, -1.0 - s - shift,
-                    1.0 - s + shift, -1.0 - s + shift)
-            gains = (_normalized_gain(s + base_nodes + shift, eta)
-                     + _normalized_gain(s + base_nodes - shift, eta))
-            total = 0.0
-            for j, (lo_v, hi_v) in enumerate(zip(base_lo, base_hi)):
-                inside = sorted(x for x in cuts if lo_v < x < hi_v)
-                if not inside:
-                    total += float(np.dot(gains[j], base_weight_values[j]))
-                    continue
-                points = [lo_v] + inside + [hi_v]
-                nodes, weights = _segment_nodes(np.array(points[:-1]),
-                                                np.array(points[1:]))
-                piece_gains = (_normalized_gain(s + nodes + shift, eta)
-                               + _normalized_gain(s + nodes - shift, eta))
-                total += float(np.sum(piece_gains * weight_of(np.abs(nodes)) * weights))
-            out[i] = s ** (-eta) * total
-        return out
-
-    near = math.fsum(integrate_finite(integrand_near, lo, hi, spec)
+    near = math.fsum(integrate_finite(integrand, lo, hi, spec)
                      for lo, hi in zip(near_points[:-1], near_points[1:]))
-    far = integrate_semi_infinite(integrand_far, split_end, spec,
+    far = integrate_semi_infinite(integrand, split_end, spec,
                                   tail_power=2.0 * eta).value
     return r0 ** (2.0 - 2.0 * eta) * (near + far)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
     "TrafficModel",
@@ -200,17 +200,51 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     return out
 
 
+def _deviation_reach(traffic: TrafficModel) -> int:
+    """Number of minimum-gap bands until the pair correlation sits on its asymptote.
+
+    Returns the smallest k with two consecutive bands whose deviation from
+    the squared intensity stays below 1e-10 relative. Raises
+    ConvergenceError, with the relative deviation still left, when that
+    takes more bands than the pair correlation resolves before it switches
+    to its asymptote.
+    """
+    lam2 = traffic.intensity ** 2
+    c = traffic.min_gap
+    quiet = 0
+    residual = 0.0
+    for k in range(1, int(_ASYMPTOTE_CUTOFF_GAPS) + 1):
+        probes = c * (k + np.linspace(0.02, 0.98, 9))
+        dev = np.max(np.abs(_pair_correlation_array(probes, traffic) - lam2))
+        if dev <= 1e-10 * lam2:
+            quiet += 1
+            if quiet == 2:
+                return k - 1
+        else:
+            quiet, residual = 0, float(dev / lam2)
+    raise ConvergenceError(
+        f"pair correlation still deviates from its asymptote at "
+        f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
+        best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
+        error_bound=residual,
+    )
+
+
 def pair_correlation(d: float, traffic: TrafficModel) -> float:
     """Second-order product density of the vehicle stream at separation d.
 
     Zero below the minimum spacing; on (k, k+1] minimum gaps it sums the k
     shifted Erlang renewal densities (higher orders evaluated in the log
     domain so they cannot overflow), times the intensity. Beyond 64
-    minimum gaps the squared-intensity asymptote is returned directly.
-    With min_gap == 0 the stream is Poisson and the density is flat.
+    minimum gaps the squared-intensity asymptote is returned, and
+    ConvergenceError (carrying the relative deviation still left) is raised
+    where the density has not settled onto it by then. With min_gap == 0
+    the stream is Poisson and the density is flat.
     """
     if not (math.isfinite(d) and d >= 0):
         raise ParameterError(f"separation must be nonnegative, got {d!r}")
+    if d > _ASYMPTOTE_CUTOFF_GAPS * traffic.min_gap:
+        _deviation_reach(traffic)
     return float(_pair_correlation_array(np.array([d]), traffic)[0])
 
 

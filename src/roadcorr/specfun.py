@@ -168,16 +168,15 @@ def integrate_semi_infinite(
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     *,
     tail_power: float,
-    tail_coef: float | None = None,
 ) -> TailIntegral:
     """Integrate f over [lo, inf) for an integrand with a power-law tail.
 
-    The caller promises |f(x)| <= tail_coef * x**(-tail_power) for large x
-    with tail_power > 1. When tail_coef is omitted it is estimated from
-    probes of |f| at geometrically spaced points (pass it explicitly when a
-    rigorous bound is needed). The range is truncated at X once the bound
-    tail_coef * X**(1 - tail_power) / (tail_power - 1) drops below
-    tail_tol relative to the accumulated integral.
+    The caller promises |f(x)| <= C * x**(-tail_power) for large x with
+    tail_power > 1. The coefficient C is estimated from probes of |f| at
+    geometrically spaced points, so the tail bound is an estimate, not a
+    rigorous bound. The range is truncated at X once the bound
+    C * X**(1 - tail_power) / (tail_power - 1) drops below tail_tol
+    relative to the accumulated integral.
     """
     lo = float(lo)
     if not math.isfinite(lo):
@@ -186,12 +185,11 @@ def integrate_semi_infinite(
         raise ParameterError(f"tail_power must exceed 1, got {tail_power!r}")
 
     base = max(abs(lo), 1.0)
-    if tail_coef is None:
-        probes = base * np.array([4.0, 16.0, 64.0])
-        magnitudes = np.abs(np.asarray(f(probes), dtype=float))
-        tail_coef = 4.0 * float(np.max(magnitudes * probes**tail_power))
-    if not (math.isfinite(tail_coef) and tail_coef >= 0.0):
-        raise ParameterError(f"tail_coef must be finite and nonnegative, got {tail_coef!r}")
+    probes = base * np.array([4.0, 16.0, 64.0])
+    magnitudes = np.abs(np.asarray(f(probes), dtype=float))
+    tail_coef = 4.0 * float(np.max(magnitudes * probes**tail_power))
+    if not math.isfinite(tail_coef):
+        raise ParameterError(f"estimated tail coefficient must be finite, got {tail_coef!r}")
 
     cutoff = max(4.0 * base, lo + 1.0)
     value = integrate_finite(f, lo, cutoff, spec)

@@ -55,6 +55,22 @@ RHO_EXACT = {
     30.0: 0.019463443158688996,
 }
 
+# Exact-route (covariance, close_pairs) at occupancy 0.4 and 0.8 (minimum
+# gap 4 m, canonical geometry), frozen as regression anchors. At t = 0.4 and
+# t = 0.8 the lag shift equals one and two band widths, so the guard-zone
+# crossings fall exactly on band edges.
+EXACT_DENSE = {
+    (0.1, 0.0): (1.9720017473217449e-13, 4.664320629582674e-13),
+    (0.1, 0.4): (1.7669905987295683e-13, 4.677585205162959e-13),
+    (0.1, 0.8): (1.6634800114458618e-13, 4.5276832616444133e-13),
+    (0.1, 5.0): (9.166656112638663e-14, 2.4883585243556264e-13),
+    (0.1, 29.2): (1.1511991801692101e-14, 3.1079449386109885e-14),
+    (0.1, 30.0): (7.201341341821863e-15, 5.1551827067782127e-14),
+    (0.2, 0.0): (5.634293732179389e-14, 1.907965533501871e-12),
+    (0.2, 5.0): (2.0343138190900068e-14, 1.0029694869072021e-12),
+    (0.2, 30.0): (-4.65673013938575e-15, 1.962908004619919e-13),
+}
+
 
 def exact_variance(traffic, geom):
     """Zero-lag variance assembled from the exact-quadrature route.
@@ -100,6 +116,14 @@ class TestFrozenValues:
         value = (covariance(t, traffic, geom, "exact-quadrature").covariance
                  / exact_variance(traffic, geom))
         assert math.isclose(value, RHO_EXACT[t], rel_tol=1e-8)
+
+    @pytest.mark.parametrize("intensity,t", sorted(EXACT_DENSE))
+    def test_exact_route_dense_streams(self, intensity, t, geom):
+        dense = TrafficModel.from_intensity(intensity, 4.0)
+        breakdown = covariance(t, dense, geom, "exact-quadrature")
+        cov, close = EXACT_DENSE[intensity, t]
+        assert math.isclose(breakdown.covariance, cov, rel_tol=1e-12)
+        assert math.isclose(breakdown.close_pairs, close, rel_tol=1e-12)
 
 
 class TestSameVehicleTerm:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from roadcorr import (DomainError, NetworkGeometry, ParameterError,
-                      TimeLagWindow, TrafficModel, integrate_semi_infinite,
-                      mean_interference, normalized_pair_correlation,
-                      pair_correlation, pathloss)
+from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
+                      ParameterError, TimeLagWindow, TrafficModel,
+                      integrate_semi_infinite, mean_interference,
+                      normalized_pair_correlation, pair_correlation, pathloss)
 from roadcorr.model import _pair_correlation_array
 
 
@@ -122,6 +122,14 @@ class TestPairCorrelation:
     def test_far_field_asymptote(self, traffic):
         assert pair_correlation(100.0 * traffic.min_gap, traffic) \
             == traffic.intensity ** 2
+
+    def test_unsettled_far_field_raises(self):
+        """At occupancy 0.9 the density still deviates from the squared
+        intensity where it would switch to it, 64 minimum gaps out."""
+        jammed = TrafficModel.from_intensity(0.225, 4.0)
+        with pytest.raises(ConvergenceError, match="64 minimum gaps") as info:
+            pair_correlation(65.0 * jammed.min_gap, jammed)
+        assert info.value.error_bound > 1e-10
 
     def test_poisson_is_flat(self, traffic_ppp):
         for d in (1e-6, 1.0, 100.0):

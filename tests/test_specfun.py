@@ -149,14 +149,14 @@ class TestIntegrateSemiInfinite:
 
     def test_zero_integrand(self):
         result = integrate_semi_infinite(lambda x: np.zeros_like(x), 5.0,
-                                         tail_power=4.0, tail_coef=0.0)
+                                         tail_power=4.0)
         assert result.value == 0.0
         assert result.tail_bound == 0.0
 
     def test_tail_bound_respects_tolerance(self):
         spec = QuadratureSpec()
         result = integrate_semi_infinite(lambda x: x ** -4.0, 10.0,
-                                         spec, tail_power=4.0, tail_coef=1.0)
+                                         spec, tail_power=4.0)
         assert result.tail_bound <= spec.tail_tol * abs(result.value)
 
     def test_rejects_shallow_tail(self):
