@@ -4,7 +4,8 @@ Vehicles form a stationary stream with a minimum spacing plus exponential
 free headway; a receiver at the origin accumulates power-law pathloss with
 independent per-slot exponential fading. The package computes the lag-t
 Pearson correlation coefficient of that interference three ways: closed
-forms, quadrature against the exact pair correlation, and Monte Carlo.
+forms, quadrature against the exact pair correlation, and Monte Carlo over
+sampled vehicle positions, with the fading averaged out exactly.
 """
 
 __version__ = "0.1.0"
@@ -21,8 +22,8 @@ from .analytic import (AnalyticCurve, CovarianceBreakdown, covariance, curve,
                        close_pairs_expansion, close_pairs_numeric,
                        distant_pairs_exact, rho, rho_ppp, same_vehicle_term,
                        variance)
-from .sim import (CorrelationEstimate, PairDistanceHistogram, PairMoments,
-                  default_window, estimate, pair_distance_histogram,
+from .sim import (CorrelationEstimate, PairDistanceHistogram, default_window,
+                  estimate, estimate_curve, pair_distance_histogram,
                   truncation_bias_bound)
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
     "AnalyticCurve", "CovarianceBreakdown", "covariance", "curve",
     "close_pairs_expansion", "close_pairs_numeric", "distant_pairs_exact",
     "rho", "rho_ppp", "same_vehicle_term", "variance",
-    "CorrelationEstimate", "PairDistanceHistogram", "PairMoments",
-    "default_window", "estimate", "pair_distance_histogram",
+    "CorrelationEstimate", "PairDistanceHistogram", "default_window",
+    "estimate", "estimate_curve", "pair_distance_histogram",
     "truncation_bias_bound",
 ]

@@ -203,24 +203,29 @@ def _rows_to_json(header: str, rows: list[list[object]]) -> str:
 def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
                 geom: NetworkGeometry) -> tuple[list[list[object]], list[int]]:
     lam, c = traffic.intensity, traffic.min_gap
-    rows: list[list[object]] = []
-    invalid: list[int] = []
-    for i, t in enumerate(config.t_grid()):
-        t = float(t)
-        value: float | None = None
-        stderr: float | None = None
+    grid = [float(t) for t in config.t_grid()]
+    values: dict[int, tuple[float, float | None]] = {}
+    if method == "simulation":
         try:
-            if method == "simulation":
-                result = sim.estimate(traffic, geom, t, config.n_samples,
-                                      config.seed, config.n_partitions)
-                value, stderr = result.rho, result.se_rho
-            else:
-                value = analytic.rho(t, traffic, geom, method)
+            t_max = TimeLagWindow.from_params(traffic, geom).t_max
+            inside = [i for i, t in enumerate(grid) if t <= t_max]
         except DomainError:
-            invalid.append(i)
-        rows.append([t, value, stderr, method, lam, c,
-                     config.r0, config.eta, config.u, value is not None])
-    return rows, invalid
+            inside = []
+        if inside:
+            results = sim.estimate_curve(traffic, geom, [grid[i] for i in inside],
+                                         config.n_samples, config.seed,
+                                         config.n_partitions)
+            values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
+    else:
+        for i, t in enumerate(grid):
+            try:
+                values[i] = (analytic.rho(t, traffic, geom, method), None)
+            except DomainError:
+                pass
+    rows = [[t, *values.get(i, (None, None)), method, lam, c,
+             config.r0, config.eta, config.u, i in values]
+            for i, t in enumerate(grid)]
+    return rows, [i for i in range(len(grid)) if i not in values]
 
 
 def _pcf_rows(traffic: TrafficModel) -> list[list[object]]:

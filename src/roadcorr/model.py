@@ -8,6 +8,7 @@ a pure power law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -200,6 +201,7 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     return out
 
 
+@functools.lru_cache
 def _deviation_reach(traffic: TrafficModel) -> int:
     """Number of minimum-gap bands until the pair correlation sits on its asymptote.
 
@@ -207,7 +209,8 @@ def _deviation_reach(traffic: TrafficModel) -> int:
     the squared intensity stays below 1e-10 relative. Raises
     ConvergenceError, with the relative deviation still left, when that
     takes more bands than the pair correlation resolves before it switches
-    to its asymptote.
+    to its asymptote. Cached per stream, since a curve asks for the same
+    stream's reach at every lag; a raised error is not cached.
     """
     lam2 = traffic.intensity ** 2
     c = traffic.min_gap

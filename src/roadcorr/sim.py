@@ -2,28 +2,31 @@
 estimation of interference moments and the lag-t correlation coefficient.
 
 Sampling starts each realization from the equilibrium delay of the renewal
-stream, so windows need no burn-in. Fading is redrawn independently for
-each slot of a pair; the analytic same-vehicle term relies on the two slot
-gains being independent with unit mean, not merely unit mean.
+stream, so windows need no burn-in. Fading is never drawn: it is unit-mean
+exponential and independent per vehicle and slot, so its average given the
+positions is known in closed form, and the estimators use that average
+(Rao-Blackwellisation). One position draw per block serves every lag of a
+curve (common random numbers).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EstimationError, ParameterError
-from .model import NetworkGeometry, TimeLagWindow, TrafficModel
+from .model import NetworkGeometry, TimeLagWindow, TrafficModel, mean_interference
 
 __all__ = [
     "CorrelationEstimate",
-    "PairMoments",
     "PairDistanceHistogram",
     "default_window",
     "truncation_bias_bound",
     "estimate",
+    "estimate_curve",
     "pair_distance_histogram",
 ]
 
@@ -38,11 +41,11 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Moment estimates from paired interference samples.
+    """Moment estimates of the interference at lags 0 and t.
 
     variance pools both slots; rho is covariance over that pooled variance,
     which keeps it within [-1, 1]; se_rho and se_variance are jackknife
-    standard errors over the accumulator partitions.
+    standard errors over the sampling blocks.
     """
 
     n: int
@@ -61,66 +64,6 @@ class CorrelationEstimate:
             raise ParameterError("rho must equal covariance / variance")
         if abs(self.rho) > 1.0 + 1e-9:
             raise ParameterError(f"rho out of range: {self.rho!r}")
-
-
-class PairMoments:
-    """Bivariate moments: count, means, centered second moments.
-
-    Supports exact batch construction and an order-insensitive merge, so
-    partitions can be accumulated independently and combined afterwards.
-    """
-
-    __slots__ = ("n", "mean_x", "mean_y", "sxx", "syy", "sxy")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean_x = 0.0
-        self.mean_y = 0.0
-        self.sxx = 0.0
-        self.syy = 0.0
-        self.sxy = 0.0
-
-    @classmethod
-    def from_arrays(cls, x: np.ndarray, y: np.ndarray) -> "PairMoments":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ParameterError("paired arrays must be 1-D and equal length")
-        out = cls()
-        out.n = x.size
-        if x.size == 0:
-            return out
-        out.mean_x = float(np.mean(x))
-        out.mean_y = float(np.mean(y))
-        dx = x - out.mean_x
-        dy = y - out.mean_y
-        out.sxx = float(np.dot(dx, dx))
-        out.syy = float(np.dot(dy, dy))
-        out.sxy = float(np.dot(dx, dy))
-        return out
-
-    def merge(self, other: "PairMoments") -> "PairMoments":
-        out = PairMoments()
-        out.n = self.n + other.n
-        if out.n == 0:
-            return out
-        if self.n == 0:
-            out.n, out.mean_x, out.mean_y = other.n, other.mean_x, other.mean_y
-            out.sxx, out.syy, out.sxy = other.sxx, other.syy, other.sxy
-            return out
-        if other.n == 0:
-            out.n, out.mean_x, out.mean_y = self.n, self.mean_x, self.mean_y
-            out.sxx, out.syy, out.sxy = self.sxx, self.syy, self.sxy
-            return out
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
-        w = self.n * other.n / out.n
-        out.mean_x = self.mean_x + dx * other.n / out.n
-        out.mean_y = self.mean_y + dy * other.n / out.n
-        out.sxx = self.sxx + other.sxx + dx * dx * w
-        out.syy = self.syy + other.syy + dy * dy * w
-        out.sxy = self.sxy + other.sxy + dx * dy * w
-        return out
 
 
 def default_window(traffic: TrafficModel, geom: NetworkGeometry, t: float) -> tuple[float, float]:
@@ -192,50 +135,79 @@ def _position_matrix(traffic: TrafficModel, window: tuple[float, float],
     return pos
 
 
-def _pair_block(traffic: TrafficModel, geom: NetworkGeometry, t: float,
+def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
                 n_rows: int, window: tuple[float, float],
-                rng: np.random.Generator) -> PairMoments:
-    """Paired samples from n_rows realizations, each seen at lags 0 and t.
+                rng: np.random.Generator) -> np.ndarray:
+    """Additive moment sums of n_rows realizations, one row of sums per lag.
 
-    Fading is drawn independently per vehicle and per slot.
+    Given the positions, unit-mean exponential fading independent per
+    vehicle and slot averages out: with S_t = sum g(x + u t) and
+    Q_t = sum g(x + u t)**2, E[I_0 I_t | X] = S_0 S_t (the two slots fade
+    independently, even at t = 0) and E[I_t**2 | X] = S_t**2 + Q_t. The
+    columns are n, sum d_0, sum d_t, sum d_0**2, sum d_t**2, sum d_0 d_t,
+    sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
+    later subtractions from cancelling digits. One position draw serves
+    every lag.
     """
     w_hi = window[1]
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
+    centre = mean_interference(traffic, geom)
     pos = _position_matrix(traffic, window, n_rows, rng)
-    in_window = pos <= w_hi
-    totals = []
-    for shift in (0.0, geom.speed * t):
+    beyond = pos > w_hi
+    pos = pos[:, :int(np.argmax(beyond, axis=1).max())]  # rows ascend
+    pos[beyond[:, :pos.shape[1]]] = np.inf  # gain inf ** -eta == 0
+
+    def totals(shift: float) -> tuple[np.ndarray, float]:
         ax = np.abs(pos + shift)
         gains = np.zeros_like(ax)
-        outside = (ax > r0) & in_window
+        outside = ax > r0
         np.place(gains, outside, ax[outside] ** (-eta))
-        fading = rng.exponential(1.0, size=pos.shape)
-        totals.append(np.einsum("ij,ij->i", gains, fading))
-    return PairMoments.from_arrays(totals[0], totals[1])
+        return gains.sum(axis=1) - centre, float(np.vdot(gains, gains))
+
+    d0, q0 = totals(0.0)
+    out = np.empty((len(lags), 8))
+    for j, t in enumerate(lags):
+        dt, qt = totals(geom.speed * t)
+        out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt, q0, qt)
+    return out
 
 
-def _merge_pairwise(parts: list[PairMoments]) -> PairMoments:
-    while len(parts) > 1:
-        nxt = [parts[i].merge(parts[i + 1]) if i + 1 < len(parts) else parts[i]
-               for i in range(0, len(parts), 2)]
-        parts = nxt
-    return parts[0]
+def _moments(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variance, covariance and mean deviation from block sums (last axis)."""
+    n, a0, at, a00, att, a0t, q0, qt = np.moveaxis(sums, -1, 0)
+    s00 = (a00 - a0 * a0 / n) / (n - 1.0)
+    stt = (att - at * at / n) / (n - 1.0)
+    cov = (a0t - a0 * at / n) / (n - 1.0)
+    var = 0.5 * (s00 + stt) + 0.5 * (q0 + qt) / n
+    if not np.all((q0 + qt > 0.0) & np.isfinite(var) & (var > 0.0)):
+        raise EstimationError("degenerate sample variance; no vehicle outside the guard zone?")
+    return var, cov, 0.5 * (a0 + at) / n
 
 
-def estimate(traffic: TrafficModel, geom: NetworkGeometry, t: float,
-             n_samples: int, seed: int, n_partitions: int = 8,
-             window: tuple[float, float] | None = None) -> CorrelationEstimate:
-    """Monte Carlo moments and correlation coefficient at lag t.
+def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
+                   t_grid: Sequence[float], n_samples: int, seed: int,
+                   n_partitions: int = 8,
+                   window: tuple[float, float] | None = None) -> list[CorrelationEstimate]:
+    """Monte Carlo moments and correlation coefficient at every lag of t_grid.
 
     Work is split into max(n_partitions, 20) blocks, each driven by its own
-    counter-based stream keyed by (seed, block index), and merged in a fixed
-    balanced order: the result is bit-identical for any partition count up
-    to that floor, and the block count gives the jackknife enough groups.
+    counter-based stream keyed by (seed, block index). A block draws one
+    position matrix for the window of the largest lag (default_window
+    unless given) and evaluates every lag on it, so the curve's errors are
+    correlated across lags. Fading is integrated out exactly (see
+    _block_sums). The result is bit-identical for any partition count up
+    to that floor, and each lag's estimate is the same whichever other
+    lags share its window. Standard errors are a leave-one-block-out
+    jackknife.
     """
+    lags = [float(t) for t in t_grid]
+    if not lags:
+        raise ParameterError("t_grid must hold at least one lag")
     lag_window = TimeLagWindow.from_params(traffic, geom)
-    if not (math.isfinite(t) and 0.0 <= t <= lag_window.t_max):
-        raise DomainError(f"lag must lie in [0.0, {lag_window.t_max!r}] s, got {t!r}")
+    for t in lags:
+        if not (math.isfinite(t) and 0.0 <= t <= lag_window.t_max):
+            raise DomainError(f"lag must lie in [0.0, {lag_window.t_max!r}] s, got {t!r}")
     if n_samples < MIN_SAMPLES:
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if n_partitions < 1:
@@ -246,39 +218,40 @@ def estimate(traffic: TrafficModel, geom: NetworkGeometry, t: float,
     if n_samples // n_blocks < 2:
         raise ParameterError("too many partitions for the sample count")
     if window is None:
-        window = default_window(traffic, geom, t)
+        window = default_window(traffic, geom, max(lags))
     _require_window(window)
     base, rem = divmod(n_samples, n_blocks)
-    blocks = []
-    for k in range(n_blocks):
-        rows = base + (1 if k < rem else 0)
-        blocks.append(_pair_block(traffic, geom, t, rows, window, _block_rng(seed, k)))
-    total = _merge_pairwise(list(blocks))
-
-    def _rho_of(m: PairMoments) -> tuple[float, float]:
-        var = (m.sxx + m.syy) / (2.0 * (m.n - 1))
-        if not (math.isfinite(var) and var > 0.0):
-            raise EstimationError("degenerate sample variance; all draws identical?")
-        return var, (m.sxy / (m.n - 1)) / var
-
-    variance, rho = _rho_of(total)
-    leave_out = []
-    for k in range(n_blocks):
-        rest = _merge_pairwise(blocks[:k] + blocks[k + 1:])
-        leave_out.append(_rho_of(rest))
-    loo = np.array(leave_out)
+    blocks = np.stack([
+        _block_sums(traffic, geom, lags, base + (1 if k < rem else 0), window,
+                    _block_rng(seed, k))
+        for k in range(n_blocks)])
+    centre = mean_interference(traffic, geom)
     scale = (n_blocks - 1) / n_blocks
-    se_variance = math.sqrt(scale * float(np.sum((loo[:, 0] - loo[:, 0].mean()) ** 2)))
-    se_rho = math.sqrt(scale * float(np.sum((loo[:, 1] - loo[:, 1].mean()) ** 2)))
-    return CorrelationEstimate(
-        n=total.n,
-        mean=0.5 * (total.mean_x + total.mean_y),
-        variance=variance,
-        covariance=total.sxy / (total.n - 1),
-        rho=rho,
-        se_rho=se_rho,
-        se_variance=se_variance,
-    )
+    out = []
+    for j in range(len(lags)):
+        sums = blocks[:, j]
+        total = sums.sum(axis=0)
+        variance, covariance, mean_dev = _moments(total)
+        loo_var, loo_cov, _ = _moments(total - sums)
+        loo_rho = loo_cov / loo_var
+        out.append(CorrelationEstimate(
+            n=n_samples,
+            mean=centre + float(mean_dev),
+            variance=float(variance),
+            covariance=float(covariance),
+            rho=float(covariance / variance),
+            se_rho=math.sqrt(scale * float(np.sum((loo_rho - loo_rho.mean()) ** 2))),
+            se_variance=math.sqrt(scale * float(np.sum((loo_var - loo_var.mean()) ** 2))),
+        ))
+    return out
+
+
+def estimate(traffic: TrafficModel, geom: NetworkGeometry, t: float,
+             n_samples: int, seed: int, n_partitions: int = 8,
+             window: tuple[float, float] | None = None) -> CorrelationEstimate:
+    """Monte Carlo moments and correlation coefficient at lag t:
+    estimate_curve on the single lag t."""
+    return estimate_curve(traffic, geom, [t], n_samples, seed, n_partitions, window)[0]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import oracles
 from roadcorr.analytic import (
     close_pairs_expansion,
     close_pairs_numeric,
+    covariance,
     distant_pairs_exact,
     rho,
     rho_ppp,
@@ -140,6 +141,21 @@ def test_variance_formula_within_monte_carlo_error(traffic, traffic_ppp, geom):
                   f"the hardcore formula is a leading-order occupancy "
                   f"expansion and sits above its own bias at this precision)")
     assert ok, f"z-scores {legs}"
+
+
+def test_variance_matches_exact_quadrature(traffic, geom):
+    """The hardcore leg of check 4 against the exact variance instead of
+    the leading-order formula: same-vehicle term plus the exact-quadrature
+    pair covariance at zero lag, within three jackknife standard errors."""
+    est = estimate(traffic, geom, 5.0, 100_000, SEED)
+    want = (same_vehicle_term(0.0, traffic, geom)
+            + covariance(0.0, traffic, geom, "exact-quadrature").covariance)
+    z = (est.variance - want) / est.se_variance
+    ok = abs(z) <= 3.0
+    report(7, ok, f"variance vs exact quadrature at occupancy 0.2: "
+                  f"simulated {est.variance:.5e}, exact {want:.5e}, "
+                  f"z = {z:+.2f} (|z| <= 3 required)")
+    assert ok, f"z {z}, simulated {est.variance}, exact {want}"
 
 
 def test_sampled_pair_distances_match_pair_correlation(traffic):

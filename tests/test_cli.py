@@ -173,6 +173,27 @@ class TestRunCommand:
             assert float(row["stderr"]) > 0.0
             assert -1.0 <= float(row["value"]) <= 1.0
 
+    def test_simulation_lags_past_t_max_are_invalid(self, tmp_path):
+        code, out = self.run_main(
+            tmp_path,
+            "traffic = lambda=0.05 c=4\nmethods = simulation\n"
+            "t_lo = 0\nt_hi = 40\nt_points = 9\nn_samples = 1000\n")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entry = manifest["files"]["curve_simulation_lam0.05_c4.0.csv"]
+        rows = read_csv(out / "curve_simulation_lam0.05_c4.0.csv")
+        late = [i for i, row in enumerate(rows) if float(row["t"]) > 30.0]
+        assert late == [7, 8]
+        assert entry["invalid_points"] == late
+        for i, row in enumerate(rows):
+            if i in late:
+                assert row["value"] == "" and row["stderr"] == ""
+                assert row["valid"] == "false"
+            else:
+                assert -1.0 <= float(row["value"]) <= 1.0
+                assert float(row["stderr"]) > 0.0
+                assert row["valid"] == "true"
+
     def test_seed_override_lands_in_manifest(self, tmp_path):
         code, out = self.run_main(
             tmp_path, "methods = ppp\nt_points = 3\n", extra=("--seed", "7"))

@@ -15,12 +15,12 @@ from roadcorr.model import (
 )
 from roadcorr.sim import (
     CorrelationEstimate,
-    PairMoments,
     _block_rng,
-    _pair_block,
+    _block_sums,
     _position_matrix,
     default_window,
     estimate,
+    estimate_curve,
     pair_distance_histogram,
     truncation_bias_bound,
 )
@@ -99,38 +99,6 @@ class TestSampling:
         assert 0.97 <= dispersion <= 1.03
 
 
-class TestPairMoments:
-    def _random_pairs(self, n, seed):
-        rng = np.random.default_rng(seed)
-        return rng.exponential(1.0, n), rng.exponential(1.0, n)
-
-    def _assert_same(self, a, b):
-        assert a.n == b.n
-        for field in ("mean_x", "mean_y", "sxx", "syy", "sxy"):
-            assert math.isclose(getattr(a, field), getattr(b, field),
-                                rel_tol=1e-12, abs_tol=1e-300)
-
-    def test_merge_matches_whole(self):
-        x, y = self._random_pairs(101, 2)
-        whole = PairMoments.from_arrays(x, y)
-        merged = PairMoments.from_arrays(x[:37], y[:37]).merge(
-            PairMoments.from_arrays(x[37:], y[37:]))
-        self._assert_same(merged, whole)
-
-    def test_merge_with_empty(self):
-        x, y = self._random_pairs(10, 3)
-        m = PairMoments.from_arrays(x, y)
-        self._assert_same(PairMoments().merge(m), m)
-        self._assert_same(m.merge(PairMoments()), m)
-        assert PairMoments().merge(PairMoments()).n == 0
-
-    def test_from_arrays_shape_errors(self):
-        with pytest.raises(ParameterError):
-            PairMoments.from_arrays(np.ones(3), np.ones(4))
-        with pytest.raises(ParameterError):
-            PairMoments.from_arrays(np.ones((2, 2)), np.ones((2, 2)))
-
-
 class TestAgainstFirstMoments:
     """Raw-moment checks need a window much wider than the default,
     where the truncation bias bound sits far below the Monte Carlo noise."""
@@ -144,15 +112,18 @@ class TestAgainstFirstMoments:
         assert abs(z) <= 3.0
 
     def test_product_moment_matches_analytic(self, traffic_ppp, geom):
+        """E[I_0 I_t] = E[S_0 S_t] from the centred block sums: d_t is
+        S_t less the mean m, so sum S_0 S_t = sum d_0 d_t
+        + m (sum d_0 + sum d_t) + n m**2."""
         t = 5.0
+        m = mean_interference(traffic_ppp, geom)
         raw = []
         for k in range(30):
-            m = _pair_block(traffic_ppp, geom, t, 1200, self.WIDE,
-                            _block_rng(SEED, k))
-            raw.append(m.sxy / m.n + m.mean_x * m.mean_y)
+            n, a0, at, _, _, a0t, _, _ = _block_sums(
+                traffic_ppp, geom, [t], 1200, self.WIDE, _block_rng(SEED, k))[0]
+            raw.append(a0t / n + m * (a0 + at) / n + m * m)
         raw = np.array(raw)
-        want = (same_vehicle_term(t, traffic_ppp, geom)
-                + mean_interference(traffic_ppp, geom) ** 2)
+        want = same_vehicle_term(t, traffic_ppp, geom) + m * m
         z = (raw.mean() - want) / (raw.std(ddof=1) / math.sqrt(raw.size))
         assert abs(z) <= 3.0
 
@@ -162,6 +133,16 @@ class TestEstimate:
         a = estimate(traffic, geom, 5.0, 2000, SEED, n_partitions=1)
         b = estimate(traffic, geom, 5.0, 2000, SEED, n_partitions=8)
         assert a == b
+
+    def test_curve_shares_one_draw_per_block(self, traffic, geom):
+        """With the window fixed, a lag's estimate does not depend on the
+        other lags of the grid: estimate(t) is the curve at t, bit for bit."""
+        grid = [0.0, 0.8, 5.0, 10.0, 15.0, 29.2, 30.0]
+        window = default_window(traffic, geom, 30.0)
+        curve = estimate_curve(traffic, geom, grid, 2000, SEED, window=window)
+        assert len(curve) == len(grid)
+        for t, est in zip(grid, curve):
+            assert estimate(traffic, geom, t, 2000, SEED, window=window) == est
 
     def test_seed_changes_the_draw(self, traffic, geom):
         a = estimate(traffic, geom, 5.0, 2000, SEED)
@@ -183,6 +164,10 @@ class TestEstimate:
             estimate(traffic, geom, -0.1, 2000, SEED)
         with pytest.raises(DomainError):
             estimate(traffic, geom, 30.1, 2000, SEED)
+        with pytest.raises(DomainError):
+            estimate_curve(traffic, geom, [5.0, 30.1], 2000, SEED)
+        with pytest.raises(ParameterError):
+            estimate_curve(traffic, geom, [], 2000, SEED)
 
     @pytest.mark.parametrize("window", [(0.0, math.inf), (100.0, 0.0),
                                         (math.nan, 10.0)])
