@@ -15,13 +15,12 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
 from .model import (NetworkGeometry, TimeLagWindow, TrafficModel,
                     mean_interference, normalized_pair_correlation,
                     pair_correlation, pathloss)
-from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, TailIntegral,
-                      hyp2f1, integrate_finite, integrate_semi_infinite,
+from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, hyp2f1,
+                      integrate_finite, integrate_semi_infinite,
                       upper_incomplete_gamma)
-from .analytic import (AnalyticCurve, CovarianceBreakdown, covariance, curve,
-                       close_pairs_expansion, close_pairs_numeric,
-                       distant_pairs_exact, rho, rho_ppp, same_vehicle_term,
-                       variance)
+from .analytic import (CovarianceBreakdown, close_pairs_expansion,
+                       close_pairs_numeric, covariance, distant_pairs_exact,
+                       rho, rho_ppp, same_vehicle_term, variance)
 from .sim import (CorrelationEstimate, PairDistanceHistogram, default_window,
                   estimate, estimate_curve, pair_distance_histogram,
                   truncation_bias_bound)
@@ -32,9 +31,9 @@ __all__ = [
     "ParameterError",
     "NetworkGeometry", "TimeLagWindow", "TrafficModel", "mean_interference",
     "normalized_pair_correlation", "pair_correlation", "pathloss",
-    "DEFAULT_QUADRATURE", "QuadratureSpec", "TailIntegral", "hyp2f1",
-    "integrate_finite", "integrate_semi_infinite", "upper_incomplete_gamma",
-    "AnalyticCurve", "CovarianceBreakdown", "covariance", "curve",
+    "DEFAULT_QUADRATURE", "QuadratureSpec", "hyp2f1", "integrate_finite",
+    "integrate_semi_infinite", "upper_incomplete_gamma",
+    "CovarianceBreakdown", "covariance",
     "close_pairs_expansion", "close_pairs_numeric", "distant_pairs_exact",
     "rho", "rho_ppp", "same_vehicle_term", "variance",
     "CorrelationEstimate", "PairDistanceHistogram", "default_window",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X,
 
 __all__ = [
     "CovarianceBreakdown",
-    "AnalyticCurve",
     "same_vehicle_term",
     "distant_pairs_exact",
     "close_pairs_numeric",
@@ -39,7 +37,6 @@ __all__ = [
     "variance",
     "rho_ppp",
     "rho",
-    "curve",
 ]
 
 COVARIANCE_METHODS = ("exact-quadrature", "pcf-approx", "expansion")
@@ -71,33 +68,6 @@ class CovarianceBreakdown:
             raise ParameterError(
                 f"inconsistent breakdown: sum {recomputed!r} vs covariance {self.covariance!r}"
             )
-
-
-@dataclass(frozen=True)
-class AnalyticCurve:
-    """A correlation-coefficient curve on an ascending lag grid."""
-
-    t_grid: np.ndarray
-    values: np.ndarray
-    method: str
-    traffic: TrafficModel | None
-    geometry: NetworkGeometry
-
-    def __post_init__(self) -> None:
-        t_grid = np.asarray(self.t_grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if t_grid.ndim != 1 or t_grid.shape != values.shape:
-            raise ParameterError("t_grid and values must be 1-D arrays of equal length")
-        if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
-            raise ParameterError("t_grid must be strictly ascending")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("curve values must be finite")
-        if np.any(np.abs(values) > 1.0 + 1e-9):
-            raise ParameterError("correlation values must lie within [-1, 1]")
-        t_grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "t_grid", t_grid)
-        object.__setattr__(self, "values", values)
 
 
 def _require_lag(t: float, lo: float, hi: float, what: str) -> None:
@@ -273,8 +243,7 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
 
     near = math.fsum(integrate_finite(integrand, lo, hi, spec)
                      for lo, hi in zip(near_points[:-1], near_points[1:]))
-    far = integrate_semi_infinite(integrand, split_end, spec,
-                                  tail_power=2.0 * eta).value
+    far = integrate_semi_infinite(integrand, split_end, spec)
     return r0 ** (2.0 - 2.0 * eta) * (near + far)
 
 
@@ -379,24 +348,3 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
         breakdown = covariance(t, traffic, geom, "pcf-approx", spec)
         return breakdown.covariance / variance(traffic, geom, "approx")
     raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
-
-
-def curve(t_grid: Sequence[float], traffic: TrafficModel, geom: NetworkGeometry,
-          method: str = "pcf-approx",
-          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AnalyticCurve:
-    """Correlation coefficient on an ascending lag grid.
-
-    The first grid point outside the method's lag domain aborts the whole
-    curve with a DomainError naming its index.
-    """
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1:
-        raise ParameterError("t_grid must be a 1-D sequence")
-    values = np.empty_like(grid)
-    for i, t in enumerate(grid):
-        try:
-            values[i] = rho(float(t), traffic, geom, method, spec)
-        except DomainError as exc:
-            raise DomainError(f"t_grid[{i}] = {t!r}: {exc}") from exc
-    return AnalyticCurve(t_grid=grid, values=values, method=method,
-                         traffic=traffic, geometry=geom)

@@ -201,10 +201,15 @@ def _rows_to_json(header: str, rows: list[list[object]]) -> str:
 
 
 def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
-                geom: NetworkGeometry) -> tuple[list[list[object]], list[int]]:
+                geom: NetworkGeometry
+                ) -> tuple[list[list[object]], list[int], float | None]:
+    """CSV rows of one curve, the indices of its invalid points, and, for a
+    simulated curve, the truncation bias bound of the window it sampled
+    (None when no lag was simulated)."""
     lam, c = traffic.intensity, traffic.min_gap
     grid = [float(t) for t in config.t_grid()]
     values: dict[int, tuple[float, float | None]] = {}
+    bias_bound = None
     if method == "simulation":
         try:
             t_max = TimeLagWindow.from_params(traffic, geom).t_max
@@ -212,10 +217,12 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
         except DomainError:
             inside = []
         if inside:
-            results = sim.estimate_curve(traffic, geom, [grid[i] for i in inside],
-                                         config.n_samples, config.seed,
-                                         config.n_partitions)
+            lags = [grid[i] for i in inside]
+            window = sim.default_window(traffic, geom, max(lags))
+            results = sim.estimate_curve(traffic, geom, lags, config.n_samples,
+                                         config.seed, config.n_partitions, window)
             values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
+            bias_bound = sim.truncation_bias_bound(traffic, geom, window, max(lags))
     else:
         for i, t in enumerate(grid):
             try:
@@ -225,7 +232,7 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
     rows = [[t, *values.get(i, (None, None)), method, lam, c,
              config.r0, config.eta, config.u, i in values]
             for i, t in enumerate(grid)]
-    return rows, [i for i in range(len(grid)) if i not in values]
+    return rows, [i for i in range(len(grid)) if i not in values], bias_bound
 
 
 def _pcf_rows(traffic: TrafficModel) -> list[list[object]]:
@@ -283,14 +290,12 @@ def _run(config: RunConfig) -> None:
     files: dict[str, dict[str, object]] = {}
     for traffic in traffics:
         for method in config.methods:
-            rows, invalid = _curve_rows(config, traffic, method, geom)
+            rows, invalid, bias_bound = _curve_rows(config, traffic, method, geom)
             name = _artifact_name("curve", traffic, method, config.fmt)
             entry = _emit(config, CSV_HEADER, name, rows)
             entry["invalid_points"] = invalid
-            if method == "simulation":
-                window = sim.default_window(traffic, geom, config.t_hi)
-                entry["truncation_bias_bound"] = sim.truncation_bias_bound(
-                    traffic, geom, window, config.t_hi)
+            if bias_bound is not None:
+                entry["truncation_bias_bound"] = bias_bound
             files[name] = entry
     _write_manifest(config, "run", files)
 

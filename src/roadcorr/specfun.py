@@ -1,7 +1,9 @@
-"""Real-argument special functions and adaptive quadrature primitives.
+"""Real-argument special functions and adaptive quadrature.
 
-Everything here is deterministic: the same inputs always produce the same
-floating point outputs, so results can be frozen into regression tests.
+One adaptive Gauss-Kronrod rule integrates every range: a finite one
+directly, a semi-infinite one after mapping it onto (0, 1]. Everything
+here is deterministic: the same inputs always produce the same floating
+point outputs, so results can be frozen into regression tests.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import ConvergenceError, DomainError, ParameterError
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
-    "TailIntegral",
     "hyp2f1",
     "upper_incomplete_gamma",
     "integrate_finite",
@@ -29,21 +30,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrators.
+    """Tolerances and limits for the adaptive integrator.
 
-    rel_tol and abs_tol control acceptance of the bisection refinement,
-    max_depth bounds how often any subinterval may be halved, and tail_tol
-    is the dimensionless (relative) truncation tolerance used when a
-    semi-infinite range is cut off at a finite point.
+    rel_tol and abs_tol control acceptance of the bisection refinement and
+    max_depth bounds how often any subinterval may be halved. A
+    semi-infinite range is mapped onto a finite one, so the same three
+    settings govern it.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_depth: int = 60
-    tail_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "tail_tol"):
+        for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ParameterError(f"{name} must be a positive finite number, got {value!r}")
@@ -52,18 +52,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class TailIntegral:
-    """Result of a truncated semi-infinite integral.
-
-    value is the integral over the truncated range; tail_bound is an upper
-    bound on the magnitude of the discarded tail.
-    """
-
-    value: float
-    tail_bound: float
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule (nodes on [-1, 1]).
@@ -166,46 +154,19 @@ def integrate_semi_infinite(
     f: Integrand,
     lo: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    tail_power: float,
-) -> TailIntegral:
-    """Integrate f over [lo, inf) for an integrand with a power-law tail.
+) -> float:
+    """Integrate a vectorized integrand over [lo, inf), lo > 0.
 
-    The caller promises |f(x)| <= C * x**(-tail_power) for large x with
-    tail_power > 1. The coefficient C is estimated from probes of |f| at
-    geometrically spaced points, so the tail bound is an estimate, not a
-    rigorous bound. The range is truncated at X once the bound
-    C * X**(1 - tail_power) / (tail_power - 1) drops below tail_tol
-    relative to the accumulated integral.
+    The substitution x = lo / u maps the range onto u in (0, 1], where
+    integrate_finite applies its adaptive rule to f(lo / u) * lo / u**2
+    under the same error control. The Kronrod nodes never touch u = 0. A
+    tail that decays too slowly to be integrable keeps the mapped
+    integrand from settling near u = 0 and raises ConvergenceError.
     """
     lo = float(lo)
-    if not math.isfinite(lo):
-        raise ParameterError(f"lower limit must be finite, got {lo!r}")
-    if not (math.isfinite(tail_power) and tail_power > 1.0):
-        raise ParameterError(f"tail_power must exceed 1, got {tail_power!r}")
-
-    base = max(abs(lo), 1.0)
-    probes = base * np.array([4.0, 16.0, 64.0])
-    magnitudes = np.abs(np.asarray(f(probes), dtype=float))
-    tail_coef = 4.0 * float(np.max(magnitudes * probes**tail_power))
-    if not math.isfinite(tail_coef):
-        raise ParameterError(f"estimated tail coefficient must be finite, got {tail_coef!r}")
-
-    cutoff = max(4.0 * base, lo + 1.0)
-    value = integrate_finite(f, lo, cutoff, spec)
-    bound = tail_coef * cutoff ** (1.0 - tail_power) / (tail_power - 1.0)
-    for _ in range(64):
-        if bound <= spec.tail_tol * max(abs(value), spec.abs_tol):
-            return TailIntegral(value=value, tail_bound=bound)
-        extended = 8.0 * cutoff
-        value += integrate_finite(f, cutoff, extended, spec)
-        cutoff = extended
-        bound = tail_coef * cutoff ** (1.0 - tail_power) / (tail_power - 1.0)
-    raise ConvergenceError(
-        "semi-infinite truncation point grew without meeting tail_tol",
-        best_estimate=value,
-        error_bound=bound,
-    )
+    if not (math.isfinite(lo) and lo > 0.0):
+        raise ParameterError(f"lower limit must be positive and finite, got {lo!r}")
+    return integrate_finite(lambda u: f(lo / u) * (lo / (u * u)), 0.0, 1.0, spec)
 
 
 def _gauss_series(a: float, b: float, c: float, z: float) -> float:

@@ -7,12 +7,10 @@ import pytest
 
 import oracles
 from roadcorr.analytic import (
-    AnalyticCurve,
     CovarianceBreakdown,
     close_pairs_expansion,
     close_pairs_numeric,
     covariance,
-    curve,
     distant_pairs_exact,
     rho,
     rho_ppp,
@@ -21,6 +19,7 @@ from roadcorr.analytic import (
 )
 from roadcorr.errors import ConvergenceError, DomainError, ParameterError
 from roadcorr.model import NetworkGeometry, TrafficModel, mean_interference
+from roadcorr.specfun import QuadratureSpec
 
 # Reference values for the canonical configuration (intensity 0.05 /m,
 # minimum gap 4 m, guard radius 150 m, exponent 3, speed 10 m/s),
@@ -44,8 +43,7 @@ RHO_PPP = {
     15.0: 0.08470770839917964,
     29.2: 0.030288457122182297,
 }
-# t = 0 and t = 30 come from a solve at rel_tol 1e-13, abs_tol 1e-300,
-# tail_tol 1e-14.
+# t = 0 and t = 30 come from a solve at rel_tol 1e-13, abs_tol 1e-300.
 RHO_EXACT = {
     0.0: 0.39387566230310617,
     0.8: 0.3404864018582446,
@@ -124,6 +122,20 @@ class TestFrozenValues:
         cov, close = EXACT_DENSE[intensity, t]
         assert math.isclose(breakdown.covariance, cov, rel_tol=1e-12)
         assert math.isclose(breakdown.close_pairs, close, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("eta,intensity,t", [
+        (3.0, 0.02, 0.0), (4.0, 0.05, 29.2), (2.05, 0.15, 0.0)])
+    def test_exact_route_default_matches_tight_solve(self, eta, intensity, t):
+        # The default tolerances must already give the exact route to
+        # within 1e-13 of a solve with every tolerance tightened.
+        geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta,
+                               speed=10.0)
+        stream = TrafficModel.from_intensity(intensity, 4.0)
+        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+        got = covariance(t, stream, geom, "exact-quadrature")
+        ref = covariance(t, stream, geom, "exact-quadrature", tight)
+        assert math.isclose(got.covariance, ref.covariance, rel_tol=1e-13)
+        assert math.isclose(got.close_pairs, ref.close_pairs, rel_tol=1e-13)
 
 
 class TestSameVehicleTerm:
@@ -378,48 +390,3 @@ class TestRho:
     def test_unknown_method_rejected(self, traffic, geom):
         with pytest.raises(ParameterError):
             rho(5.0, traffic, geom, "monte-carlo")
-
-
-class TestCurve:
-    def test_matches_pointwise_evaluation(self, traffic, geom):
-        grid = [0.8, 3.0, 7.0, 15.0, 29.2]
-        got = curve(grid, traffic, geom, "pcf-approx")
-        for i, t in enumerate(grid):
-            assert got.values[i] == rho(t, traffic, geom, "pcf-approx")
-        assert got.method == "pcf-approx"
-
-    def test_empty_grid_gives_empty_curve(self, traffic, geom):
-        got = curve([], traffic, geom)
-        assert got.t_grid.size == 0
-        assert got.values.size == 0
-
-    def test_rejects_non_flat_grid(self, traffic, geom):
-        with pytest.raises(ParameterError):
-            curve([[0.8, 5.0]], traffic, geom)
-
-    def test_out_of_domain_point_names_its_index(self, traffic, geom):
-        with pytest.raises(DomainError, match=r"t_grid\[1\]"):
-            curve([0.8, 29.3], traffic, geom, "pcf-approx")
-
-    def test_rejects_descending_grid(self, traffic, geom):
-        with pytest.raises(ParameterError):
-            curve([5.0, 1.0], traffic, geom, "ppp")
-
-    def test_arrays_are_read_only(self, traffic, geom):
-        got = curve([0.8, 5.0], traffic, geom, "ppp")
-        with pytest.raises(ValueError):
-            got.values[0] = 1.0
-        with pytest.raises(ValueError):
-            got.t_grid[0] = 0.0
-
-    def test_ppp_curve_ignores_traffic(self, traffic, traffic_light, geom):
-        grid = [0.0, 5.0, 15.0, 30.0]
-        a = curve(grid, traffic, geom, "ppp")
-        b = curve(grid, traffic_light, geom, "ppp")
-        assert np.array_equal(a.values, b.values)
-
-    def test_curve_validation_catches_shape_mismatch(self, traffic, geom):
-        with pytest.raises(ParameterError):
-            AnalyticCurve(t_grid=np.array([1.0, 2.0]),
-                          values=np.array([0.5]),
-                          method="ppp", traffic=traffic, geometry=geom)

@@ -10,6 +10,7 @@ import pytest
 from roadcorr.analytic import rho
 from roadcorr.cli import RunConfig, load_config_file, main, parse_config
 from roadcorr.errors import ConfigError
+from roadcorr.sim import default_window, truncation_bias_bound
 from roadcorr.model import (
     NetworkGeometry,
     TrafficModel,
@@ -193,6 +194,36 @@ class TestRunCommand:
                 assert -1.0 <= float(row["value"]) <= 1.0
                 assert float(row["stderr"]) > 0.0
                 assert row["valid"] == "true"
+
+    def test_bias_bound_describes_the_sampled_window(self, tmp_path):
+        # lags past t_max = 30 s are not simulated, so the window is sized
+        # for, and the bound taken at, the largest simulated lag
+        code, out = self.run_main(
+            tmp_path,
+            "traffic = lambda=0.05 c=4\nmethods = simulation\n"
+            "t_lo = 0\nt_hi = 40\nt_points = 9\nn_samples = 1000\n")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entry = manifest["files"]["curve_simulation_lam0.05_c4.0.csv"]
+        traffic = TrafficModel.from_intensity(0.05, 4.0)
+        geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0,
+                               speed=10.0)
+        window = default_window(traffic, geom, 30.0)
+        assert entry["truncation_bias_bound"] == truncation_bias_bound(
+            traffic, geom, window, 30.0)
+
+    def test_simulation_of_unwindowed_stream_is_all_invalid(self, tmp_path):
+        # a minimum gap above r0 / 2 leaves no lag window: nothing is
+        # simulated, so no bias bound is written
+        code, out = self.run_main(
+            tmp_path,
+            "traffic = lambda=0.005 c=80\nmethods = simulation\n"
+            "t_points = 4\nn_samples = 1000\n")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entry = manifest["files"]["curve_simulation_lam0.005_c80.0.csv"]
+        assert entry["invalid_points"] == [0, 1, 2, 3]
+        assert "truncation_bias_bound" not in entry
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         code, out = self.run_main(
