@@ -155,17 +155,21 @@ class TimeLagWindow:
 def pathloss(r, geom: NetworkGeometry):
     """Power-law gain |r| ** -exponent outside the guard zone, 0 inside.
 
-    The boundary |r| == guard_radius counts as inside (gain 0). Accepts a
-    scalar or a numpy array; returns the matching shape.
+    The boundary |r| == guard_radius counts as inside (gain 0), and
+    |r| = inf gives 0. A NaN distance raises ParameterError. Accepts a
+    scalar or a numpy array and returns the matching shape in a fresh
+    buffer; the argument is never modified.
     """
     arr = np.asarray(r, dtype=float)
-    dist = np.abs(arr)
-    out = np.zeros_like(dist)
-    outside = dist > geom.guard_radius
-    np.place(out, outside, dist[outside] ** (-geom.pathloss_exponent))
+    gains = np.abs(arr, out=np.empty_like(arr))
+    if np.isnan(gains).any():
+        raise ParameterError("pathloss distance must not be NaN")
+    # Mask before the power: inf ** -eta is exactly 0, 0 ** -eta warns.
+    np.copyto(gains, np.inf, where=gains <= geom.guard_radius)
+    np.power(gains, -geom.pathloss_exponent, out=gains)
     if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
+        return float(gains)
+    return gains
 
 
 # Beyond this many minimum gaps the pair correlation is taken to sit on its

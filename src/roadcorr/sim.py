@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationError, ParameterError
-from .model import NetworkGeometry, TimeLagWindow, TrafficModel, mean_interference
+from .model import NetworkGeometry, TimeLagWindow, TrafficModel, mean_interference, pathloss
 
 __all__ = [
     "CorrelationEstimate",
@@ -147,28 +147,24 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     columns are n, sum d_0, sum d_t, sum d_0**2, sum d_t**2, sum d_0 d_t,
     sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
     later subtractions from cancelling digits. One position draw serves
-    every lag.
+    every lag; gains come from model.pathloss, one pass per lag, and lag 0
+    is evaluated once.
     """
     w_hi = window[1]
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
     centre = mean_interference(traffic, geom)
     pos = _position_matrix(traffic, window, n_rows, rng)
     beyond = pos > w_hi
     pos = pos[:, :int(np.argmax(beyond, axis=1).max())]  # rows ascend
-    pos[beyond[:, :pos.shape[1]]] = np.inf  # gain inf ** -eta == 0
+    pos[beyond[:, :pos.shape[1]]] = np.inf  # gain 0
 
     def totals(shift: float) -> tuple[np.ndarray, float]:
-        ax = np.abs(pos + shift)
-        gains = np.zeros_like(ax)
-        outside = ax > r0
-        np.place(gains, outside, ax[outside] ** (-eta))
+        gains = pathloss(pos + shift, geom)
         return gains.sum(axis=1) - centre, float(np.vdot(gains, gains))
 
     d0, q0 = totals(0.0)
     out = np.empty((len(lags), 8))
     for j, t in enumerate(lags):
-        dt, qt = totals(geom.speed * t)
+        dt, qt = (d0, q0) if t == 0.0 else totals(geom.speed * t)
         out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt, q0, qt)
     return out
 
@@ -305,12 +301,12 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
         pos = _position_matrix(traffic, window, 1, rng)[0]
         pos = pos[pos <= w_hi]
         upper = np.searchsorted(pos, pos + max_d, side="right")
-        seps = []
-        for j in range(pos.size - 1):
-            if upper[j] > j + 1:
-                seps.append(pos[j + 1:upper[j]] - pos[j])
-        if seps:
-            counts[i] = np.histogram(np.concatenate(seps), bins=edges)[0]
+        # Every pair j < k < upper[j], laid out j by j as k = j + 1 + offset.
+        index = np.arange(pos.size)
+        lengths = np.maximum(upper - index - 1, 0)
+        first = np.repeat(index, lengths)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        counts[i] = np.histogram(pos[first + 1 + offset] - pos[first], bins=edges)[0]
     counts *= 2.0  # unordered pairs counted once above; density is ordered
     length = w_hi - w_lo
     measure = 2.0 * bin_width * (length - 0.5 * (edges[:-1] + edges[1:]))

@@ -94,6 +94,22 @@ class TestPathloss:
         for ri, gi in zip(r, gains):
             assert gi == pathloss(float(ri), geom)
 
+    def test_nan_rejected(self, geom):
+        with pytest.raises(ParameterError, match="NaN"):
+            pathloss(math.nan, geom)
+        with pytest.raises(ParameterError, match="NaN"):
+            pathloss(np.array([300.0, math.nan, 100.0]), geom)
+
+    def test_infinite_distance_has_no_gain(self, geom):
+        assert pathloss(math.inf, geom) == 0.0
+        assert pathloss(-math.inf, geom) == 0.0
+
+    def test_argument_left_unchanged(self, geom):
+        r = np.array([-400.0, -150.0, 0.0, 149.9, 151.0, math.inf])
+        before = r.copy()
+        pathloss(r, geom)
+        assert np.array_equal(r, before)
+
 
 class TestPairCorrelation:
     def test_zero_below_minimum_gap(self, traffic):

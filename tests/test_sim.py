@@ -37,6 +37,67 @@ HISTOGRAM_PINS = {
     20: (0.0023064654643602015, 0.0004518768242627769),
 }
 
+# estimate_curve(from_intensity(0.05, 4), conftest geometry, [0, 5, 30],
+# 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
+# from the masked-gain kernel the simulator used before model.pathloss;
+# compared with ==, so any change to the draws or the arithmetic shows.
+CURVE_PINS = {
+    0.0: (0.37217691960846977, 0.006890245791751022,
+          4.1611976022010667e-13, 1.5487017054693436e-13),
+    5.0: (0.1737473816921518, 0.008362098146246687,
+          4.239030712661945e-13, 7.365204872376292e-14),
+    30.0: (0.0022721491286351037, 0.008736287488669078,
+           4.273389902647847e-13, 9.709779143619356e-16),
+}
+
+
+def _masked_gains(r, geom):
+    """The gain as a gather/scatter over the outside-guard entries:
+    zeros, then |r| ** -eta placed where |r| > guard_radius."""
+    dist = np.abs(r)
+    gains = np.zeros_like(dist)
+    outside = dist > geom.guard_radius
+    np.place(gains, outside, dist[outside] ** (-geom.pathloss_exponent))
+    return gains
+
+
+def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
+    """_block_sums rebuilt on _masked_gains, every lag evaluated afresh."""
+    centre = mean_interference(traffic, geom)
+    pos = _position_matrix(traffic, window, n_rows, rng)
+    beyond = pos > window[1]
+    pos = pos[:, :int(np.argmax(beyond, axis=1).max())]
+    pos[beyond[:, :pos.shape[1]]] = np.inf
+    g0 = _masked_gains(pos, geom)
+    d0 = g0.sum(axis=1) - centre
+    out = np.empty((len(lags), 8))
+    for j, t in enumerate(lags):
+        gt = _masked_gains(pos + geom.speed * t, geom)
+        dt = gt.sum(axis=1) - centre
+        out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt,
+                  float(np.vdot(g0, g0)), float(np.vdot(gt, gt)))
+    return out
+
+
+def _loop_histogram(traffic, window, n_realizations, bins, seed, bin_width):
+    """pair_distance_histogram's (density, se) with the separations
+    gathered by a Python loop over each position's pair partners."""
+    edges = bin_width * np.arange(bins + 1)
+    rng = _block_rng(seed, 0)
+    counts = np.zeros((n_realizations, bins))
+    for i in range(n_realizations):
+        pos = _position_matrix(traffic, window, 1, rng)[0]
+        pos = pos[pos <= window[1]]
+        upper = np.searchsorted(pos, pos + edges[-1], side="right")
+        seps = [pos[j + 1:upper[j]] - pos[j]
+                for j in range(pos.size - 1) if upper[j] > j + 1]
+        if seps:
+            counts[i] = np.histogram(np.concatenate(seps), bins=edges)[0]
+    counts *= 2.0
+    measure = 2.0 * bin_width * (window[1] - window[0] - 0.5 * (edges[:-1] + edges[1:]))
+    se = counts.std(axis=0, ddof=1) / math.sqrt(n_realizations)
+    return counts.mean(axis=0) / measure, se / measure
+
 
 class TestWindows:
     def test_default_window_formula(self, traffic, geom):
@@ -126,6 +187,25 @@ class TestAgainstFirstMoments:
         want = same_vehicle_term(t, traffic_ppp, geom) + m * m
         z = (raw.mean() - want) / (raw.std(ddof=1) / math.sqrt(raw.size))
         assert abs(z) <= 3.0
+
+
+class TestBlockSums:
+    @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
+    def test_bit_equal_to_masked_reference(self, lam, c, geom):
+        traffic = TrafficModel.from_intensity(lam, c)
+        grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
+        window = default_window(traffic, geom, 30.0)
+        for k in range(2):
+            got = _block_sums(traffic, geom, grid, 500, window,
+                              _block_rng(SEED, k))
+            want = _reference_block_sums(traffic, geom, grid, 500, window,
+                                         _block_rng(SEED, k))
+            assert np.array_equal(got, want)
+
+    def test_curve_pinned(self, traffic, geom):
+        grid = list(CURVE_PINS)
+        for t, est in zip(grid, estimate_curve(traffic, geom, grid, 2000, SEED)):
+            assert (est.rho, est.se_rho, est.variance, est.covariance) == CURVE_PINS[t]
 
 
 class TestEstimate:
@@ -238,6 +318,18 @@ class TestPairDistanceHistogram:
         for k, (density, se) in HISTOGRAM_PINS.items():
             assert math.isclose(hist.density[k], density, rel_tol=1e-12)
             assert math.isclose(hist.se[k], se, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("lam,c,bin_width", [(0.05, 4.0, 0.5),
+                                                 (0.05, 0.0, 1.0),
+                                                 (0.2, 4.0, 0.5)])
+    def test_bit_equal_to_loop_reference(self, lam, c, bin_width):
+        traffic = TrafficModel.from_intensity(lam, c)
+        window = (-1024.0, 1024.0)
+        hist = pair_distance_histogram(traffic, window, 20, 48, SEED,
+                                       bin_width=bin_width)
+        density, se = _loop_histogram(traffic, window, 20, 48, SEED, bin_width)
+        assert np.array_equal(hist.density, density)
+        assert np.array_equal(hist.se, se)
 
     def test_hardcore_histogram(self, traffic, geom):
         hist = pair_distance_histogram(traffic, (-1024.0, 1024.0), 2000, 64,
