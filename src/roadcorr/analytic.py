@@ -125,14 +125,6 @@ def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) 
     return mean * mean + _distant_excess_exact(t, traffic, geom)
 
 
-def _distant_excess_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    return (-8.0 * traffic.intensity ** 2 * traffic.min_gap
-            * r0 ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
-            * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -t * geom.speed / r0))
-
-
 def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Pair contribution from neighbor separations below two minimum gaps.
@@ -156,13 +148,8 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
     """
     window = TimeLagWindow.from_params(traffic, geom)
     _require_lag(t, window.t_lo, window.t_hi, "close_pairs_expansion")
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    lam = traffic.intensity
-    c = traffic.min_gap
-    return (2.0 * lam * lam * c * (2.0 + lam * c) * r0 ** (1.0 - 2.0 * eta)
-            / (2.0 * eta - 1.0)
-            * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -t * geom.speed / r0))
+    occ = traffic.occupancy
+    return occ * (2.0 + occ) * same_vehicle_term(t, traffic, geom)
 
 
 _UNIT_NODES = 0.5 + 0.5 * _GK_X
@@ -299,8 +286,9 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     elif method == "expansion":
         _require_lag(t, window.t_lo, window.t_hi, "covariance (expansion)")
         base = same_vehicle_term(t, traffic, geom)
-        excess = _distant_excess_expansion(t, traffic, geom)
-        close = close_pairs_expansion(t, traffic, geom)
+        occ = traffic.occupancy
+        excess = -4.0 * occ * base
+        close = occ * (2.0 + occ) * base
     else:
         raise ParameterError(
             f"unknown covariance method {method!r}; expected one of {COVARIANCE_METHODS}"

@@ -50,7 +50,6 @@ class RunConfig:
     methods: tuple[str, ...] = KNOWN_METHODS
     n_samples: int = 100_000
     seed: int = 20260816
-    n_partitions: int = 8
     out_dir: str = "results"
     fmt: str = "csv"
 
@@ -71,14 +70,8 @@ class RunConfig:
             raise ConfigError(f"bad lag range [{self.t_lo!r}, {self.t_hi!r}]")
         if "simulation" in self.methods and self.n_samples < sim.MIN_SAMPLES:
             raise ConfigError(f"simulation needs n_samples >= {sim.MIN_SAMPLES}")
-        if self.n_partitions < 1:
-            raise ConfigError("n_partitions must be positive")
-        if ("simulation" in self.methods and self.n_samples
-                // max(self.n_partitions, sim.MIN_PARTITIONS_FOR_JACKKNIFE) < 2):
-            raise ConfigError(f"n_partitions {self.n_partitions} leaves fewer than "
-                              f"two samples per block at n_samples {self.n_samples}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed!r}")
 
     def geometry(self) -> NetworkGeometry:
         try:
@@ -109,7 +102,6 @@ _SCALARS = {
     "t_points": ("t_points", int),
     "n_samples": ("n_samples", int),
     "seed": ("seed", int),
-    "n_partitions": ("n_partitions", int),
     "format": ("fmt", str),
     "out": ("out_dir", str),
 }
@@ -149,6 +141,13 @@ def parse_config(text: str) -> RunConfig:
             traffics.append(_parse_traffic(value, line_no))
         elif key == "methods":
             values["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
+        elif key == "n_partitions":
+            # Retired: the simulation always runs sim.N_BLOCKS blocks, which
+            # any count from 1 to N_BLOCKS left unchanged. Still parsed
+            # because perfbench's occupancy-sweep config writes it.
+            if not (value.isdecimal() and 1 <= int(value) <= sim.N_BLOCKS):
+                raise ConfigError(f"n_partitions is retired; the simulation always uses "
+                                  f"{sim.N_BLOCKS} blocks, got {value!r}", line_no)
         elif key in _SCALARS:
             attr, cast = _SCALARS[key]
             try:
@@ -220,7 +219,7 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
             lags = [grid[i] for i in inside]
             window = sim.default_window(traffic, geom, max(lags))
             results = sim.estimate_curve(traffic, geom, lags, config.n_samples,
-                                         config.seed, config.n_partitions, window)
+                                         config.seed, window=window)
             values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
             bias_bound = sim.truncation_bias_bound(traffic, geom, window, max(lags))
     else:
@@ -266,8 +265,7 @@ def _config_manifest(config: RunConfig) -> dict[str, object]:
         "r0": config.r0, "eta": config.eta, "u": config.u,
         "t_lo": config.t_lo, "t_hi": config.t_hi, "t_points": config.t_points,
         "methods": list(config.methods),
-        "n_samples": config.n_samples, "seed": config.seed,
-        "n_partitions": config.n_partitions, "format": config.fmt,
+        "n_samples": config.n_samples, "seed": config.seed, "format": config.fmt,
     }
 
 
@@ -327,7 +325,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="path to a key = value config file")
         p.add_argument("--out", help="output directory (default: results)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--partitions", type=int, help="override n_partitions")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
     return parser
 
@@ -339,8 +336,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.partitions is not None:
-        overrides["n_partitions"] = args.partitions
     if args.format is not None:
         overrides["fmt"] = args.format
     return replace(config, **overrides) if overrides else config

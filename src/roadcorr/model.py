@@ -31,16 +31,14 @@ __all__ = [
 class TrafficModel:
     """Stationary vehicle stream on the line.
 
-    intensity is the mean number of vehicles per meter, min_gap the hard
-    minimum distance between successive vehicles, and gap_rate the rate of
-    the exponential part of each gap (gap = min_gap + Exp(gap_rate)). The
-    three are linked by intensity = gap_rate / (1 + gap_rate * min_gap);
-    construct via from_intensity or from_gap_rate to keep them consistent.
+    intensity is the mean number of vehicles per meter and min_gap the hard
+    minimum distance between successive vehicles. Each gap is
+    min_gap + Exp(gap_rate), where the rate of the exponential part is
+    derived from the two: gap_rate = intensity / (1 - intensity * min_gap).
     """
 
     intensity: float
     min_gap: float
-    gap_rate: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.intensity) and self.intensity > 0):
@@ -52,38 +50,16 @@ class TrafficModel:
                 "intensity * min_gap must stay below 1 (jammed road), got "
                 f"{self.intensity * self.min_gap!r}"
             )
-        if not (math.isfinite(self.gap_rate) and self.gap_rate > 0):
-            raise ParameterError(f"gap_rate must be positive, got {self.gap_rate!r}")
-        expected = self.intensity / (1.0 - self.intensity * self.min_gap)
-        if abs(self.gap_rate - expected) > 1e-12 * expected:
-            raise ParameterError(
-                f"inconsistent rates: gap_rate {self.gap_rate!r} does not match "
-                f"intensity {self.intensity!r} with min_gap {self.min_gap!r}"
-            )
 
     @classmethod
     def from_intensity(cls, intensity: float, min_gap: float) -> "TrafficModel":
-        """Build from vehicles-per-meter; derives the exponential gap rate."""
-        if not (math.isfinite(intensity) and intensity > 0):
-            raise ParameterError(f"intensity must be positive, got {intensity!r}")
-        if not (math.isfinite(min_gap) and min_gap >= 0):
-            raise ParameterError(f"min_gap must be nonnegative, got {min_gap!r}")
-        if intensity * min_gap >= 1.0:
-            raise ParameterError(
-                f"intensity * min_gap must stay below 1, got {intensity * min_gap!r}"
-            )
-        return cls(intensity=intensity, min_gap=min_gap,
-                   gap_rate=intensity / (1.0 - intensity * min_gap))
+        """Build from vehicles-per-meter and the minimum gap."""
+        return cls(intensity=intensity, min_gap=min_gap)
 
-    @classmethod
-    def from_gap_rate(cls, gap_rate: float, min_gap: float) -> "TrafficModel":
-        """Build from the exponential gap rate; derives the intensity."""
-        if not (math.isfinite(gap_rate) and gap_rate > 0):
-            raise ParameterError(f"gap_rate must be positive, got {gap_rate!r}")
-        if not (math.isfinite(min_gap) and min_gap >= 0):
-            raise ParameterError(f"min_gap must be nonnegative, got {min_gap!r}")
-        return cls(intensity=gap_rate / (1.0 + gap_rate * min_gap), min_gap=min_gap,
-                   gap_rate=gap_rate)
+    @property
+    def gap_rate(self) -> float:
+        """Rate of the exponential part of each gap."""
+        return self.intensity / (1.0 - self.intensity * self.min_gap)
 
     @property
     def occupancy(self) -> float:

@@ -5,13 +5,15 @@ Sampling starts each realization from the equilibrium delay of the renewal
 stream, so windows need no burn-in. Fading is never drawn: it is unit-mean
 exponential and independent per vehicle and slot, so its average given the
 positions is known in closed form, and the estimators use that average
-(Rao-Blackwellisation). One position draw per block serves every lag of a
-curve (common random numbers).
+(Rao-Blackwellisation). Every estimate runs N_BLOCKS blocks, each on its
+own counter-based stream, and one position draw per block serves every lag
+of a curve (common random numbers).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,11 +33,13 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 1000
-MIN_PARTITIONS_FOR_JACKKNIFE = 20
+N_BLOCKS = 20
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    if not 0 <= operator.index(seed) < 2 ** 64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed!r}")
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -182,20 +186,18 @@ def _moments(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
-                   t_grid: Sequence[float], n_samples: int, seed: int,
-                   n_partitions: int = 8,
+                   t_grid: Sequence[float], n_samples: int, seed: int, *,
                    window: tuple[float, float] | None = None) -> list[CorrelationEstimate]:
     """Monte Carlo moments and correlation coefficient at every lag of t_grid.
 
-    Work is split into max(n_partitions, 20) blocks, each driven by its own
-    counter-based stream keyed by (seed, block index). A block draws one
-    position matrix for the window of the largest lag (default_window
-    unless given) and evaluates every lag on it, so the curve's errors are
-    correlated across lags. Fading is integrated out exactly (see
-    _block_sums). The result is bit-identical for any partition count up
-    to that floor, and each lag's estimate is the same whichever other
-    lags share its window. Standard errors are a leave-one-block-out
-    jackknife.
+    Work is split into N_BLOCKS blocks, each driven by its own
+    counter-based stream keyed by (seed, block index), with seed in
+    [0, 2**64). A block draws one position matrix for the window of the
+    largest lag (default_window unless given) and evaluates every lag on
+    it, so the curve's errors are correlated across lags. Fading is
+    integrated out exactly (see _block_sums). Each lag's estimate is the
+    same whichever other lags share its window. Standard errors are a
+    leave-one-block-out jackknife.
     """
     lags = [float(t) for t in t_grid]
     if not lags:
@@ -206,23 +208,16 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
             raise DomainError(f"lag must lie in [0.0, {lag_window.t_max!r}] s, got {t!r}")
     if n_samples < MIN_SAMPLES:
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    if n_partitions < 1:
-        raise ParameterError("n_partitions must be positive")
-    if seed < 0:
-        raise ParameterError("seed must be nonnegative")
-    n_blocks = max(n_partitions, MIN_PARTITIONS_FOR_JACKKNIFE)
-    if n_samples // n_blocks < 2:
-        raise ParameterError("too many partitions for the sample count")
     if window is None:
         window = default_window(traffic, geom, max(lags))
     _require_window(window)
-    base, rem = divmod(n_samples, n_blocks)
+    base, rem = divmod(n_samples, N_BLOCKS)
     blocks = np.stack([
         _block_sums(traffic, geom, lags, base + (1 if k < rem else 0), window,
                     _block_rng(seed, k))
-        for k in range(n_blocks)])
+        for k in range(N_BLOCKS)])
     centre = mean_interference(traffic, geom)
-    scale = (n_blocks - 1) / n_blocks
+    scale = (N_BLOCKS - 1) / N_BLOCKS
     out = []
     for j in range(len(lags)):
         sums = blocks[:, j]
@@ -243,11 +238,11 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
 
 
 def estimate(traffic: TrafficModel, geom: NetworkGeometry, t: float,
-             n_samples: int, seed: int, n_partitions: int = 8,
+             n_samples: int, seed: int, *,
              window: tuple[float, float] | None = None) -> CorrelationEstimate:
     """Monte Carlo moments and correlation coefficient at lag t:
     estimate_curve on the single lag t."""
-    return estimate_curve(traffic, geom, [t], n_samples, seed, n_partitions, window)[0]
+    return estimate_curve(traffic, geom, [t], n_samples, seed, window=window)[0]
 
 
 @dataclass(frozen=True)

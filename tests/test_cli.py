@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -256,12 +257,37 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "line 1" in capsys.readouterr().err
 
-    def test_too_many_partitions_is_a_config_error(self, tmp_path, capsys):
-        code, out = self.run_main(
-            tmp_path, "methods = simulation\nn_samples = 1000\n",
-            extra=("--partitions", "600"))
+    def test_partitions_key_is_retired(self, tmp_path, capsys):
+        # Counts 1 to 20 never changed an output and still parse; every
+        # other value, and the flag, is refused.
+        sweep = ("traffic = lambda=0.05 c=4\nmethods = simulation\n"
+                 "t_lo = 1\nt_hi = 5\nt_points = 3\nn_samples = 1000\n")
+        outputs = []
+        for extra_line in ("", "n_partitions = 8\n", "n_partitions = 20\n"):
+            case = tmp_path / f"case{len(outputs)}"
+            case.mkdir()
+            code, out = self.run_main(case, sweep + extra_line)
+            assert code == 0
+            outputs.append((out / "curve_simulation_lam0.05_c4.0.csv").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+        for value in ("0", "21", "600", "x"):
+            code, out = self.run_main(tmp_path, f"n_partitions = {value}\n"
+                                                f"methods = ppp\n")
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "line 1" in err and "20 blocks" in err
+            assert not out.exists()
+        code, out = self.run_main(tmp_path, "methods = ppp\n",
+                                  extra=("--partitions", "8"))
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_is_a_config_error(self, tmp_path, capsys):
+        code, out = self.run_main(tmp_path, "methods = ppp\n",
+                                  extra=("--seed", "18446744073709551616"))
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_flag(self, capsys):
@@ -305,3 +331,15 @@ class TestPcfCommand:
         out = tmp_path / "results"
         assert main(["pcf", "--out", str(out)]) == 0
         assert (out / "pcf_lam0.05_c4.0.csv").exists()
+
+
+def test_benchmark_configs_parse():
+    """The benchmark's CLI configs parse: they are why the retired
+    n_partitions key is still accepted."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for workload in ("canonical-run", "occupancy-sweep"):
+        parse_config(workloads.config_text(workload, 20260816))

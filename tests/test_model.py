@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,12 +17,6 @@ class TestTrafficModel:
         assert traffic.gap_rate == lam / (1.0 - lam * c)
         assert traffic.occupancy == lam * c
 
-    def test_rate_identity_roundtrip(self):
-        tm = TrafficModel.from_gap_rate(0.0625, 4.0)
-        assert tm.intensity == 0.0625 / (1.0 + 0.0625 * 4.0)
-        back = TrafficModel.from_intensity(tm.intensity, 4.0)
-        assert math.isclose(back.gap_rate, 0.0625, rel_tol=1e-15)
-
     def test_zero_gap_degenerates_to_poisson(self, traffic_ppp):
         assert traffic_ppp.gap_rate == traffic_ppp.intensity
 
@@ -32,11 +27,14 @@ class TestTrafficModel:
     ])
     def test_rejects_bad_parameters(self, lam, c):
         with pytest.raises(ParameterError):
+            TrafficModel(lam, c)
+        with pytest.raises(ParameterError):
             TrafficModel.from_intensity(lam, c)
 
-    def test_rejects_inconsistent_direct_construction(self):
-        with pytest.raises(ParameterError):
-            TrafficModel(intensity=0.05, min_gap=4.0, gap_rate=0.05)
+    def test_two_fields_and_a_derived_rate(self):
+        assert [f.name for f in dataclasses.fields(TrafficModel)] == [
+            "intensity", "min_gap"]
+        assert TrafficModel(0.05, 4.0) == TrafficModel.from_intensity(0.05, 4.0)
 
 
 class TestNetworkGeometry:

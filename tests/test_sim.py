@@ -209,11 +209,6 @@ class TestBlockSums:
 
 
 class TestEstimate:
-    def test_deterministic_and_partition_invariant(self, traffic, geom):
-        a = estimate(traffic, geom, 5.0, 2000, SEED, n_partitions=1)
-        b = estimate(traffic, geom, 5.0, 2000, SEED, n_partitions=8)
-        assert a == b
-
     def test_curve_shares_one_draw_per_block(self, traffic, geom):
         """With the window fixed, a lag's estimate does not depend on the
         other lags of the grid: estimate(t) is the curve at t, bit for bit."""
@@ -232,12 +227,13 @@ class TestEstimate:
     def test_parameter_gates(self, traffic, geom):
         with pytest.raises(ParameterError):
             estimate(traffic, geom, 5.0, 999, SEED)
-        with pytest.raises(ParameterError):
-            estimate(traffic, geom, 5.0, 2000, -1)
-        with pytest.raises(ParameterError):
-            estimate(traffic, geom, 5.0, 2000, SEED, n_partitions=0)
-        with pytest.raises(ParameterError):
-            estimate(traffic, geom, 5.0, 1000, SEED, n_partitions=600)
+        # seeds outside [0, 2**64) would alias a seed inside it
+        for bad_seed in (-1, 2 ** 64, 5 + 2 ** 64):
+            with pytest.raises(ParameterError):
+                estimate(traffic, geom, 5.0, 2000, bad_seed)
+        # the window is keyword-only; the block count is not a parameter
+        with pytest.raises(TypeError):
+            estimate(traffic, geom, 5.0, 2000, SEED, 8)
 
     def test_lag_domain(self, traffic, geom):
         with pytest.raises(DomainError):
@@ -308,6 +304,9 @@ class TestPairDistanceHistogram:
         with pytest.raises(ParameterError):
             pair_distance_histogram(traffic, window, 10, 16, SEED,
                                     bin_width=-1.0)
+        for bad_seed in (-1, 2 ** 64):
+            with pytest.raises(ParameterError):
+                pair_distance_histogram(traffic, window, 10, 16, bad_seed)
         for bad_window in ((0.0, 50.0), (0.0, math.inf), (100.0, 0.0),
                            (math.nan, 10.0)):
             with pytest.raises(DomainError):
