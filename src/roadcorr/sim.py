@@ -152,7 +152,8 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
     later subtractions from cancelling digits. One position draw serves
     every lag; gains come from model.pathloss, one pass per lag, and lag 0
-    is evaluated once.
+    is evaluated once. Vehicles past the window edge are marked with inf,
+    which pathloss treats as silent (gain 0) without raising it to a power.
     """
     w_hi = window[1]
     centre = mean_interference(traffic, geom)
@@ -291,8 +292,8 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
     edges = bin_width * np.arange(bins + 1)
     max_d = edges[-1]
     rng = _block_rng(seed, 0)
-    counts = np.zeros((n_realizations, bins))
-    for i in range(n_realizations):
+    seps = []
+    for _ in range(n_realizations):
         pos = _position_matrix(traffic, window, 1, rng)[0]
         pos = pos[pos <= w_hi]
         upper = np.searchsorted(pos, pos + max_d, side="right")
@@ -301,8 +302,17 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
         lengths = np.maximum(upper - index - 1, 0)
         first = np.repeat(index, lengths)
         offset = np.arange(first.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        counts[i] = np.histogram(pos[first + 1 + offset] - pos[first], bins=edges)[0]
-    counts *= 2.0  # unordered pairs counted once above; density is ordered
+        seps.append(pos[first + 1 + offset] - pos[first])
+    owner = np.repeat(np.arange(n_realizations), [s.size for s in seps])
+    seps = np.concatenate(seps)
+    # np.histogram's edge rule: bin k is [e_k, e_k+1), the last bin also
+    # holds max_d, and longer separations are dropped (none is negative).
+    bin_index = np.searchsorted(edges, seps, side="right") - 1
+    bin_index[seps == max_d] = bins - 1
+    kept = bin_index < bins
+    counts = np.bincount(owner[kept] * bins + bin_index[kept],
+                         minlength=n_realizations * bins).reshape(n_realizations, bins)
+    counts = 2.0 * counts  # unordered pairs counted once above; density is ordered
     length = w_hi - w_lo
     measure = 2.0 * bin_width * (length - 0.5 * (edges[:-1] + edges[1:]))
     mean_counts = counts.mean(axis=0)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from roadcorr import NetworkGeometry, TrafficModel
@@ -26,3 +27,17 @@ def traffic_light() -> TrafficModel:
 def traffic_ppp() -> TrafficModel:
     """No minimum gap: the stream degenerates to a Poisson process."""
     return TrafficModel.from_intensity(0.05, 0.0)
+
+
+@pytest.fixture
+def power_bases(monkeypatch) -> list:
+    """Copies of every base array handed to np.power while the test runs."""
+    bases = []
+    power = np.power
+
+    def recording(base, *args, **kwargs):
+        bases.append(np.array(base, dtype=float))
+        return power(base, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", recording)
+    return bases

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is built on scipy quadrature and raw grid sums, on purpose:
-none of it shares code with roadcorr's own integrators or closed forms, so
-an agreement between the two routes actually means something.
+Everything here is built on scipy quadrature, raw grid sums and plain
+gather/scatter numpy, on purpose: none of it shares code with roadcorr's
+own integrators, closed forms or gain pass, so an agreement between the two
+routes actually means something.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -191,3 +192,18 @@ def hypergeometric_family(eta: float) -> list[tuple[float, float, float]]:
         (2.0 * eta, eta + 1.0, 2.0 * eta + 1.0),
         (eta, 2.0 * eta - 1.0, 2.0 * eta),
     ]
+
+
+def masked_gains(r, geom: NetworkGeometry) -> np.ndarray:
+    """The gain as a gather/scatter over the outside-guard entries:
+    zeros, then |r| ** -eta placed where |r| > guard_radius.
+
+    The power is numpy's, on the gathered entries only; Python's ** on
+    floats and math.pow go through libm, which can differ from numpy's
+    vectorised pow in the last bit.
+    """
+    dist = np.abs(r)
+    gains = np.zeros_like(dist)
+    outside = dist > geom.guard_radius
+    np.place(gains, outside, dist[outside] ** (-geom.pathloss_exponent))
+    return gains

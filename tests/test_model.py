@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
                       ParameterError, TimeLagWindow, TrafficModel,
                       integrate_semi_infinite, mean_interference,
@@ -107,6 +108,33 @@ class TestPathloss:
         before = r.copy()
         pathloss(r, geom)
         assert np.array_equal(r, before)
+
+    @staticmethod
+    def _edge_distances(r0):
+        """Silent and audible edge cases, then a block-like stretch of
+        distances with a run of inf padding."""
+        tiny = np.finfo(float).tiny
+        edges = [math.inf, -math.inf, 0.0, -0.0, r0, -r0, 5e-324, -tiny / 4,
+                 tiny, 0.5 * r0, np.nextafter(r0, 0.0), np.nextafter(r0, math.inf),
+                 -np.nextafter(r0, math.inf), 2.0 * r0, 1e6]
+        stretch = np.random.default_rng(3).uniform(-3000.0, 3000.0, 500)
+        stretch[400:] = math.inf
+        return np.concatenate([edges, stretch])
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 4.0, 6.0])
+    def test_bit_equal_to_masked_reference(self, eta):
+        geom = NetworkGeometry(150.0, eta, 10.0)
+        r = self._edge_distances(geom.guard_radius)
+        assert np.array_equal(pathloss(r, geom), oracles.masked_gains(r, geom))
+
+    def test_power_sees_only_normal_bases(self, geom, power_bases):
+        """Silent entries (|r| <= guard_radius, subnormal, zero or infinite)
+        never reach np.power: numpy's vectorised pow falls back to a slow
+        scalar path on inf, zero and subnormal lanes."""
+        pathloss(self._edge_distances(geom.guard_radius), geom)
+        assert power_bases
+        for base in power_bases:
+            assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
 
 
 class TestPairCorrelation:

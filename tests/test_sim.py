@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from roadcorr.analytic import rho, rho_ppp, same_vehicle_term, variance
 from roadcorr.errors import DomainError, EstimationError, ParameterError
 from roadcorr.model import (
@@ -51,28 +52,18 @@ CURVE_PINS = {
 }
 
 
-def _masked_gains(r, geom):
-    """The gain as a gather/scatter over the outside-guard entries:
-    zeros, then |r| ** -eta placed where |r| > guard_radius."""
-    dist = np.abs(r)
-    gains = np.zeros_like(dist)
-    outside = dist > geom.guard_radius
-    np.place(gains, outside, dist[outside] ** (-geom.pathloss_exponent))
-    return gains
-
-
 def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
-    """_block_sums rebuilt on _masked_gains, every lag evaluated afresh."""
+    """_block_sums rebuilt on oracles.masked_gains, every lag evaluated afresh."""
     centre = mean_interference(traffic, geom)
     pos = _position_matrix(traffic, window, n_rows, rng)
     beyond = pos > window[1]
     pos = pos[:, :int(np.argmax(beyond, axis=1).max())]
     pos[beyond[:, :pos.shape[1]]] = np.inf
-    g0 = _masked_gains(pos, geom)
+    g0 = oracles.masked_gains(pos, geom)
     d0 = g0.sum(axis=1) - centre
     out = np.empty((len(lags), 8))
     for j, t in enumerate(lags):
-        gt = _masked_gains(pos + geom.speed * t, geom)
+        gt = oracles.masked_gains(pos + geom.speed * t, geom)
         dt = gt.sum(axis=1) - centre
         out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt,
                   float(np.vdot(g0, g0)), float(np.vdot(gt, gt)))
@@ -201,6 +192,16 @@ class TestBlockSums:
             want = _reference_block_sums(traffic, geom, grid, 500, window,
                                          _block_rng(SEED, k))
             assert np.array_equal(got, want)
+
+    def test_power_sees_only_normal_bases(self, traffic, geom, power_bases):
+        """Window padding (inf) and guard-zone entries never reach np.power:
+        numpy's vectorised pow falls back to a slow scalar path on them."""
+        grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
+        _block_sums(traffic, geom, grid, 500, default_window(traffic, geom, 30.0),
+                    _block_rng(SEED, 0))
+        assert len(power_bases) == len(grid)  # one pass per lag, lag 0 once
+        for base in power_bases:
+            assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
 
     def test_curve_pinned(self, traffic, geom):
         grid = list(CURVE_PINS)
