@@ -12,6 +12,9 @@ the hardcore structure matters), and distant_pairs everything farther out
 evaluation routes are provided per term: exact quadrature against the full
 pair correlation, closed forms with the squared-intensity far field
 ("pcf-approx"), and the small-occupancy expansion ("expansion").
+The same-vehicle term is the intensity times the gain autocorrelation K,
+in closed form, and the exact route's pair terms are one convolution of
+the pair density against K, integrated in one adaptive pass.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _deviation_reach,
                     _pair_correlation_array, mean_interference)
-from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X,
-                      hyp2f1, integrate_finite, integrate_semi_infinite)
+from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, hyp2f1,
+                      integrate_finite)
+from .specfun import integrate_semi_infinite  # unused: perfbench's tracer wraps it here
 
 __all__ = [
     "CovarianceBreakdown",
@@ -75,6 +79,34 @@ def _require_lag(t: float, lo: float, hi: float, what: str) -> None:
         raise DomainError(f"{what} requires lag in [{lo!r}, {hi!r}] s, got {t!r}")
 
 
+# The 15-point Kronrod rule on three panels of [0, 1], weights summing to 2: K's crossing piece.
+_PANEL_X = ((np.arange(3.0)[:, None] + 0.5 + 0.5 * _GK_X) / 3.0).ravel()
+_PANEL_W = np.tile(_GK_WK, 3) / 3.0
+
+
+def _gain_kernel(s, eta: float):
+    """Gain autocorrelation K(s), the integral of g(x) * g(x + s) over x.
+
+    g(x) = |x|**-eta outside the guard zone |x| <= 1, zero inside (lengths
+    in guard radii). Positions on one side of the zone give
+    2 / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -|s|); for |s| > 2 the
+    zone fits between them, adding the integral of y**-eta * (|s| - y)**-eta
+    over 1 < y < |s| - 1: twice its half up to |s| / 2, taken over log y,
+    which keeps it within 2e-15 of K out to |s| = 556. K is even, kinked at
+    0 and |s| = 2. Takes a scalar (returns a float) or an array.
+    """
+    s = np.abs(np.asarray(s, dtype=float))
+    value = np.asarray(2.0 / (2.0 * eta - 1.0) * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -s))
+    across = s > 2.0
+    if np.any(across):
+        far = s[across]
+        top = np.log(0.5 * far)
+        y = np.exp(top[:, None] * _PANEL_X)
+        value[across] += top * np.sum(y ** (1.0 - eta) * (far[:, None] - y) ** -eta * _PANEL_W,
+                                      axis=1)
+    return value if value.ndim else float(value)
+
+
 def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
     """Covariance contribution of a single vehicle observed at both instants.
 
@@ -85,9 +117,8 @@ def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) ->
     _require_lag(t, 0.0, window.t_max, "same_vehicle_term")
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
-    shift = t * geom.speed
-    return (2.0 * traffic.intensity * r0 ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
-            * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -shift / r0))
+    return (traffic.intensity * r0 ** (1.0 - 2.0 * eta)
+            * _gain_kernel(t * geom.speed / r0, eta))
 
 
 def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -97,18 +128,12 @@ def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry
     lam = traffic.intensity
     gap2 = 2.0 * traffic.min_gap
     shift = t * geom.speed
-    z_far = -(gap2 + shift) / r0
-    z_near = (gap2 - shift) / r0
+    z = np.array([-(gap2 + shift), gap2 - shift]) / r0    # far, near
     lead = lam * lam * r0 ** (2.0 - 2.0 * eta)
-    group1 = lead / (eta - 1.0) ** 2 * (
-        hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, z_far)
-        - hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, z_near)
-    )
-    group2 = 2.0 * lead / ((2.0 * eta - 1.0) * (eta - 1.0)) * (
-        z_near * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, z_near)
-        - z_far * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, z_far)
-    )
-    return group1 + group2
+    lower = hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, z)
+    upper = z * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, z)
+    return float(lead / (eta - 1.0) ** 2 * (lower[0] - lower[1])
+                 + 2.0 * lead / ((2.0 * eta - 1.0) * (eta - 1.0)) * (upper[1] - upper[0]))
 
 
 def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -152,86 +177,39 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
     return occ * (2.0 + occ) * same_vehicle_term(t, traffic, geom)
 
 
-_UNIT_NODES = 0.5 + 0.5 * _GK_X
-_UNIT_WEIGHTS = 0.5 * _GK_WK
-
-
 def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                          spec: QuadratureSpec, part: str) -> float:
     """Two-sided pair integral against the exact pair correlation.
 
-    Integrates gain(x) * (gain(y + shift) + gain(y - shift)) over reference
-    positions x beyond the guard radius and neighbor offsets y - x. part
-    "close" weights the first-neighbor band (offsets between one and two
-    minimum gaps) by the full pair density; part "deviation" weights every
-    band within the deviation reach by the density's deviation from the
-    squared intensity. The two shifted gains fold the x < 0 half-line onto
-    x > 0. Lengths are scaled by the guard radius. For each shifted gain,
-    every band segment is clipped to the two half-lines of offsets that put
-    the neighbor outside the guard zone, and each piece gets a fixed
-    Kronrod rule, which resolves these analytic pieces to roundoff; the
-    reference-position integral is adaptive.
+    The stream is stationary, so the pair double integral of gain(x) *
+    gain(y + shift) collapses onto the separation d = y - x (the
+    second-order Campbell formula): the integral of w(d) * K(d + shift),
+    K the gain autocorrelation. w is even, so d > 0 carries K(d + shift) +
+    K(d - shift). part "close" weights the first-neighbor band (one to two
+    minimum gaps) by the pair density, part "deviation" every band within
+    the deviation reach by the density minus the squared intensity.
+    Lengths are in guard radii. The band edges (where the density jumps or
+    kinks) and K's kinks are breakpoints, so every piece is smooth.
     """
-    lam2 = traffic.intensity ** 2
     c = traffic.min_gap
     if c == 0.0:
         return 0.0
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
-    b = c / r0
     shift = t * geom.speed / r0
     if part == "close":
-        start_band, reach, offset = 1, 2, 0.0
+        first, last, offset = 1, 2, 0.0
     else:
-        start_band, reach, offset = 0, _deviation_reach(traffic), lam2
+        first, last, offset = 0, _deviation_reach(traffic), traffic.intensity ** 2
+    edges = np.arange(first, last + 1) * c / r0
+    kinks = np.array([shift, abs(shift - 2.0), shift + 2.0])
+    points = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
 
-    bands = np.arange(start_band, reach, dtype=float)
-    pos_lo, pos_hi = bands * b, (bands + 1.0) * b
-    base_lo = np.concatenate([-pos_hi[::-1], pos_lo])
-    base_hi = np.concatenate([-pos_lo[::-1], pos_hi])
-    base_width = base_hi - base_lo
-    base_nodes = base_lo[:, None] + base_width[:, None] * _UNIT_NODES
-    base_density = _pair_correlation_array(r0 * np.abs(base_nodes), traffic) - offset
+    def integrand(d: np.ndarray) -> np.ndarray:
+        gains = _gain_kernel(np.add.outer(d, (shift, -shift)), eta).sum(axis=1)
+        return (_pair_correlation_array(r0 * d, traffic) - offset) * gains
 
-    # Beyond this reference position neither shifted gain can cross the
-    # guard boundary inside the offset range, so no segment is clipped.
-    split_end = 1.0 + shift + reach * b + 1e-9
-    # Below it the offset integral has a kink wherever a guard-zone crossing
-    # (offset +-1 - s -+ shift) passes a band edge. Splitting the adaptive
-    # range there leaves smooth pieces, on which its error estimate holds.
-    edges = np.union1d(base_lo, base_hi)
-    kinks = np.concatenate([boundary + moved - edges
-                            for boundary in (1.0, -1.0) for moved in (shift, -shift)])
-    kinks = np.unique(kinks[(kinks > 1.0) & (kinks < split_end)])
-    near_points = np.concatenate([[1.0], kinks, [split_end]])
-
-    def integrand(s_values: np.ndarray) -> np.ndarray:
-        s = s_values[:, None]
-        inner = np.zeros_like(s_values)
-        for moved in (shift, -shift):
-            below, above = -1.0 - s - moved, 1.0 - s - moved
-            # An empty piece collapses onto its guard-zone crossing, where
-            # the gain is finite, so its zero width zeroes it cleanly.
-            for lo, hi in ((np.minimum(base_lo, below), np.minimum(base_hi, below)),
-                           (np.maximum(base_lo, above), np.maximum(base_hi, above))):
-                width = hi - lo
-                nodes = lo[:, :, None] + width[:, :, None] * _UNIT_NODES
-                # Unclipped pieces sit on the band nodes; only shortened
-                # ones need the density afresh.
-                density = np.broadcast_to(base_density, nodes.shape)
-                clipped = (width > 0.0) & (width < base_width)
-                if np.any(clipped):
-                    density = density.copy()
-                    density[clipped] = (_pair_correlation_array(
-                        r0 * np.abs(nodes[clipped]), traffic) - offset)
-                gains = np.abs(s[:, :, None] + nodes + moved) ** (-eta)
-                inner += np.sum((gains * density) @ _UNIT_WEIGHTS * width, axis=1)
-        return s_values ** (-eta) * inner
-
-    near = math.fsum(integrate_finite(integrand, lo, hi, spec)
-                     for lo, hi in zip(near_points[:-1], near_points[1:]))
-    far = integrate_semi_infinite(integrand, split_end, spec)
-    return r0 ** (2.0 - 2.0 * eta) * (near + far)
+    return r0 ** (2.0 - 2.0 * eta) * integrate_finite(integrand, points, spec)
 
 
 def variance(traffic: TrafficModel, geom: NetworkGeometry, method: str = "approx") -> float:
@@ -267,18 +245,9 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     if method == "exact-quadrature":
         _require_lag(t, 0.0, window.t_max, "covariance (exact-quadrature)")
         base = same_vehicle_term(t, traffic, geom)
-        deviation = _exact_pair_integral(t, traffic, geom, spec, "deviation")
         close = _exact_pair_integral(t, traffic, geom, spec, "close")
-        cov = base + deviation
-        return CovarianceBreakdown(
-            same_vehicle=base,
-            distant_pairs=cov - base - close + mean_sq,
-            close_pairs=close,
-            mean_sq=mean_sq,
-            covariance=cov,
-            method=method,
-        )
-    if method == "pcf-approx":
+        excess = _exact_pair_integral(t, traffic, geom, spec, "deviation") - close
+    elif method == "pcf-approx":
         _require_lag(t, window.t_lo, window.t_hi, "covariance (pcf-approx)")
         base = same_vehicle_term(t, traffic, geom)
         excess = _distant_excess_exact(t, traffic, geom)

@@ -32,6 +32,25 @@ def quad_tail(f, lo: float, points=None) -> float:
     return value
 
 
+def pair_kernel_defining(s: float, eta: float) -> float:
+    """Gain autocorrelation: the integral of g(x) * g(x + s) over the line.
+
+    g(x) = |x|**-eta outside the guard zone |x| <= 1, zero inside (lengths
+    in guard radii). The product is nonzero on at most three stretches:
+    x > 1, x < -1 - |s| (mirrored onto x > 1 + |s|), and, when |s| > 2,
+    1 - |s| < x < -1, where the guard zone sits between the two positions.
+    """
+    s = abs(s)
+
+    def product(x):
+        return abs(x) ** -eta * abs(x + s) ** -eta
+
+    total = quad_tail(product, 1.0) + quad_tail(lambda x: product(-x), 1.0 + s)
+    if s > 2.0:
+        total += quad(product, 1.0 - s, -1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
+
+
 def same_vehicle_defining(t: float, traffic: TrafficModel,
                           geom: NetworkGeometry) -> float:
     """Both-slot contribution of one vehicle: 2 lam int g(r) g(r + t u) dr."""

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from roadcorr.analytic import (
     CovarianceBreakdown,
+    _gain_kernel,
     close_pairs_expansion,
     close_pairs_numeric,
     covariance,
@@ -67,6 +68,17 @@ EXACT_DENSE = {
     (0.2, 0.0): (5.634293732179389e-14, 1.907965533501871e-12),
     (0.2, 5.0): (2.0343138190900068e-14, 1.0029694869072021e-12),
     (0.2, 30.0): (-4.65673013938575e-15, 1.962908004619919e-13),
+}
+
+# Exact-route covariances at minimum gap 4 m (canonical geometry) from a
+# 25-digit mpmath evaluation of the same truncated convolution, which shares
+# neither the gain kernel nor the integrator with roadcorr
+# (scripts/mpmath_reference.py).
+MPMATH_COVARIANCE = {
+    (0.05, 5.0): 8.1491996263712065e-14,
+    (0.05, 29.2): 1.0208045123604691e-14,
+    (0.1, 5.0): 9.1666561126387813e-14,
+    (0.2, 5.0): 2.0343138190900751e-14,
 }
 
 
@@ -136,6 +148,49 @@ class TestFrozenValues:
         ref = covariance(t, stream, geom, "exact-quadrature", tight)
         assert math.isclose(got.covariance, ref.covariance, rel_tol=1e-13)
         assert math.isclose(got.close_pairs, ref.close_pairs, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("intensity,t", sorted(MPMATH_COVARIANCE))
+    def test_exact_route_matches_independent_reference(self, intensity, t, geom):
+        stream = TrafficModel.from_intensity(intensity, 4.0)
+        got = covariance(t, stream, geom, "exact-quadrature").covariance
+        scale = same_vehicle_term(0.0, stream, geom)
+        assert abs(got - MPMATH_COVARIANCE[intensity, t]) <= 1e-14 * scale
+
+    def test_tight_solve_below_roundoff_raises(self):
+        # At eta 6 the deviation part nearly cancels, so a 1e-13 relative
+        # target sits below its roundoff; the default spec still converges.
+        geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=6.0,
+                               speed=10.0)
+        stream = TrafficModel.from_intensity(0.15, 4.0)
+        got = covariance(29.2, stream, geom, "exact-quadrature")
+        assert math.isclose(got.covariance, 4.8152358124944e-29, rel_tol=1e-12)
+        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="roundoff") as info:
+            covariance(29.2, stream, geom, "exact-quadrature", tight)
+        assert math.isfinite(info.value.best_estimate)
+        assert info.value.error_bound > 0.0
+
+
+class TestGainKernel:
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.7])
+    def test_matches_defining_integral(self, s, eta):
+        assert math.isclose(_gain_kernel(s, eta),
+                            oracles.pair_kernel_defining(s, eta), rel_tol=1e-13)
+
+    def test_even_and_vectorized(self):
+        s = np.linspace(0.0, 3.7, 38).reshape(2, 19)
+        values = _gain_kernel(s, 3.0)
+        assert values.shape == s.shape
+        assert np.array_equal(_gain_kernel(-s, 3.0), values)
+        scalars = [[_gain_kernel(float(v), 3.0) for v in row] for row in s]
+        assert np.array_equal(values, scalars)
+
+    def test_same_vehicle_term_is_intensity_times_kernel(self, traffic, geom):
+        for t in (0.0, 5.0, 30.0):
+            kernel = _gain_kernel(t * geom.speed / geom.guard_radius, 3.0)
+            assert same_vehicle_term(t, traffic, geom) == (
+                traffic.intensity * geom.guard_radius ** -5.0 * kernel)
 
 
 class TestSameVehicleTerm:

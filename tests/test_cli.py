@@ -1,6 +1,7 @@
 """Tests for config parsing and the command line driver."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -343,3 +344,16 @@ def test_benchmark_configs_parse():
         sys.path.pop(0)
     for workload in ("canonical-run", "occupancy-sweep"):
         parse_config(workloads.config_text(workload, 20260816))
+
+
+def test_benchmark_boundaries_resolve():
+    """Every function the benchmark's tracer wraps is still bound where it
+    looks for it; the tracer leaves a missing one out of its metrics."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    for module_name, attr, _, _ in tracer.BOUNDARIES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

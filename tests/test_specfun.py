@@ -65,6 +65,22 @@ class TestHyp2F1:
                           - hyp2f1(a, b, c, z - step)) / (2.0 * step)
                 assert rel_err(finite, closed) < 1e-5
 
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-3.7, 0.9, size=(6, 50))
+        z[0, :4] = (0.0, -2.0, 0.5, -1e-9)
+        for triple in oracles.hypergeometric_family(3.4) + [(1.0, 1.0, 2.0)]:
+            values = hyp2f1(*triple, z)
+            assert values.shape == z.shape
+            scalars = np.array([[hyp2f1(*triple, float(v)) for v in row] for row in z])
+            assert np.all(np.abs(values - scalars) <= 1e-15 * np.abs(scalars))
+
+    def test_array_arguments_are_checked(self):
+        with pytest.raises(DomainError):
+            hyp2f1(5.0, 3.0, 6.0, np.array([-1.0, 0.5, 1.0]))
+        with pytest.raises(ParameterError):
+            hyp2f1(5.0, 3.0, 6.0, np.array([-1.0, np.nan]))
+
     @pytest.mark.parametrize("args", [
         (5.0, 3.0, 3.0, 0.5),    # c == b
         (5.0, 3.0, 2.0, 0.5),    # c < b
@@ -106,28 +122,68 @@ class TestUpperIncompleteGamma:
 
 class TestIntegrateFinite:
     def test_constant(self):
-        assert abs(integrate_finite(lambda x: np.ones_like(x), 0.0, 3.0) - 3.0) < 1e-12
+        assert abs(integrate_finite(lambda x: np.ones_like(x), (0.0, 3.0)) - 3.0) < 1e-12
 
     def test_power_law_antiderivative(self):
-        value = integrate_finite(lambda x: x ** -3.0, 150.0, 300.0)
+        value = integrate_finite(lambda x: x ** -3.0, (150.0, 300.0))
         expected = (150.0 ** -2 - 300.0 ** -2) / 2.0
         assert rel_err(value, expected) < 1e-12
 
     def test_empty_interval(self):
-        assert integrate_finite(lambda x: x ** 2, 2.0, 2.0) == 0.0
+        assert integrate_finite(lambda x: x ** 2, (2.0, 2.0)) == 0.0
 
     def test_deterministic(self):
         f = lambda x: np.exp(-x) * np.sin(3.0 * x)
-        assert integrate_finite(f, 0.0, 10.0) == integrate_finite(f, 0.0, 10.0)
+        assert integrate_finite(f, (0.0, 10.0)) == integrate_finite(f, (0.0, 10.0))
 
     def test_depth_exhaustion_reports_best_estimate(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_depth=10)
         with pytest.raises(ConvergenceError) as info:
-            integrate_finite(lambda x: x ** -0.9, 1e-12, 1.0, spec)
+            integrate_finite(lambda x: x ** -0.9, (1e-12, 1.0), spec)
         err = info.value
         assert math.isfinite(err.best_estimate)
         assert err.error_bound > 0.0
         assert 0.0 < err.best_estimate < 10.0
+
+    def test_breakpoints_leave_smooth_pieces_for_one_batch(self):
+        # |x - 0.3| is linear on each side of its kink, so with the kink as
+        # a breakpoint the first batch, one integrand call, is exact.
+        calls = []
+
+        def kinked(x):
+            calls.append(x.size)
+            return np.abs(x - 0.3)
+
+        value = integrate_finite(kinked, (0.0, 0.3, 1.0))
+        assert math.isclose(value, (0.3 ** 2 + 0.7 ** 2) / 2.0, rel_tol=1e-15)
+        assert calls == [30]
+
+    def test_zero_width_pieces_are_skipped(self):
+        value = integrate_finite(lambda x: x ** 2, (0.0, 1.0, 1.0, 2.0))
+        assert math.isclose(value, 8.0 / 3.0, rel_tol=1e-14)
+
+    @pytest.mark.parametrize("points", [
+        (1.0,), (2.0, 1.0), (0.0, 2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_bad_points(self, points):
+        with pytest.raises(ParameterError):
+            integrate_finite(np.sin, points)
+
+    def test_target_below_roundoff_raises(self):
+        # The integral of sin over [-1, 1] is zero, so its relative target
+        # sits below the roundoff of the two pieces, which do not cancel
+        # until they are summed; bisection can only churn that roundoff.
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return np.sin(x)
+
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
+        with pytest.raises(ConvergenceError, match="roundoff") as info:
+            integrate_finite(counted, (-1.0, 0.3, 1.0), spec)
+        assert abs(info.value.best_estimate) < 1e-15
+        assert 0.0 < info.value.error_bound < 1e-15
+        assert len(calls) < 100
 
 
 class TestIntegrateSemiInfinite:
