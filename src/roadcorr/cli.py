@@ -203,8 +203,8 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
                 geom: NetworkGeometry
                 ) -> tuple[list[list[object]], list[int], float | None]:
     """CSV rows of one curve, the indices of its invalid points, and, for a
-    simulated curve, the truncation bias bound of the window it sampled
-    (None when no lag was simulated)."""
+    simulated curve, the largest bound on the truncation bias of rho over
+    its simulated lags (None when no lag was simulated)."""
     lam, c = traffic.intensity, traffic.min_gap
     grid = [float(t) for t in config.t_grid()]
     values: dict[int, tuple[float, float | None]] = {}
@@ -217,11 +217,12 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
             inside = []
         if inside:
             lags = [grid[i] for i in inside]
-            window = sim.default_window(traffic, geom, max(lags))
+            window = sim.default_window(traffic, geom, max(lags), config.n_samples)
             results = sim.estimate_curve(traffic, geom, lags, config.n_samples,
                                          config.seed, window=window)
             values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
-            bias_bound = sim.truncation_bias_bound(traffic, geom, window, max(lags))
+            bias_bound = max(sim.truncation_bias_bound(traffic, geom, window, t)
+                             for t in lags)
     else:
         for i, t in enumerate(grid):
             try:

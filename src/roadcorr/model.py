@@ -136,13 +136,14 @@ def pathloss(r, geom: NetworkGeometry):
     scalar or a numpy array and returns the matching shape in a fresh
     buffer; the argument is never modified.
 
-    Silent entries (inside the guard zone or infinitely far) hold 1.0
-    while the power runs and are zeroed after it. numpy's vectorised pow
-    sends every vector holding an inf, a zero or a subnormal down a
-    scalar special-case path, which more than doubles the cost of the
-    power on a simulator block; 1.0 ** -eta can neither overflow nor
-    underflow, and each lane is computed on its own, so the other gains
-    are unchanged to the bit.
+    The power is taken as exp(-exponent * log|r|), about twice as fast as
+    numpy's vectorised pow on a simulator block and one pass for any
+    exponent. Its relative error against pow is at most about
+    (|exponent * ln|r|| + 2) ulp: log's half ulp, carried through the
+    product, is scaled by the size of the exponent. Silent entries
+    (inside the guard zone or infinitely far) hold 1.0 while the logarithm
+    and exponential run and are zeroed after them, so log sees only
+    finite, normal, positive values; each lane is computed on its own.
     """
     arr = np.asarray(r, dtype=float)
     gains = np.abs(arr, out=np.empty_like(arr))
@@ -150,7 +151,9 @@ def pathloss(r, geom: NetworkGeometry):
         raise ParameterError("pathloss distance must not be NaN")
     silent = (gains <= geom.guard_radius) | (gains == np.inf)
     np.copyto(gains, 1.0, where=silent)
-    np.power(gains, -geom.pathloss_exponent, out=gains)
+    np.log(gains, out=gains)
+    np.multiply(gains, -geom.pathloss_exponent, out=gains)
+    np.exp(gains, out=gains)
     np.copyto(gains, 0.0, where=silent)
     if np.isscalar(r) or arr.ndim == 0:
         return float(gains)

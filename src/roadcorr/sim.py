@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, ParameterError
 from .model import NetworkGeometry, TimeLagWindow, TrafficModel, mean_interference, pathloss
+from .specfun import hyp2f1
 
 __all__ = [
     "CorrelationEstimate",
@@ -34,6 +35,10 @@ __all__ = [
 
 MIN_SAMPLES = 1000
 N_BLOCKS = 20
+# default_window holds the truncation bias to this share of the
+# standard-error floor SE_FLOOR * rho0 / sqrt(n_samples).
+BIAS_FRACTION = 0.1
+SE_FLOOR = 0.4
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -70,31 +75,129 @@ class CorrelationEstimate:
             raise ParameterError(f"rho out of range: {self.rho!r}")
 
 
-def default_window(traffic: TrafficModel, geom: NetworkGeometry, t: float) -> tuple[float, float]:
-    """Sampling window [-(W + u t), W] sized so truncation bias is controlled.
+def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, float, float]:
+    """Leading-order far-field constants of the stream: (cv2, edge, rho0).
 
-    W = guard_radius + speed * t_max + 50 / intensity: the traveled distance
-    plus fifty mean spacings of margin beyond the guard zone.
+    Over lengths long against the mean spacing, a renewal stream's pair
+    deviation h = rho2 - intensity**2 acts as a point mass of total
+    intensity * (cv2 - 1), where cv2 = (1 - occupancy)**2 is the squared
+    coefficient of variation of a gap c + Exp(rate) (Cox, Renewal Theory,
+    1962). So every pair term over a region where the gain varies slowly
+    is cv2 times its same-vehicle term, plus -M1 * g(e) * f(e) at each
+    boundary point e of the region (g and f the two slots' gains), where
+    M1 is the first moment of h over d > 0. From the Laplace transform of
+    the renewal density, M1 = -occupancy**2 * (1 + 2m + 3m**2) / 12 with
+    m = 1 - occupancy, never positive; edge is |M1|. rho0 is the zero-lag
+    coefficient this gives: var(S) = cv2 * E[Q] + |M1| * 2 g(r0)**2 over
+    var(S) + E[Q], with the guard zone's two edges.
     """
-    window = TimeLagWindow.from_params(traffic, geom)
-    half = geom.guard_radius + geom.speed * window.t_max + 50.0 / traffic.intensity
-    return (-(half + geom.speed * t), half)
+    occ = traffic.occupancy
+    m = 1.0 - occ
+    cv2 = m * m
+    edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
+    eta = geom.pathloss_exponent
+    r0 = geom.guard_radius
+    mean_q = 2.0 * traffic.intensity * r0 ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
+    var_s = cv2 * mean_q + 2.0 * edge * r0 ** (-2.0 * eta)
+    return cv2, edge, var_s / (var_s + mean_q)
+
+
+def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
+            t: float) -> tuple[float, float, float, float]:
+    """Moments lost at lag t to the window, with the fading part kept.
+
+    Returns (kept_q, lost_q, lost_var, lost_cov): the pooled E[Q] inside
+    the window and outside it, and bounds on the pooled variance and the
+    covariance lost (see truncation_bias_bound).
+    """
+    _require_window(window)
+    w_lo, w_hi = window
+    shift = geom.speed * t
+    r0 = geom.guard_radius
+    if not (w_hi > r0 and -w_lo - shift > r0):
+        raise DomainError(f"window {window!r} must cover the guard zone at both slots of lag {t!r}")
+    lam = traffic.intensity
+    eta = geom.pathloss_exponent
+    power = 2.0 * eta - 1.0
+    cv2, edge, _ = _far_field(traffic, geom)
+    slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
+    slot_t = np.array([w_hi + shift, -w_lo - shift])
+    near = np.minimum(slot_0, slot_t)
+    lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
+    same = lam * float(np.sum(near ** -power / power
+                              * hyp2f1(power, eta, 2.0 * eta, -shift / near)))
+    edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
+    edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
+    kept_q = 2.0 * lam * r0 ** -power / power - lost_q
+    return kept_q, lost_q, (1.0 + cv2) * lost_q + edge_var, cv2 * same + edge_cov
 
 
 def truncation_bias_bound(traffic: TrafficModel, geom: NetworkGeometry,
                           window: tuple[float, float], t: float) -> float:
-    """Upper bound on the mean interference lost to window truncation.
+    """Bound on |rho_W - rho| at lag t: the bias in the correlation
+    coefficient from sampling only the vehicles inside the window.
 
-    Sources beyond each window edge (at either slot) contribute at most the
-    intensity times the pathloss tail integral past the nearest missing
-    distance.
+    The window [w_lo, w_hi] holds the slot-0 positions, and must cover the
+    guard zone at both slots. Losing the vehicles outside it lowers the
+    covariance by dcov and the pooled variance by dvar, so
+    rho_W - rho = (rho_W * dvar - dcov) / var. Both losses are
+    nonnegative to leading order and 0 <= rho_W <= rho0, so the bias is at
+    most max(rho0 * dvar, dcov) / E[Q_W]; E[Q_W], the fading part of the
+    sampled variance, is a lower bound on all of it. The losses have
+    three terms:
+
+    - the same-vehicle tail T_t = intensity * integral of g(x) g(x + u t)
+      over the x outside the window, exact (a 2F1 per side); at lag 0
+      this is the lost E[Q], which dvar holds in full;
+    - the deviation tail (cv2 - 1) * T_t, so that the two sum to
+      cv2 * T_t (see _far_field); likewise cv2 times the lost E[Q] is the
+      lost var(S) in dvar;
+    - an allowance for the edge term: |M1| * g(e) * g(e + u t) summed over
+      the two window edges e. At leading order the edge term lowers the
+      loss by this much; the bound adds it instead, to cover higher
+      orders in 1 / (intensity * W).
+
+    For a Poisson stream (min_gap 0) cv2 = 1, M1 = 0 and rho0 = 1/2, so
+    the losses are exact.
     """
-    w_lo, w_hi = window
-    eta = geom.pathloss_exponent
-    right = max(w_hi - geom.speed * t, geom.guard_radius)
-    left = max(-w_lo - geom.speed * t, geom.guard_radius)
-    lam = traffic.intensity
-    return lam * (right ** (1.0 - eta) + left ** (1.0 - eta)) / (eta - 1.0)
+    kept_q, _, lost_var, lost_cov = _losses(traffic, geom, window, t)
+    return max(_far_field(traffic, geom)[2] * lost_var, lost_cov) / kept_q
+
+
+def default_window(traffic: TrafficModel, geom: NetworkGeometry, t: float,
+                   n_samples: int) -> tuple[float, float]:
+    """Sampling window [-(W + u t), W] for lags up to t, as small as the
+    bias it leaves allows.
+
+    W = guard_radius + speed * t_max + m, with the smallest margin m >= 0
+    (in whole meters) that holds truncation_bias_bound at every lag in
+    [0, t] to BIAS_FRACTION of the standard-error floor
+    SE_FLOOR * rho0 / sqrt(n_samples). The floor sits below the smallest
+    jackknife se_rho over the lags (at least 0.41 rho0 / sqrt(n) in 30
+    seeds on each perfbench stream; scripts/window_bias.py), so the bias
+    stays a tenth of the noise. W grows like n_samples ** (1 / (4 eta - 2)).
+    m is solved for by
+    bisection on the bound of the symmetric window [-W, W] at lag 0: every
+    missing distance there is W, the nearest any lag up to t can have, so
+    it bounds the bound at each of those lags.
+    """
+    if n_samples < 1:
+        raise ParameterError(f"need at least one sample, got {n_samples}")
+    target = BIAS_FRACTION * SE_FLOOR * _far_field(traffic, geom)[2] / math.sqrt(n_samples)
+    base = geom.guard_radius + geom.speed * TimeLagWindow.from_params(traffic, geom).t_max
+
+    def holds(margin: int) -> bool:
+        half = base + margin
+        return truncation_bias_bound(traffic, geom, (-half, half), 0.0) <= target
+
+    lo, hi = -1, 0                      # the bound fails at margin lo, holds at hi
+    while not holds(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    half = base + hi
+    return (-(half + geom.speed * t), half)
 
 
 def _require_window(window: tuple[float, float]) -> None:
@@ -152,8 +255,10 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
     later subtractions from cancelling digits. One position draw serves
     every lag; gains come from model.pathloss, one pass per lag, and lag 0
-    is evaluated once. Vehicles past the window edge are marked with inf,
-    which pathloss treats as silent (gain 0) without raising it to a power.
+    is evaluated once. Q_t squares the gains in place and sums them, a
+    pairwise sum that stays off BLAS (whose threads spin in np.vdot).
+    Vehicles past the window edge are marked with inf, which pathloss
+    treats as silent (gain 0) without taking their logarithm.
     """
     w_hi = window[1]
     centre = mean_interference(traffic, geom)
@@ -164,7 +269,8 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
 
     def totals(shift: float) -> tuple[np.ndarray, float]:
         gains = pathloss(pos + shift, geom)
-        return gains.sum(axis=1) - centre, float(np.vdot(gains, gains))
+        dev = gains.sum(axis=1) - centre
+        return dev, float(np.square(gains, out=gains).sum())
 
     d0, q0 = totals(0.0)
     out = np.empty((len(lags), 8))
@@ -210,7 +316,7 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     if n_samples < MIN_SAMPLES:
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if window is None:
-        window = default_window(traffic, geom, max(lags))
+        window = default_window(traffic, geom, max(lags), n_samples)
     _require_window(window)
     base, rem = divmod(n_samples, N_BLOCKS)
     blocks = np.stack([

@@ -31,13 +31,14 @@ def traffic_ppp() -> TrafficModel:
 
 @pytest.fixture
 def power_bases(monkeypatch) -> list:
-    """Copies of every base array handed to np.power while the test runs."""
+    """Copies of every array handed to np.log while the test runs: the
+    bases of the gain's power, which pathloss takes as exp(-eta * log)."""
     bases = []
-    power = np.power
+    log = np.log
 
     def recording(base, *args, **kwargs):
         bases.append(np.array(base, dtype=float))
-        return power(base, *args, **kwargs)
+        return log(base, *args, **kwargs)
 
-    monkeypatch.setattr(np, "power", recording)
+    monkeypatch.setattr(np, "log", recording)
     return bases

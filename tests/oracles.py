@@ -215,14 +215,14 @@ def hypergeometric_family(eta: float) -> list[tuple[float, float, float]]:
 
 def masked_gains(r, geom: NetworkGeometry) -> np.ndarray:
     """The gain as a gather/scatter over the outside-guard entries:
-    zeros, then |r| ** -eta placed where |r| > guard_radius.
+    zeros, then exp(-eta * log|r|) placed where |r| > guard_radius.
 
-    The power is numpy's, on the gathered entries only; Python's ** on
-    floats and math.pow go through libm, which can differ from numpy's
-    vectorised pow in the last bit.
+    The same arithmetic as model.pathloss, numpy's log, product and exp,
+    on the gathered entries only; Python's ** and math.pow go through
+    libm's pow, which differs from it by a few ulp.
     """
     dist = np.abs(r)
     gains = np.zeros_like(dist)
     outside = dist > geom.guard_radius
-    np.place(gains, outside, dist[outside] ** (-geom.pathloss_exponent))
+    np.place(gains, outside, np.exp(np.log(dist[outside]) * -geom.pathloss_exponent))
     return gains

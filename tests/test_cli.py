@@ -199,7 +199,8 @@ class TestRunCommand:
 
     def test_bias_bound_describes_the_sampled_window(self, tmp_path):
         # lags past t_max = 30 s are not simulated, so the window is sized
-        # for, and the bound taken at, the largest simulated lag
+        # for the largest simulated lag, and the bound is the largest over
+        # the simulated lags
         code, out = self.run_main(
             tmp_path,
             "traffic = lambda=0.05 c=4\nmethods = simulation\n"
@@ -210,9 +211,10 @@ class TestRunCommand:
         traffic = TrafficModel.from_intensity(0.05, 4.0)
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0,
                                speed=10.0)
-        window = default_window(traffic, geom, 30.0)
-        assert entry["truncation_bias_bound"] == truncation_bias_bound(
-            traffic, geom, window, 30.0)
+        window = default_window(traffic, geom, 30.0, 1000)
+        assert entry["truncation_bias_bound"] == max(
+            truncation_bias_bound(traffic, geom, window, t)
+            for t in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))
 
     def test_simulation_of_unwindowed_stream_is_all_invalid(self, tmp_path):
         # a minimum gap above r0 / 2 leaves no lag window: nothing is

@@ -74,7 +74,9 @@ class TestTimeLagWindow:
 
 class TestPathloss:
     def test_power_law_outside_guard(self, geom):
-        assert pathloss(300.0, geom) == 300.0 ** -3
+        # exp(-3 log 300) is within (|3 ln 300| + 2) ulp of the power
+        tol = (3.0 * math.log(300.0) + 2.0) * np.finfo(float).eps
+        assert math.isclose(pathloss(300.0, geom), 300.0 ** -3, rel_tol=tol, abs_tol=0.0)
 
     def test_zero_inside_guard(self, geom):
         assert pathloss(100.0, geom) == 0.0
@@ -129,12 +131,24 @@ class TestPathloss:
 
     def test_power_sees_only_normal_bases(self, geom, power_bases):
         """Silent entries (|r| <= guard_radius, subnormal, zero or infinite)
-        never reach np.power: numpy's vectorised pow falls back to a slow
-        scalar path on inf, zero and subnormal lanes."""
+        never reach np.log, which would return -inf or nan on them and
+        send exp down its special-value path."""
         pathloss(self._edge_distances(geom.guard_radius), geom)
         assert power_bases
         for base in power_bases:
             assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
+
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 4.0, 6.0])
+    def test_within_stated_error_of_power(self, eta):
+        """exp(-eta * log r) against numpy's pow: relative error at most
+        (|eta ln r| + 2) ulp, from the guard radius out to 1e12 m."""
+        geom = NetworkGeometry(150.0, eta, 10.0)
+        r = np.geomspace(np.nextafter(150.0, math.inf), 1e12, 20001)
+        r = np.concatenate([r, np.random.default_rng(5).uniform(150.0, 5000.0, 20000)])
+        want = np.power(r, -eta)
+        err = np.abs(pathloss(r, geom) / want - 1.0)
+        assert np.all(err <= (np.abs(eta * np.log(r)) + 2.0) * np.finfo(float).eps)
 
 
 class TestPairCorrelation:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import oracles
 from roadcorr.analytic import rho, rho_ppp, same_vehicle_term, variance
@@ -13,11 +14,14 @@ from roadcorr.model import (
     TrafficModel,
     mean_interference,
     pair_correlation,
+    pathloss,
 )
 from roadcorr.sim import (
     CorrelationEstimate,
     _block_rng,
     _block_sums,
+    _far_field,
+    _losses,
     _position_matrix,
     default_window,
     estimate,
@@ -40,15 +44,16 @@ HISTOGRAM_PINS = {
 
 # estimate_curve(from_intensity(0.05, 4), conftest geometry, [0, 5, 30],
 # 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
-# from the masked-gain kernel the simulator used before model.pathloss;
-# compared with ==, so any change to the draws or the arithmetic shows.
+# from the exp/log gain pass on the window default_window derives for 2000
+# samples, (-975, 675); compared with ==, so any change to the draws or the
+# arithmetic shows. The exact route gives rho 0.39388, 0.18754 and 0.01946.
 CURVE_PINS = {
-    0.0: (0.37217691960846977, 0.006890245791751022,
-          4.1611976022010667e-13, 1.5487017054693436e-13),
-    5.0: (0.1737473816921518, 0.008362098146246687,
-          4.239030712661945e-13, 7.365204872376292e-14),
-    30.0: (0.0022721491286351037, 0.008736287488669078,
-           4.273389902647847e-13, 9.709779143619356e-16),
+    0.0: (0.39631896327232863, 0.00713937782672822,
+          4.356952840048773e-13, 1.7267430325945577e-13),
+    5.0: (0.18390809906664865, 0.007679271438189246,
+          4.3341168939288876e-13, 7.970791990951094e-14),
+    30.0: (0.02631723235355398, 0.007061437083817255,
+           4.31748308433347e-13, 1.1362420551294282e-14),
 }
 
 
@@ -66,7 +71,7 @@ def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
         gt = oracles.masked_gains(pos + geom.speed * t, geom)
         dt = gt.sum(axis=1) - centre
         out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt,
-                  float(np.vdot(g0, g0)), float(np.vdot(gt, gt)))
+                  float(np.square(g0).sum()), float(np.square(gt).sum()))
     return out
 
 
@@ -90,19 +95,120 @@ def _loop_histogram(traffic, window, n_realizations, bins, seed, bin_width):
     return counts.mean(axis=0) / measure, se / measure
 
 
-class TestWindows:
-    def test_default_window_formula(self, traffic, geom):
-        # guard radius + traveled span + fifty mean spacings of margin
-        half = 150.0 + 10.0 * 30.0 + 50.0 / 0.05
-        assert default_window(traffic, geom, 0.0) == (-half, half)
-        assert default_window(traffic, geom, 5.0) == (-(half + 50.0), half)
+def _far_field_variance(traffic, half, n_rows, seed):
+    """Monte Carlo variance of the summed gain beyond distance half, with
+    its standard error: the stream on [-10 half, 10 half], whose cut tail
+    is 1e-5 of the variance at eta 3."""
+    far = NetworkGeometry(guard_radius=half, pathloss_exponent=3.0, speed=10.0)
+    reach = 10.0 * half
+    sums = []
+    for k in range(n_rows // 2000):
+        pos = _position_matrix(traffic, (-reach, reach), 2000, _block_rng(seed, k))
+        pos[pos > reach] = np.inf
+        sums.append(pathloss(pos, far).sum(axis=1))
+    sums = np.concatenate(sums)
+    var = sums.var(ddof=1)
+    se = math.sqrt((np.mean((sums - sums.mean()) ** 4) - var * var) / sums.size)
+    return var, se
 
-    def test_truncation_bias_bound(self, traffic, geom):
-        window = default_window(traffic, geom, 5.0)
-        bound = truncation_bias_bound(traffic, geom, window, 5.0)
-        wider = truncation_bias_bound(traffic, geom, (-30000.0, 30000.0), 5.0)
-        assert 0.0 < wider < bound
-        assert bound < 0.02 * mean_interference(traffic, geom)
+
+class TestWindows:
+    GRID = [float(t) for t in np.linspace(0.0, 30.0, 31)]
+
+    @pytest.mark.parametrize("lam,c,n", [(0.05, 4.0, 10000), (0.05, 4.0, 100000),
+                                         (0.05, 0.0, 5000), (0.2, 4.0, 5000),
+                                         (0.2, 4.0, 1000)])
+    def test_default_window_formula(self, lam, c, n, geom):
+        """W = r0 + u t_max + m with the smallest whole margin m whose
+        lag-0 bound on [-W, W] is a tenth of the floor 0.4 rho0 / sqrt(n)."""
+        traffic = TrafficModel.from_intensity(lam, c)
+        target = 0.1 * 0.4 * _far_field(traffic, geom)[2] / math.sqrt(n)
+        w_lo, w_hi = default_window(traffic, geom, 5.0, n)
+        assert w_lo == -(w_hi + 50.0)
+        margin = w_hi - 450.0
+        assert margin == int(margin) and margin >= 0.0
+        assert truncation_bias_bound(traffic, geom, (-w_hi, w_hi), 0.0) <= target
+        if margin > 0.0:
+            assert truncation_bias_bound(traffic, geom, (1.0 - w_hi, w_hi - 1.0), 0.0) > target
+        for t in self.GRID:
+            assert truncation_bias_bound(traffic, geom, default_window(traffic, geom, 30.0, n),
+                                         t) <= target
+
+    def test_window_pins(self, geom):
+        # the canonical point at perfbench's and the config's sample counts,
+        # and the densest sweep stream; the old 50 / intensity margin gave
+        # 1450, 1450 and 700
+        assert default_window(TrafficModel(0.05, 4.0), geom, 30.0, 10000) == (-1093.0, 793.0)
+        assert default_window(TrafficModel(0.05, 4.0), geom, 30.0, 100000) == (-1298.0, 998.0)
+        assert default_window(TrafficModel(0.2, 4.0), geom, 30.0, 5000) == (-975.0, 675.0)
+
+    def test_window_grows_with_samples(self, traffic, geom):
+        halves = [default_window(traffic, geom, 30.0, n)[1] for n in (1000, 10000, 100000, 10 ** 6)]
+        assert halves == sorted(halves) and halves[0] < halves[-1]
+        with pytest.raises(ParameterError):
+            default_window(traffic, geom, 30.0, 0)
+
+    @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
+    def test_bound_monotone_in_window(self, lam, c, geom):
+        traffic = TrafficModel.from_intensity(lam, c)
+        for t in (0.0, 5.0, 30.0):
+            bounds = [truncation_bias_bound(traffic, geom, (-(half + 300.0), half), t)
+                      for half in (500.0, 600.0, 800.0, 1200.0, 2000.0, 5000.0)]
+            assert all(a > b > 0.0 for a, b in zip(bounds, bounds[1:]))
+
+    def test_window_must_cover_the_guard_zone(self, traffic, geom):
+        with pytest.raises(DomainError, match="guard zone"):
+            truncation_bias_bound(traffic, geom, (-1000.0, 100.0), 0.0)
+        with pytest.raises(DomainError, match="guard zone"):
+            truncation_bias_bound(traffic, geom, (-400.0, 1000.0), 30.0)
+        with pytest.raises(DomainError, match="window must be finite"):
+            truncation_bias_bound(traffic, geom, (-math.inf, 1000.0), 0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, 30.0])
+    def test_poisson_losses_match_quadrature(self, t, traffic_ppp, geom):
+        """At c = 0 the losses are exact: the covariance lost is
+        lambda * integral of g(x) g(x + u t) outside the window, and the
+        variance lost is twice the lost E[Q]."""
+        lam, shift = traffic_ppp.intensity, geom.speed * t
+        w_lo, w_hi = -1100.0, 800.0
+
+        def lost(f):
+            right = quad(f, w_hi, math.inf, epsabs=0.0, epsrel=1e-12)[0]
+            left = quad(f, -math.inf, w_lo, epsabs=0.0, epsrel=1e-12)[0]
+            return lam * (right + left)
+
+        kept_q, lost_q, lost_var, lost_cov = _losses(traffic_ppp, geom, (w_lo, w_hi), t)
+        same = lost(lambda x: abs(x) ** -3.0 * abs(x + shift) ** -3.0)
+        q = 0.5 * (lost(lambda x: x ** -6.0) + lost(lambda x: (x + shift) ** -6.0))
+        assert math.isclose(lost_cov, same, rel_tol=1e-12)
+        assert math.isclose(lost_q, q, rel_tol=1e-12)
+        assert lost_var == 2.0 * lost_q
+        assert math.isclose(kept_q + lost_q, 2.0 * lam * 150.0 ** -5.0 / 5.0, rel_tol=1e-14)
+        assert math.isclose(truncation_bias_bound(traffic_ppp, geom, (w_lo, w_hi), t),
+                            max(0.5 * lost_var, lost_cov) / kept_q, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2])
+    def test_deviation_and_edge_match_far_field_monte_carlo(self, lam, geom):
+        """At occupancy 0.2 and 0.8 the variance of the gain summed beyond W
+        is (1 - occupancy)**2 times the Poisson value plus the edge term,
+        the var(S) part the bound charges to the lost variance. At W = 300
+        the edge term is 14% of it at occupancy 0.8, well clear of the
+        noise."""
+        traffic = TrafficModel.from_intensity(lam, 4.0)
+        half = 300.0
+        _, lost_q, lost_var, _ = _losses(traffic, geom, (-half, half), 0.0)
+        var, se = _far_field_variance(traffic, half, 16000, SEED)
+        assert abs(var - (lost_var - lost_q)) <= 4.0 * se
+        cv2 = (1.0 - traffic.occupancy) ** 2
+        if lam == 0.2:
+            assert var - cv2 * lost_q > 8.0 * se
+
+    def test_bound_is_a_tenth_of_the_noise(self, traffic, geom):
+        grid = [0.0, 5.0, 15.0, 30.0]
+        curve = estimate_curve(traffic, geom, grid, 2000, SEED)
+        window = default_window(traffic, geom, 30.0, 2000)
+        worst = max(truncation_bias_bound(traffic, geom, window, t) for t in grid)
+        assert worst <= 0.1 * min(est.se_rho for est in curve)
 
 
 class TestSampling:
@@ -185,7 +291,7 @@ class TestBlockSums:
     def test_bit_equal_to_masked_reference(self, lam, c, geom):
         traffic = TrafficModel.from_intensity(lam, c)
         grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
-        window = default_window(traffic, geom, 30.0)
+        window = default_window(traffic, geom, 30.0, 1000)
         for k in range(2):
             got = _block_sums(traffic, geom, grid, 500, window,
                               _block_rng(SEED, k))
@@ -194,13 +300,15 @@ class TestBlockSums:
             assert np.array_equal(got, want)
 
     def test_power_sees_only_normal_bases(self, traffic, geom, power_bases):
-        """Window padding (inf) and guard-zone entries never reach np.power:
-        numpy's vectorised pow falls back to a slow scalar path on them."""
+        """Window padding (inf) and guard-zone entries never reach np.log,
+        which would return -inf on them and send exp down its special path."""
         grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
-        _block_sums(traffic, geom, grid, 500, default_window(traffic, geom, 30.0),
+        _block_sums(traffic, geom, grid, 500, default_window(traffic, geom, 30.0, 10000),
                     _block_rng(SEED, 0))
-        assert len(power_bases) == len(grid)  # one pass per lag, lag 0 once
-        for base in power_bases:
+        # the sampler's equilibrium delay takes one log per row, shape (500, 1)
+        gain_bases = [base for base in power_bases if base.shape[1] > 1]
+        assert len(gain_bases) == len(grid)  # one pass per lag, lag 0 once
+        for base in gain_bases:
             assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
 
     def test_curve_pinned(self, traffic, geom):
@@ -214,7 +322,7 @@ class TestEstimate:
         """With the window fixed, a lag's estimate does not depend on the
         other lags of the grid: estimate(t) is the curve at t, bit for bit."""
         grid = [0.0, 0.8, 5.0, 10.0, 15.0, 29.2, 30.0]
-        window = default_window(traffic, geom, 30.0)
+        window = default_window(traffic, geom, 30.0, 2000)
         curve = estimate_curve(traffic, geom, grid, 2000, SEED, window=window)
         assert len(curve) == len(grid)
         for t, est in zip(grid, curve):
@@ -284,7 +392,7 @@ class TestEstimate:
         """Mirroring the window flips every realization; the stream's law
         is reflection invariant, so the estimates must agree statistically."""
         t = 5.0
-        w_lo, w_hi = default_window(traffic, geom, t)
+        w_lo, w_hi = default_window(traffic, geom, t, 20000)
         a = estimate(traffic, geom, t, 20000, SEED)
         b = estimate(traffic, geom, t, 20000, SEED, window=(-w_hi, -w_lo))
         assert abs(a.rho - b.rho) <= 3.0 * math.hypot(a.se_rho, b.se_rho)
