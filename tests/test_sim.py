@@ -115,24 +115,33 @@ def _far_field_variance(traffic, half, n_rows, seed):
 class TestWindows:
     GRID = [float(t) for t in np.linspace(0.0, 30.0, 31)]
 
-    @pytest.mark.parametrize("lam,c,n", [(0.05, 4.0, 10000), (0.05, 4.0, 100000),
-                                         (0.05, 0.0, 5000), (0.2, 4.0, 5000),
-                                         (0.2, 4.0, 1000)])
-    def test_default_window_formula(self, lam, c, n, geom):
+    def test_default_window_formula(self, geom):
         """W = r0 + u t_max + m with the smallest whole margin m whose
         lag-0 bound on [-W, W] is a tenth of the floor 0.4 rho0 / sqrt(n)."""
-        traffic = TrafficModel.from_intensity(lam, c)
-        target = 0.1 * 0.4 * _far_field(traffic, geom)[2] / math.sqrt(n)
-        w_lo, w_hi = default_window(traffic, geom, 5.0, n)
-        assert w_lo == -(w_hi + 50.0)
-        margin = w_hi - 450.0
-        assert margin == int(margin) and margin >= 0.0
-        assert truncation_bias_bound(traffic, geom, (-w_hi, w_hi), 0.0) <= target
-        if margin > 0.0:
-            assert truncation_bias_bound(traffic, geom, (1.0 - w_hi, w_hi - 1.0), 0.0) > target
-        for t in self.GRID:
-            assert truncation_bias_bound(traffic, geom, default_window(traffic, geom, 30.0, n),
-                                         t) <= target
+        for lam, c, n in [(0.05, 4.0, 10000), (0.05, 4.0, 100000), (0.05, 0.0, 5000),
+                          (0.2, 4.0, 5000), (0.2, 4.0, 1000)]:
+            traffic = TrafficModel.from_intensity(lam, c)
+            target = 0.1 * 0.4 * _far_field(traffic, geom)[2] / math.sqrt(n)
+            w_lo, w_hi = default_window(traffic, geom, 5.0, n)
+            assert w_lo == -(w_hi + 50.0)
+            margin = w_hi - 450.0
+            assert margin == int(margin) and margin >= 0.0
+            assert truncation_bias_bound(traffic, geom, (-w_hi, w_hi), 0.0) <= target
+            if margin > 0.0:
+                assert truncation_bias_bound(traffic, geom, (1.0 - w_hi, w_hi - 1.0), 0.0) > target
+            for t in self.GRID:
+                assert truncation_bias_bound(traffic, geom, default_window(traffic, geom, 30.0, n),
+                                             t) <= target
+
+    def test_truncation_bias_bound(self, traffic, geom):
+        """The bound at the derived window meets its target, and widening
+        the window shrinks it toward zero."""
+        n = 10000
+        window = default_window(traffic, geom, 5.0, n)
+        bound = truncation_bias_bound(traffic, geom, window, 5.0)
+        wider = truncation_bias_bound(traffic, geom, (-30000.0, 30000.0), 5.0)
+        assert 0.0 < wider < bound
+        assert bound <= 0.1 * 0.4 * _far_field(traffic, geom)[2] / math.sqrt(n)
 
     def test_window_pins(self, geom):
         # the canonical point at perfbench's and the config's sample counts,
