@@ -7,7 +7,8 @@ exponential and independent per vehicle and slot, so its average given the
 positions is known in closed form, and the estimators use that average
 (Rao-Blackwellisation). Every estimate runs N_BLOCKS blocks, each on its
 own counter-based stream, and one position draw per block serves every lag
-of a curve (common random numbers).
+of a curve (common random numbers). A block keeps only its in-window
+vehicles, as one flat array, so the gain passes see no padding.
 """
 
 from __future__ import annotations
@@ -255,22 +256,27 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
     later subtractions from cancelling digits. One position draw serves
     every lag; gains come from model.pathloss, one pass per lag, and lag 0
-    is evaluated once. Q_t squares the gains in place and sums them, a
+    is evaluated once. Rows ascend, so each row's in-window vehicles are a
+    prefix of it; the block keeps them as one flat array, row after row,
+    and every gain pass and row sum runs on those vehicles only. Row sums
+    are np.add.reduceat over the segments of the rows that hold a vehicle;
+    an empty row sums to 0. Q_t squares the gains in place and sums them, a
     pairwise sum that stays off BLAS (whose threads spin in np.vdot).
-    Vehicles past the window edge are marked with inf, which pathloss
-    treats as silent (gain 0) without taking their logarithm.
     """
-    w_hi = window[1]
     centre = mean_interference(traffic, geom)
     pos = _position_matrix(traffic, window, n_rows, rng)
-    beyond = pos > w_hi
-    pos = pos[:, :int(np.argmax(beyond, axis=1).max())]  # rows ascend
-    pos[beyond[:, :pos.shape[1]]] = np.inf  # gain 0
+    inside = pos <= window[1]
+    counts = inside.sum(axis=1)
+    flat = pos[inside]
+    del pos, inside
+    rows = np.flatnonzero(counts)  # reduceat would give an empty segment the next gain
+    starts = (np.cumsum(counts) - counts)[rows]
 
     def totals(shift: float) -> tuple[np.ndarray, float]:
-        gains = pathloss(pos + shift, geom)
-        dev = gains.sum(axis=1) - centre
-        return dev, float(np.square(gains, out=gains).sum())
+        gains = pathloss(flat + shift, geom)
+        sums = np.zeros(n_rows)
+        sums[rows] = np.add.reduceat(gains, starts)
+        return sums - centre, float(np.square(gains, out=gains).sum())
 
     d0, q0 = totals(0.0)
     out = np.empty((len(lags), 8))
@@ -299,12 +305,12 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
 
     Work is split into N_BLOCKS blocks, each driven by its own
     counter-based stream keyed by (seed, block index), with seed in
-    [0, 2**64). A block draws one position matrix for the window of the
-    largest lag (default_window unless given) and evaluates every lag on
-    it, so the curve's errors are correlated across lags. Fading is
-    integrated out exactly (see _block_sums). Each lag's estimate is the
-    same whichever other lags share its window. Standard errors are a
-    leave-one-block-out jackknife.
+    [0, 2**64). A block draws its positions once, for the window of the
+    largest lag (default_window unless given), and evaluates every lag on
+    the vehicles inside that window, so the curve's errors are correlated
+    across lags. Fading is integrated out exactly (see _block_sums). Each
+    lag's estimate is the same whichever other lags share its window.
+    Standard errors are a leave-one-block-out jackknife.
     """
     lags = [float(t) for t in t_grid]
     if not lags:

@@ -44,35 +44,59 @@ HISTOGRAM_PINS = {
 
 # estimate_curve(from_intensity(0.05, 4), conftest geometry, [0, 5, 30],
 # 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
-# from the exp/log gain pass on the window default_window derives for 2000
-# samples, (-975, 675); compared with ==, so any change to the draws or the
-# arithmetic shows. The exact route gives rho 0.39388, 0.18754 and 0.01946.
+# from the exp/log gain pass, row sums over each row's in-window segment,
+# on the window default_window derives for 2000 samples, (-975, 675);
+# compared with ==, so any change to the draws or the arithmetic shows.
+# The exact route gives rho 0.39388, 0.18754 and 0.01946.
 CURVE_PINS = {
     0.0: (0.39631896327232863, 0.00713937782672822,
           4.356952840048773e-13, 1.7267430325945577e-13),
-    5.0: (0.18390809906664865, 0.007679271438189246,
-          4.3341168939288876e-13, 7.970791990951094e-14),
-    30.0: (0.02631723235355398, 0.007061437083817255,
-           4.31748308433347e-13, 1.1362420551294282e-14),
+    5.0: (0.18390809906664862, 0.007679271438189235,
+          4.3341168939288876e-13, 7.970791990951093e-14),
+    30.0: (0.026317232353553995, 0.007061437083817246,
+           4.31748308433347e-13, 1.1362420551294288e-14),
 }
 
 
-def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
-    """_block_sums rebuilt on oracles.masked_gains, every lag evaluated afresh."""
+def _oracle_block_sums(traffic, geom, lags, n_rows, positions, row_sums):
+    """The block sums on oracles.masked_gains, every lag evaluated afresh:
+    row_sums turns the gains of positions into one sum per realization."""
     centre = mean_interference(traffic, geom)
-    pos = _position_matrix(traffic, window, n_rows, rng)
-    beyond = pos > window[1]
-    pos = pos[:, :int(np.argmax(beyond, axis=1).max())]
-    pos[beyond[:, :pos.shape[1]]] = np.inf
-    g0 = oracles.masked_gains(pos, geom)
-    d0 = g0.sum(axis=1) - centre
+    g0 = oracles.masked_gains(positions, geom)
+    d0 = row_sums(g0) - centre
     out = np.empty((len(lags), 8))
     for j, t in enumerate(lags):
-        gt = oracles.masked_gains(pos + geom.speed * t, geom)
-        dt = gt.sum(axis=1) - centre
+        gt = oracles.masked_gains(positions + geom.speed * t, geom)
+        dt = row_sums(gt) - centre
         out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt,
                   float(np.square(g0).sum()), float(np.square(gt).sum()))
     return out
+
+
+def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
+    """_block_sums rebuilt on the oracle: each row's in-window positions
+    gathered by a loop, laid end to end, and row-summed by np.add.reduceat
+    over the rows that hold one (a row with none sums to 0)."""
+    pos = _position_matrix(traffic, window, n_rows, rng)
+    rows = [row[row <= window[1]] for row in pos]
+    counts = np.array([row.size for row in rows])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    def row_sums(gains):
+        sums = np.zeros(n_rows)
+        sums[counts > 0] = np.add.reduceat(gains, starts[counts > 0])
+        return sums
+
+    return _oracle_block_sums(traffic, geom, lags, n_rows, np.concatenate(rows), row_sums)
+
+
+def _padded_block_sums(traffic, geom, lags, n_rows, window, rng):
+    """The block sums on the whole position matrix, entries past the window
+    set to inf (gain 0), each row summed across its columns."""
+    pos = _position_matrix(traffic, window, n_rows, rng)
+    pos[pos > window[1]] = np.inf
+    return _oracle_block_sums(traffic, geom, lags, n_rows, pos,
+                              lambda gains: gains.sum(axis=1))
 
 
 def _loop_histogram(traffic, window, n_realizations, bins, seed, bin_width):
@@ -308,16 +332,54 @@ class TestBlockSums:
                                          _block_rng(SEED, k))
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("lam,c", [(0.02, 4.0), (0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
+    def test_matches_padded_matrix(self, lam, c, geom):
+        """Summing each row's in-window segment gives the padded matrix's
+        row sums up to the order of the additions: 1e-12 relative on every
+        column."""
+        traffic = TrafficModel.from_intensity(lam, c)
+        grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
+        window = default_window(traffic, geom, 30.0, 10000)
+        for k in range(2):
+            got = _block_sums(traffic, geom, grid, 500, window, _block_rng(SEED, k))
+            want = _padded_block_sums(traffic, geom, grid, 500, window,
+                                      _block_rng(SEED, k))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_empty_rows_sum_to_zero(self, geom):
+        """Rows with no vehicle in the window, between others and at the
+        end of the block, add nothing to the gain sums."""
+        traffic = TrafficModel.from_intensity(0.002, 4.0)
+        window = (-300.0, 300.0)
+        grid = [0.0, 5.0, 30.0]
+        counts = np.sum(_position_matrix(traffic, window, 50, _block_rng(SEED, 2))
+                        <= window[1], axis=1)
+        assert counts[-1] == 0 and np.any(counts[:-1] == 0) and np.any(counts > 0)
+        got = _block_sums(traffic, geom, grid, 50, window, _block_rng(SEED, 2))
+        assert np.array_equal(got, _reference_block_sums(traffic, geom, grid, 50, window,
+                                                         _block_rng(SEED, 2)))
+        # a one-row block whose row is empty: every deviation is -mean, Q is 0
+        assert np.all(_position_matrix(traffic, window, 1, _block_rng(SEED, 0)) > window[1])
+        centre = mean_interference(traffic, geom)
+        one = _block_sums(traffic, geom, grid, 1, window, _block_rng(SEED, 0))
+        assert np.array_equal(one, np.tile(
+            [1.0, -centre, -centre, centre ** 2, centre ** 2, centre ** 2, 0.0, 0.0],
+            (len(grid), 1)))
+
     def test_power_sees_only_normal_bases(self, traffic, geom, power_bases):
-        """Window padding (inf) and guard-zone entries never reach np.log,
-        which would return -inf on them and send exp down its special path."""
+        """Only the block's in-window vehicles reach np.log, and guard-zone
+        entries never do: log would return -inf on them and send exp down
+        its special path."""
         grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
-        _block_sums(traffic, geom, grid, 500, default_window(traffic, geom, 30.0, 10000),
-                    _block_rng(SEED, 0))
-        # the sampler's equilibrium delay takes one log per row, shape (500, 1)
-        gain_bases = [base for base in power_bases if base.shape[1] > 1]
+        window = default_window(traffic, geom, 30.0, 10000)
+        _block_sums(traffic, geom, grid, 500, window, _block_rng(SEED, 0))
+        in_window = int(np.sum(_position_matrix(traffic, window, 500, _block_rng(SEED, 0))
+                               <= window[1]))
+        # the sampler's equilibrium delay takes one log per block, shape (500, 1)
+        gain_bases = [base for base in power_bases if base.ndim == 1]
         assert len(gain_bases) == len(grid)  # one pass per lag, lag 0 once
         for base in gain_bases:
+            assert base.size == in_window
             assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
 
     def test_curve_pinned(self, traffic, geom):
@@ -375,6 +437,9 @@ class TestEstimate:
         with pytest.raises(EstimationError):
             estimate(traffic, silent, 0.0, 1000, SEED,
                      window=(-3000.0, 2000.0))
+        # a window too short to hold a vehicle leaves every block empty
+        with pytest.raises(EstimationError):
+            estimate(traffic, silent, 0.0, 1000, SEED, window=(-1e-6, 1e-6))
 
     def test_estimate_validates_its_own_fields(self):
         with pytest.raises(ParameterError):
