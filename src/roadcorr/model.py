@@ -8,11 +8,11 @@ a pure power law.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .errors import ConvergenceError, DomainError, ParameterError
 
@@ -193,36 +193,35 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     return out
 
 
-@functools.lru_cache
 def _deviation_reach(traffic: TrafficModel) -> int:
     """Number of minimum-gap bands until the pair correlation sits on its asymptote.
 
-    Returns the smallest k with two consecutive bands whose deviation from
-    the squared intensity stays below 1e-10 relative. Raises
-    ConvergenceError, with the relative deviation still left, when that
-    takes more bands than the pair correlation resolves before it switches
-    to its asymptote. Cached per stream, since a curve asks for the same
-    stream's reach at every lag; a raised error is not cached.
+    rho2 - intensity**2 is intensity * sum A_k exp(s_k d) over the poles
+    s_k != 0 of the gap law's Laplace transform rate e**(-s c) / (rate + s):
+    A_k = 1 / (c + 1 / (rate + s_k)) and (rate + s_k) c = W_k(x e**x), with
+    x = rate c (Feller, vol. II, ch. XI; Corless et al., 1996). The leading
+    pair's envelope of the relative deviation is 2 |A_1| / intensity *
+    exp(Re(s_1) d); W_1(x e**x) is the Wright omega function at
+    x + log x + 2 pi i, which never forms x e**x. Returns the smallest k
+    whose envelope at k c is <= 1e-10 (0 for a Poisson stream), or raises
+    ConvergenceError carrying the envelope at the last band resolved before
+    the 64-gap asymptote.
     """
-    lam2 = traffic.intensity ** 2
-    c = traffic.min_gap
-    quiet = 0
-    residual = 0.0
-    for k in range(1, int(_ASYMPTOTE_CUTOFF_GAPS) + 1):
-        probes = c * (k + np.linspace(0.02, 0.98, 9))
-        dev = np.max(np.abs(_pair_correlation_array(probes, traffic) - lam2))
-        if dev <= 1e-10 * lam2:
-            quiet += 1
-            if quiet == 2:
-                return k - 1
-        else:
-            quiet, residual = 0, float(dev / lam2)
-    raise ConvergenceError(
-        f"pair correlation still deviates from its asymptote at "
-        f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
-        best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
-        error_bound=residual,
-    )
+    x = traffic.gap_rate * traffic.min_gap
+    if x == 0.0:
+        return 0
+    w = wrightomega(complex(x + math.log(x), 2.0 * math.pi))
+    decay = x - w.real                                     # -Re(s_1) c
+    need = math.log(2.0 * abs(w / (1.0 + w)) / traffic.occupancy / 1e-10)
+    left = need - decay * (_ASYMPTOTE_CUTOFF_GAPS - 1.0)   # nats above 1e-10 at the last band
+    if left > 0.0:
+        raise ConvergenceError(
+            f"pair correlation still deviates from its asymptote at "
+            f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
+            best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
+            error_bound=1e-10 * math.exp(left),
+        )
+    return math.ceil(need / decay)
 
 
 def pair_correlation(d: float, traffic: TrafficModel) -> float:
@@ -232,9 +231,9 @@ def pair_correlation(d: float, traffic: TrafficModel) -> float:
     shifted Erlang renewal densities (higher orders evaluated in the log
     domain so they cannot overflow), times the intensity. Beyond 64
     minimum gaps the squared-intensity asymptote is returned, and
-    ConvergenceError (carrying the relative deviation still left) is raised
-    where the density has not settled onto it by then. With min_gap == 0
-    the stream is Poisson and the density is flat.
+    ConvergenceError (carrying _deviation_reach's leading-pole envelope of
+    the relative deviation left) is raised where it has not settled by then.
+    With min_gap == 0 the stream is Poisson and the density is flat.
     """
     if not (math.isfinite(d) and d >= 0):
         raise ParameterError(f"separation must be nonnegative, got {d!r}")

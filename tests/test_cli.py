@@ -1,11 +1,15 @@
 """Tests for config parsing and the command line driver."""
 
+import ast
+import glob
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
 import sys
+import types
 
 import pytest
 
@@ -359,3 +363,27 @@ def test_benchmark_boundaries_resolve():
     for module_name, attr, _, _ in tracer.BOUNDARIES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(REPO_ROOT, "scripts", "*.py"))),
+                         ids=os.path.basename)
+def test_script_names_resolve(path):
+    """Each script under scripts/ imports (its main is guarded, so nothing
+    runs), and every module attribute it reads, such as sim._far_field, is
+    still bound: the scripts reach private names and run outside the test
+    suite, so a rename would otherwise break them unseen."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "script_" + os.path.basename(path)[:-3], path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            target = getattr(module, node.value.id, None)
+            if isinstance(target, types.ModuleType):
+                assert hasattr(target, node.attr), f"{node.value.id}.{node.attr}"

@@ -6,10 +6,10 @@ import pytest
 
 import oracles
 from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
-                      ParameterError, TimeLagWindow, TrafficModel,
+                      ParameterError, TimeLagWindow, TrafficModel, covariance,
                       integrate_semi_infinite, mean_interference,
                       normalized_pair_correlation, pair_correlation, pathloss)
-from roadcorr.model import _pair_correlation_array
+from roadcorr.model import _deviation_reach, _pair_correlation_array
 
 
 class TestTrafficModel:
@@ -202,6 +202,46 @@ class TestPairCorrelation:
         values = _pair_correlation_array(d, traffic)
         for di, vi in zip(d, values):
             assert vi == pair_correlation(float(di), traffic)
+
+
+class TestDeviationReach:
+    @pytest.mark.parametrize("occupancy", np.geomspace(1e-3, 0.82, 25))
+    def test_density_settled_on_the_reach_band(self, occupancy):
+        """On band reach, from reach to reach + 1 minimum gaps, the density
+        sits within 1e-10 relative of the squared intensity."""
+        stream = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
+        reach = _deviation_reach(stream)
+        d = stream.min_gap * (reach + np.linspace(0.0, 1.0, 2001))
+        ratio = _pair_correlation_array(d, stream) / stream.intensity ** 2
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-10
+
+    def test_pinned_reaches(self):
+        """The reaches of the streams behind the frozen exact-route values
+        (RHO_EXACT, EXACT_DENSE, MPMATH_COVARIANCE in test_analytic.py),
+        which are integrated out to these bands."""
+        reaches = [_deviation_reach(TrafficModel.from_intensity(lam, 4.0))
+                   for lam in (0.02, 0.05, 0.1, 0.2)]
+        assert reaches == [7, 9, 13, 52]
+
+    def test_poisson_stream_has_no_deviation(self, traffic_ppp):
+        assert _deviation_reach(traffic_ppp) == 0
+
+    @pytest.mark.parametrize("occupancy", [0.83, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_refuses_near_jam_with_a_finite_bound(self, occupancy, geom):
+        """Up to a jammed road the reach takes no overflowing x * exp(x):
+        both callers raise the typed error, never a NaN or a warning."""
+        stream = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
+        for call in (lambda: covariance(5.0, stream, geom, "exact-quadrature"),
+                     lambda: pair_correlation(65.0 * stream.min_gap, stream)):
+            with pytest.raises(ConvergenceError, match="64 minimum gaps") as info:
+                call()
+            assert math.isfinite(info.value.error_bound)
+            assert info.value.error_bound > 1e-10
+
+    def test_vanishing_occupancy_is_served(self, geom):
+        stream = TrafficModel.from_intensity(1e-12 / 4.0, 4.0)
+        assert math.isfinite(covariance(5.0, stream, geom, "exact-quadrature").covariance)
+        assert pair_correlation(65.0 * stream.min_gap, stream) == stream.intensity ** 2
 
 
 class TestNormalizedPairCorrelation:

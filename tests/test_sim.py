@@ -10,8 +10,10 @@ import oracles
 from roadcorr.analytic import rho, rho_ppp, same_vehicle_term, variance
 from roadcorr.errors import DomainError, EstimationError, ParameterError
 from roadcorr.model import (
+    _ASYMPTOTE_CUTOFF_GAPS,
     NetworkGeometry,
     TrafficModel,
+    _pair_correlation_array,
     mean_interference,
     pair_correlation,
     pathloss,
@@ -29,6 +31,7 @@ from roadcorr.sim import (
     pair_distance_histogram,
     truncation_bias_bound,
 )
+from roadcorr.specfun import QuadratureSpec, integrate_finite
 
 from conftest import SEED
 
@@ -235,6 +238,27 @@ class TestWindows:
         cv2 = (1.0 - traffic.occupancy) ** 2
         if lam == 0.2:
             assert var - cv2 * lost_q > 8.0 * se
+
+    @pytest.mark.parametrize("occupancy", [0.08, 0.2, 0.4, 0.8])
+    def test_far_field_constants_are_moments_of_the_pair_density(self, occupancy, geom):
+        """With h = rho2 - intensity**2, the integral of h over d > 0 is
+        intensity * (cv2 - 1) / 2 and that of d * h is -edge. h is taken
+        over all 64 minimum gaps the density resolves (it is 0 beyond): up
+        to the deviation reach alone, the tail of d * h left out is 3.9e-9
+        of edge at occupancy 0.8."""
+        traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
+        cv2, edge, _ = _far_field(traffic, geom)
+        lam = traffic.intensity
+        bands = np.arange(int(_ASYMPTOTE_CUTOFF_GAPS) + 1) * traffic.min_gap
+        spec = QuadratureSpec(rel_tol=1e-11)
+
+        def h(d):
+            return _pair_correlation_array(d, traffic) - lam * lam
+
+        assert math.isclose(integrate_finite(h, bands, spec), lam * (cv2 - 1.0) / 2.0,
+                            rel_tol=1e-9)
+        assert math.isclose(integrate_finite(lambda d: d * h(d), bands, spec), -edge,
+                            rel_tol=1e-9)
 
     def test_bound_is_a_tenth_of_the_noise(self, traffic, geom):
         grid = [0.0, 5.0, 15.0, 30.0]
