@@ -43,9 +43,11 @@ def far_field(traffic, half, n_rows, seed):
     reach = 10.0 * half
     sums = []
     for k in range(n_rows // 2000):
-        pos = sim._position_matrix(traffic, (-reach, reach), 2000, sim._block_rng(seed, k))
-        pos[pos > reach] = np.inf
-        sums.append(pathloss(pos, far).sum(axis=1))
+        pos, counts = sim._stream_windows(traffic, (-reach, reach), 2000,
+                                          sim._block_rng(seed, k))
+        owner = np.repeat(np.arange(2000), counts)
+        pos -= 2.0 * reach * owner
+        sums.append(np.bincount(owner, weights=pathloss(pos, far), minlength=2000))
     sums = np.concatenate(sums)
     var = sums.var(ddof=1)
     se = math.sqrt((np.mean((sums - sums.mean()) ** 4) - var * var) / sums.size)

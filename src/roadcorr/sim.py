@@ -1,14 +1,14 @@
 """Monte Carlo side: stationary sampling of the vehicle stream and
 estimation of interference moments and the lag-t correlation coefficient.
 
-Sampling starts each realization from the equilibrium delay of the renewal
-stream, so windows need no burn-in. Fading is never drawn: it is unit-mean
-exponential and independent per vehicle and slot, so its average given the
-positions is known in closed form, and the estimators use that average
-(Rao-Blackwellisation). Every estimate runs N_BLOCKS blocks, each on its
-own counter-based stream, and one position draw per block serves every lag
-of a curve (common random numbers). A block keeps only its in-window
-vehicles, as one flat array, so the gain passes see no padding.
+Every estimate runs N_BLOCKS blocks, each on its own counter-based stream.
+A block draws one renewal stream from its equilibrium delay, stationary
+throughout, and cuts it into consecutive windows, one realization each
+(Asmussen & Glynn, Stochastic Simulation, 2007, ch. IV); that one draw
+serves every lag of a curve (common random numbers). Fading is never
+drawn: it is unit-mean exponential and independent per vehicle and slot,
+so its average given the positions is known in closed form, and the
+estimators use that average (Rao-Blackwellisation).
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _require_window(window: tuple[float, float]) -> None:
         raise DomainError(f"window must be finite with w_lo < w_hi, got {window!r}")
 
 
-def _equilibrium_delay(traffic: TrafficModel, first_uniform: np.ndarray) -> np.ndarray:
+def _equilibrium_delay(traffic: TrafficModel, first_uniform: float) -> np.ndarray:
     """Distance from the window edge to the first vehicle, at stationarity.
 
     The forward-recurrence density of a gap c + Exp(rate) is flat at the
@@ -222,25 +222,27 @@ def _equilibrium_delay(traffic: TrafficModel, first_uniform: np.ndarray) -> np.n
     return np.where(first_uniform < occupied, first_uniform / lam, tail)
 
 
-def _position_matrix(traffic: TrafficModel, window: tuple[float, float],
-                     n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Positions of n_rows independent stationary realizations, one per row.
+def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_windows: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One stationary stream cut into n_windows consecutive windows.
 
-    Every row is guaranteed to pass the right window edge; entries beyond
-    it are present and must be masked by the caller.
+    The stream starts at w_lo from the equilibrium delay and is cut at the
+    edges w_hi + k L, L = w_hi - w_lo: window k holds (w_hi + (k - 1) L,
+    w_hi + k L], and its vehicles less k L are realization k. Consecutive
+    windows are weakly dependent. Returns the positions up to the last
+    edge, ascending and unshifted, and each window's vehicle count.
     """
     w_lo, w_hi = window
     lam, c, rate = traffic.intensity, traffic.min_gap, traffic.gap_rate
-    length = w_hi - w_lo
-    expected = length * lam
-    n_cols = int(expected + 6.0 * math.sqrt(expected + 1.0) * (1.0 - lam * c) + 16.0)
-    delay = _equilibrium_delay(traffic, rng.random((n_rows, 1)))
-    gaps = c + rng.exponential(1.0 / rate, size=(n_rows, n_cols))
-    pos = w_lo + np.cumsum(np.concatenate([delay, gaps], axis=1), axis=1)
-    while float(pos[:, -1].min()) <= w_hi:
-        extra = c + rng.exponential(1.0 / rate, size=(n_rows, 16))
-        pos = np.concatenate([pos, pos[:, -1:] + np.cumsum(extra, axis=1)], axis=1)
-    return pos
+    edges = w_hi + (w_hi - w_lo) * np.arange(n_windows)
+    pos = np.array([w_lo + _equilibrium_delay(traffic, rng.random())])
+    while pos[-1] <= edges[-1]:
+        expected = lam * (edges[-1] - pos[-1])
+        steps = c + rng.exponential(1.0 / rate, int(expected + 4.0 * math.sqrt(expected)) + 1)
+        steps[0] += pos[-1]
+        pos = np.concatenate([pos, np.cumsum(steps, out=steps)])
+    cuts = np.searchsorted(pos, edges, side="right")
+    return pos[:cuts[-1]], np.diff(cuts, prepend=0)
 
 
 def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
@@ -256,19 +258,17 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
     later subtractions from cancelling digits. One position draw serves
     every lag; gains come from model.pathloss, one pass per lag, and lag 0
-    is evaluated once. Rows ascend, so each row's in-window vehicles are a
-    prefix of it; the block keeps them as one flat array, row after row,
-    and every gain pass and row sum runs on those vehicles only. Row sums
-    are np.add.reduceat over the segments of the rows that hold a vehicle;
-    an empty row sums to 0. Q_t squares the gains in place and sums them, a
-    pairwise sum that stays off BLAS (whose threads spin in np.vdot).
+    is evaluated once. The rows are consecutive windows of one stream
+    (_stream_windows); less their window's offset, its positions are every
+    row's vehicles laid end to end, and every gain pass runs on them only.
+    Row sums are np.add.reduceat over the segments of the rows that hold a
+    vehicle; an empty row sums to 0. Q_t squares the gains in place and
+    sums them, a pairwise sum that stays off BLAS (whose threads spin in
+    np.vdot).
     """
     centre = mean_interference(traffic, geom)
-    pos = _position_matrix(traffic, window, n_rows, rng)
-    inside = pos <= window[1]
-    counts = inside.sum(axis=1)
-    flat = pos[inside]
-    del pos, inside
+    flat, counts = _stream_windows(traffic, window, n_rows, rng)
+    flat -= np.repeat((window[1] - window[0]) * np.arange(n_rows), counts)
     rows = np.flatnonzero(counts)  # reduceat would give an empty segment the next gain
     starts = (np.cumsum(counts) - counts)[rows]
 
@@ -305,12 +305,13 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
 
     Work is split into N_BLOCKS blocks, each driven by its own
     counter-based stream keyed by (seed, block index), with seed in
-    [0, 2**64). A block draws its positions once, for the window of the
-    largest lag (default_window unless given), and evaluates every lag on
-    the vehicles inside that window, so the curve's errors are correlated
+    [0, 2**64). A block cuts its realizations from one stationary stream
+    in the window of the largest lag (default_window unless given) and
+    evaluates every lag on them, so the curve's errors are correlated
     across lags. Fading is integrated out exactly (see _block_sums). Each
     lag's estimate is the same whichever other lags share its window.
-    Standard errors are a leave-one-block-out jackknife.
+    Standard errors are a leave-one-block-out jackknife over independent
+    blocks.
     """
     lags = [float(t) for t in t_grid]
     if not lags:
@@ -382,7 +383,8 @@ class PairDistanceHistogram:
 def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
                             n_realizations: int, bins: int, seed: int,
                             bin_width: float | None = None) -> PairDistanceHistogram:
-    """Accumulate ordered pair separations from independent realizations.
+    """Accumulate ordered pair separations within each of n_realizations
+    consecutive windows of one stationary stream (see _stream_windows).
 
     Bins cover (0, bins * bin_width], with the width defaulting to an
     eighth of the minimum gap. Counts are edge-corrected by the number of
@@ -403,20 +405,17 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
         raise DomainError("window must cover at least one hundred mean spacings")
     edges = bin_width * np.arange(bins + 1)
     max_d = edges[-1]
-    rng = _block_rng(seed, 0)
-    seps = []
-    for _ in range(n_realizations):
-        pos = _position_matrix(traffic, window, 1, rng)[0]
-        pos = pos[pos <= w_hi]
-        upper = np.searchsorted(pos, pos + max_d, side="right")
-        # Every pair j < k < upper[j], laid out j by j as k = j + 1 + offset.
-        index = np.arange(pos.size)
-        lengths = np.maximum(upper - index - 1, 0)
-        first = np.repeat(index, lengths)
-        offset = np.arange(first.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        seps.append(pos[first + 1 + offset] - pos[first])
-    owner = np.repeat(np.arange(n_realizations), [s.size for s in seps])
-    seps = np.concatenate(seps)
+    pos, sizes = _stream_windows(traffic, window, n_realizations, _block_rng(seed, 0))
+    owner = np.repeat(np.arange(n_realizations), sizes)
+    # Every pair j < k < upper[j] within one window, laid out j by j as k = j + 1 + offset.
+    upper = np.minimum(np.searchsorted(pos, pos + max_d, side="right"),
+                       np.cumsum(sizes)[owner])
+    index = np.arange(pos.size)
+    lengths = upper - index - 1
+    first = np.repeat(index, lengths)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    seps = pos[first + 1 + offset] - pos[first]
+    owner = owner[first]
     # np.histogram's edge rule: bin k is [e_k, e_k+1), the last bin also
     # holds max_d, and longer separations are dropped (none is negative).
     bin_index = np.searchsorted(edges, seps, side="right") - 1

@@ -22,9 +22,10 @@ from roadcorr.sim import (
     CorrelationEstimate,
     _block_rng,
     _block_sums,
+    _equilibrium_delay,
     _far_field,
     _losses,
-    _position_matrix,
+    _stream_windows,
     default_window,
     estimate,
     estimate_curve,
@@ -39,31 +40,69 @@ from conftest import SEED
 # SEED) for the dense conftest stream, by bin index: (density, se). Frozen
 # as regression anchors; any change to the sampler's draws moves the counts.
 HISTOGRAM_PINS = {
-    8: (0.002691131498470948, 0.0003395517527003025),
-    9: (0.003474856233941025, 0.000543021222130168),
-    12: (0.0028896779723276604, 0.0005048807295667978),
-    20: (0.0023064654643602015, 0.0004518768242627769),
+    8: (0.0030825688073394496, 0.00034978811130548725),
+    9: (0.003083323137158938, 0.00032754160437861274),
+    12: (0.0028407003795763437, 0.0003820318330647288),
+    20: (0.0023555391976444605, 0.0003369972078140899),
 }
 
 # estimate_curve(from_intensity(0.05, 4), conftest geometry, [0, 5, 30],
 # 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
-# from the exp/log gain pass, row sums over each row's in-window segment,
-# on the window default_window derives for 2000 samples, (-975, 675);
-# compared with ==, so any change to the draws or the arithmetic shows.
-# The exact route gives rho 0.39388, 0.18754 and 0.01946.
+# from realizations cut from one stream per block, on the window
+# default_window derives for 2000 samples, (-975, 675); compared with ==,
+# so any change to the draws or the arithmetic shows. The exact route
+# gives rho 0.39388, 0.18754 and 0.01946.
 CURVE_PINS = {
-    0.0: (0.39631896327232863, 0.00713937782672822,
-          4.356952840048773e-13, 1.7267430325945577e-13),
-    5.0: (0.18390809906664862, 0.007679271438189235,
-          4.3341168939288876e-13, 7.970791990951093e-14),
-    30.0: (0.026317232353553995, 0.007061437083817246,
-           4.31748308433347e-13, 1.1362420551294288e-14),
+    0.0: (0.3912618920143091, 0.010105050190585808,
+          4.334412484991542e-13, 1.695890429648234e-13),
+    5.0: (0.18071675188109732, 0.0077087208766621245,
+          4.3419532463280475e-13, 7.846636874959907e-14),
+    30.0: (0.04211020065061071, 0.008248942165114093,
+           4.314515629483199e-13, 1.816851188677335e-14),
 }
 
 
-def _oracle_block_sums(traffic, geom, lags, n_rows, positions, row_sums):
-    """The block sums on oracles.masked_gains, every lag evaluated afresh:
-    row_sums turns the gains of positions into one sum per realization."""
+def _loop_windows(traffic, window, n_windows, rng):
+    """_stream_windows re-drawn by the same calls on rng, summed one gap at
+    a time, and cut window by window by a Python loop: window k's positions
+    in (w_hi + (k - 1) L, w_hi + k L], not shifted. Also returns the number
+    of chunks the draw took."""
+    w_lo, w_hi = window
+    length = w_hi - w_lo
+    end = w_hi + length * (n_windows - 1)
+    pos = [w_lo + _equilibrium_delay(traffic, rng.random())]
+    chunks = 0
+    while pos[-1] <= end:
+        expected = traffic.intensity * (end - pos[-1])
+        size = int(expected + 4.0 * math.sqrt(expected)) + 1
+        for gap in traffic.min_gap + rng.exponential(1.0 / traffic.gap_rate, size):
+            pos.append(pos[-1] + gap)
+        chunks += 1
+    pos = np.array(pos)
+    windows = []
+    for k in range(n_windows):
+        lower = w_lo if k == 0 else w_hi + length * (k - 1)
+        windows.append(pos[(pos > lower) & (pos <= w_hi + length * k)])
+    return windows, chunks
+
+
+def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
+    """_block_sums rebuilt on the oracle: the loop-cut windows, each less
+    its offset, laid end to end and row-summed by np.add.reduceat over the
+    rows that hold a vehicle (a row with none sums to 0), every lag
+    evaluated afresh on oracles.masked_gains."""
+    length = window[1] - window[0]
+    windows, _ = _loop_windows(traffic, window, n_rows, rng)
+    rows = [pos - length * k for k, pos in enumerate(windows)]
+    counts = np.array([row.size for row in rows])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    positions = np.concatenate(rows)
+
+    def row_sums(gains):
+        sums = np.zeros(n_rows)
+        sums[counts > 0] = np.add.reduceat(gains, starts[counts > 0])
+        return sums
+
     centre = mean_interference(traffic, geom)
     g0 = oracles.masked_gains(positions, geom)
     d0 = row_sums(g0) - centre
@@ -76,41 +115,13 @@ def _oracle_block_sums(traffic, geom, lags, n_rows, positions, row_sums):
     return out
 
 
-def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
-    """_block_sums rebuilt on the oracle: each row's in-window positions
-    gathered by a loop, laid end to end, and row-summed by np.add.reduceat
-    over the rows that hold one (a row with none sums to 0)."""
-    pos = _position_matrix(traffic, window, n_rows, rng)
-    rows = [row[row <= window[1]] for row in pos]
-    counts = np.array([row.size for row in rows])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    def row_sums(gains):
-        sums = np.zeros(n_rows)
-        sums[counts > 0] = np.add.reduceat(gains, starts[counts > 0])
-        return sums
-
-    return _oracle_block_sums(traffic, geom, lags, n_rows, np.concatenate(rows), row_sums)
-
-
-def _padded_block_sums(traffic, geom, lags, n_rows, window, rng):
-    """The block sums on the whole position matrix, entries past the window
-    set to inf (gain 0), each row summed across its columns."""
-    pos = _position_matrix(traffic, window, n_rows, rng)
-    pos[pos > window[1]] = np.inf
-    return _oracle_block_sums(traffic, geom, lags, n_rows, pos,
-                              lambda gains: gains.sum(axis=1))
-
-
 def _loop_histogram(traffic, window, n_realizations, bins, seed, bin_width):
     """pair_distance_histogram's (density, se) with the separations
-    gathered by a Python loop over each position's pair partners."""
+    gathered by a Python loop over each loop-cut window's pair partners."""
     edges = bin_width * np.arange(bins + 1)
-    rng = _block_rng(seed, 0)
+    windows, _ = _loop_windows(traffic, window, n_realizations, _block_rng(seed, 0))
     counts = np.zeros((n_realizations, bins))
-    for i in range(n_realizations):
-        pos = _position_matrix(traffic, window, 1, rng)[0]
-        pos = pos[pos <= window[1]]
+    for i, pos in enumerate(windows):
         upper = np.searchsorted(pos, pos + edges[-1], side="right")
         seps = [pos[j + 1:upper[j]] - pos[j]
                 for j in range(pos.size - 1) if upper[j] > j + 1]
@@ -122,18 +133,22 @@ def _loop_histogram(traffic, window, n_realizations, bins, seed, bin_width):
     return counts.mean(axis=0) / measure, se / measure
 
 
+def _window_sums(traffic, geom, window, n_windows, seed, block):
+    """Each of n_windows realizations' summed gain S_0, with its vehicle count."""
+    pos, counts = _stream_windows(traffic, window, n_windows, _block_rng(seed, block))
+    pos -= np.repeat((window[1] - window[0]) * np.arange(n_windows), counts)
+    owner = np.repeat(np.arange(n_windows), counts)
+    return np.bincount(owner, weights=pathloss(pos, geom), minlength=n_windows), counts
+
+
 def _far_field_variance(traffic, half, n_rows, seed):
     """Monte Carlo variance of the summed gain beyond distance half, with
     its standard error: the stream on [-10 half, 10 half], whose cut tail
     is 1e-5 of the variance at eta 3."""
     far = NetworkGeometry(guard_radius=half, pathloss_exponent=3.0, speed=10.0)
     reach = 10.0 * half
-    sums = []
-    for k in range(n_rows // 2000):
-        pos = _position_matrix(traffic, (-reach, reach), 2000, _block_rng(seed, k))
-        pos[pos > reach] = np.inf
-        sums.append(pathloss(pos, far).sum(axis=1))
-    sums = np.concatenate(sums)
+    sums = np.concatenate([_window_sums(traffic, far, (-reach, reach), 2000, seed, k)[0]
+                           for k in range(n_rows // 2000)])
     var = sums.var(ddof=1)
     se = math.sqrt((np.mean((sums - sums.mean()) ** 4) - var * var) / sums.size)
     return var, se
@@ -270,13 +285,41 @@ class TestWindows:
 
 class TestSampling:
     def test_sampled_realizations_satisfy_invariants(self, traffic):
+        """Gaps are at least c across the whole stream, window edges
+        included; every window's vehicles, less its offset, lie inside the
+        window; the counts cover the returned stream, which ends at the
+        last edge."""
         window = (-1200.0, 1200.0)
-        pos = _position_matrix(traffic, window, 200, _block_rng(SEED, 0))
-        gaps = np.diff(pos, axis=1)
-        assert np.all(gaps > 0.0)
-        assert np.all(gaps >= traffic.min_gap)
-        assert np.all(pos[:, 0] >= window[0])
-        assert np.all(pos[:, -1] > window[1])
+        pos, counts = _stream_windows(traffic, window, 200, _block_rng(SEED, 0))
+        assert counts.sum() == pos.size and pos[-1] <= 1200.0 + 2400.0 * 199
+        assert np.all(np.diff(pos) >= traffic.min_gap)
+        local = pos - np.repeat(2400.0 * np.arange(200), counts)
+        assert np.all((local > window[0]) & (local <= window[1]))
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2])
+    def test_consecutive_windows_are_stationary_and_nearly_independent(self, lam, geom):
+        """Windows cut from one stream share its stationary law and are
+        nearly independent. Over 40 blocks of 2000 windows (-400, 400): the
+        first window's mean count is the other windows' within 4 se; the
+        lag-1 correlation of the counts is the renewal value
+        -edge / (lambda L cv2 + 2 edge) (-0.0006 and -0.0124 here), and that
+        of S_0 is 0, each within 4 / sqrt(pairs) = 0.0141."""
+        traffic = TrafficModel.from_intensity(lam, 4.0)
+        window = (-400.0, 400.0)
+        sums, counts = zip(*(_window_sums(traffic, geom, window, 2000, SEED, k)
+                             for k in range(40)))
+        sums, counts = np.array(sums), np.array(counts)
+        cv2, edge, _ = _far_field(traffic, geom)
+        count_var = lam * 800.0 * cv2 + 2.0 * edge
+        first, rest = counts[:, 0].mean(), counts[:, 1:].mean()
+        assert abs(first - rest) <= 4.0 * math.sqrt(count_var / 40)
+        tolerance = 4.0 / math.sqrt(40 * 1999)
+
+        def lag_one(values):
+            return np.corrcoef(values[:, :-1].ravel(), values[:, 1:].ravel())[0, 1]
+
+        assert abs(lag_one(counts) + edge / count_var) <= tolerance
+        assert abs(lag_one(sums)) <= tolerance
 
     def test_window_must_cover_enough_spacings(self, traffic):
         with pytest.raises(DomainError):
@@ -286,19 +329,17 @@ class TestSampling:
 
     def test_empirical_intensity(self, traffic):
         window = (-1000.0, 1000.0)
-        pos = _position_matrix(traffic, window, 10000, _block_rng(SEED, 2))
-        counts = (pos <= window[1]).sum(axis=1)
+        counts = _stream_windows(traffic, window, 10000, _block_rng(SEED, 2))[1]
         want = traffic.intensity * (window[1] - window[0])
         z = (counts.mean() - want) / (counts.std(ddof=1) / math.sqrt(counts.size))
         assert abs(z) <= 3.0
 
     def test_stationarity_across_halves(self, traffic):
         window = (-1000.0, 1000.0)
-        pos = _position_matrix(traffic, window, 3000, _block_rng(SEED, 3))
-        in_window = pos <= window[1]
-        left = (in_window & (pos < 0.0)).sum(axis=1)
-        right = (in_window & (pos >= 0.0)).sum(axis=1)
-        diff = left - right
+        pos, counts = _stream_windows(traffic, window, 3000, _block_rng(SEED, 3))
+        owner = np.repeat(np.arange(3000), counts)
+        left = np.bincount(owner[pos - 2000.0 * owner < 0.0], minlength=3000)
+        diff = 2 * left - counts
         z = diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size))
         assert abs(z) <= 3.0
 
@@ -306,9 +347,8 @@ class TestSampling:
         window = (0.0, 2000.0)
         counts = []
         for chunk in range(4):
-            pos = _position_matrix(traffic_ppp, window, 25000,
-                                   _block_rng(SEED, 10 + chunk))
-            counts.append((pos <= window[1]).sum(axis=1))
+            counts.append(_stream_windows(traffic_ppp, window, 25000,
+                                          _block_rng(SEED, 10 + chunk))[1])
         counts = np.concatenate(counts)
         dispersion = counts.var(ddof=1) / counts.mean()
         assert 0.97 <= dispersion <= 1.03
@@ -344,51 +384,49 @@ class TestAgainstFirstMoments:
 
 
 class TestBlockSums:
-    @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
-    def test_bit_equal_to_masked_reference(self, lam, c, geom):
-        traffic = TrafficModel.from_intensity(lam, c)
-        grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
-        window = default_window(traffic, geom, 30.0, 1000)
-        for k in range(2):
-            got = _block_sums(traffic, geom, grid, 500, window,
-                              _block_rng(SEED, k))
-            want = _reference_block_sums(traffic, geom, grid, 500, window,
-                                         _block_rng(SEED, k))
-            assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("lam,c", [(0.02, 4.0), (0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
-    def test_matches_padded_matrix(self, lam, c, geom):
-        """Summing each row's in-window segment gives the padded matrix's
-        row sums up to the order of the additions: 1e-12 relative on every
-        column."""
+    def test_bit_equal_to_masked_reference(self, lam, c, geom):
+        """The stream cut by searchsorted gives the loop-cut oracle's sums
+        bit for bit, on the windows for 1000 and 10 000 samples."""
         traffic = TrafficModel.from_intensity(lam, c)
         grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
-        window = default_window(traffic, geom, 30.0, 10000)
-        for k in range(2):
-            got = _block_sums(traffic, geom, grid, 500, window, _block_rng(SEED, k))
-            want = _padded_block_sums(traffic, geom, grid, 500, window,
-                                      _block_rng(SEED, k))
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        for n_samples in (1000, 10000):
+            window = default_window(traffic, geom, 30.0, n_samples)
+            for k in range(2):
+                got = _block_sums(traffic, geom, grid, 500, window,
+                                  _block_rng(SEED, k))
+                want = _reference_block_sums(traffic, geom, grid, 500, window,
+                                             _block_rng(SEED, k))
+                assert np.array_equal(got, want)
 
     def test_empty_rows_sum_to_zero(self, geom):
-        """Rows with no vehicle in the window, between others and at the
-        end of the block, add nothing to the gain sums."""
+        """Windows with no vehicle, between others and at the end of the
+        block, add nothing to the gain sums."""
         traffic = TrafficModel.from_intensity(0.002, 4.0)
         window = (-300.0, 300.0)
         grid = [0.0, 5.0, 30.0]
-        counts = np.sum(_position_matrix(traffic, window, 50, _block_rng(SEED, 2))
-                        <= window[1], axis=1)
+        counts = _stream_windows(traffic, window, 50, _block_rng(SEED, 4))[1]
         assert counts[-1] == 0 and np.any(counts[:-1] == 0) and np.any(counts > 0)
-        got = _block_sums(traffic, geom, grid, 50, window, _block_rng(SEED, 2))
+        got = _block_sums(traffic, geom, grid, 50, window, _block_rng(SEED, 4))
         assert np.array_equal(got, _reference_block_sums(traffic, geom, grid, 50, window,
-                                                         _block_rng(SEED, 2)))
-        # a one-row block whose row is empty: every deviation is -mean, Q is 0
-        assert np.all(_position_matrix(traffic, window, 1, _block_rng(SEED, 0)) > window[1])
+                                                         _block_rng(SEED, 4)))
+        # a one-window block whose window is empty: every deviation is -mean, Q is 0
+        assert _stream_windows(traffic, window, 1, _block_rng(SEED, 0))[1][0] == 0
         centre = mean_interference(traffic, geom)
         one = _block_sums(traffic, geom, grid, 1, window, _block_rng(SEED, 0))
         assert np.array_equal(one, np.tile(
             [1.0, -centre, -centre, centre ** 2, centre ** 2, centre ** 2, 0.0, 0.0],
             (len(grid), 1)))
+
+    def test_short_first_chunk_is_extended(self, geom):
+        """A stream whose first chunk of gaps stops short of the last edge
+        draws another; the cut still matches the oracle bit for bit."""
+        traffic = TrafficModel.from_intensity(0.002, 4.0)
+        window = (-300.0, 300.0)
+        assert _loop_windows(traffic, window, 5, _block_rng(SEED, 12))[1] == 2
+        got = _block_sums(traffic, geom, [0.0, 5.0], 5, window, _block_rng(SEED, 12))
+        assert np.array_equal(got, _reference_block_sums(traffic, geom, [0.0, 5.0], 5, window,
+                                                         _block_rng(SEED, 12)))
 
     def test_power_sees_only_normal_bases(self, traffic, geom, power_bases):
         """Only the block's in-window vehicles reach np.log, and guard-zone
@@ -397,9 +435,8 @@ class TestBlockSums:
         grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
         window = default_window(traffic, geom, 30.0, 10000)
         _block_sums(traffic, geom, grid, 500, window, _block_rng(SEED, 0))
-        in_window = int(np.sum(_position_matrix(traffic, window, 500, _block_rng(SEED, 0))
-                               <= window[1]))
-        # the sampler's equilibrium delay takes one log per block, shape (500, 1)
+        in_window = int(_stream_windows(traffic, window, 500, _block_rng(SEED, 0))[1].sum())
+        # the sampler's equilibrium delay takes one log per block, of a 0-d base
         gain_bases = [base for base in power_bases if base.ndim == 1]
         assert len(gain_bases) == len(grid)  # one pass per lag, lag 0 once
         for base in gain_bases:
