@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import kstest
 
 import oracles
 from roadcorr.analytic import rho, rho_ppp, same_vehicle_term, variance
@@ -295,6 +296,23 @@ class TestSampling:
         assert np.all(np.diff(pos) >= traffic.min_gap)
         local = pos - np.repeat(2400.0 * np.arange(200), counts)
         assert np.all((local > window[0]) & (local <= window[1]))
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2])
+    def test_stream_starts_in_equilibrium(self, lam):
+        """Each block's first vehicle lies at the forward-recurrence distance
+        from w_lo: uniform at the intensity below c, and
+        1 - (1 - occupancy) exp(-rate (x - c)) beyond. A Kolmogorov-Smirnov
+        test over 2000 blocks must give p >= 1e-3; a start from an ordinary
+        gap puts no mass below c, where this law puts the occupancy."""
+        traffic = TrafficModel.from_intensity(lam, 4.0)
+        c, occupancy, rate = traffic.min_gap, traffic.occupancy, traffic.gap_rate
+        first = [_stream_windows(traffic, (0.0, 1000.0), 1, _block_rng(SEED, k))[0][0]
+                 for k in range(2000)]
+
+        def cdf(x):
+            return np.where(x < c, lam * x, 1.0 - (1.0 - occupancy) * np.exp(-rate * (x - c)))
+
+        assert kstest(first, cdf).pvalue >= 1e-3
 
     @pytest.mark.parametrize("lam", [0.05, 0.2])
     def test_consecutive_windows_are_stationary_and_nearly_independent(self, lam, geom):
