@@ -1,23 +1,24 @@
 """Slow checks of the simulator's window: the far-field model behind its
-bias bound, and the standard-error floor it is sized against.
+closed-form losses, and the bias the corrected window leaves.
 
 1. Far field. The variance of the gain summed beyond a distance W is, to
    leading order, (1 - occupancy)**2 times its Poisson value plus the edge
    term 2 |M1| W**(-2 eta) (sim._far_field). For each occupancy and W this
    prints the Monte Carlo ratio to the Poisson value, with its standard
    error, next to (1 - occupancy)**2 and the model with the edge term.
-2. Floor and bound. For each benchmark stream (perfbench's canonical-run
-   and occupancy-sweep traffic, lags and sample counts) this prints the
-   old window (50 / intensity of margin), the derived one, the largest
-   bound over the lags, and the smallest jackknife se_rho over the lags
-   and over the seeds, also as a multiple of rho0 / sqrt(n); the window's
-   se floor is 0.4 rho0 / sqrt(n).
+2. Residual. For each benchmark stream (perfbench's canonical-run and
+   occupancy-sweep traffic and lags, on the curve's default window) and
+   lag this prints, deterministically, the bias of rho in the window
+   before the correction, the residual after sim._losses' closed forms
+   are added back, and truncation_bias_bound. The windowed moments are
+   the exact route's less the losses tests/oracles.py integrates by scipy
+   quadrature.
 
 Usage:
-  python scripts/window_bias.py [SEEDS]     # default 30 seeds per stream
+  python scripts/window_bias.py
 
-Geometry r0 150, eta 3, u 10. With 30 seeds part 2 takes about a minute
-and part 1 about 20 s on one core.
+Geometry r0 150, eta 3, u 10. Part 1 takes about 20 s and part 2 a few
+seconds on one core.
 """
 
 import math
@@ -26,14 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+import oracles  # noqa: E402
 from roadcorr import NetworkGeometry, TrafficModel, pathloss  # noqa: E402
-from roadcorr import sim  # noqa: E402
+from roadcorr import analytic, sim  # noqa: E402
 
 GEOM = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0, speed=10.0)
-STREAMS = [((0.05, 4.0), 10000, 31)] + [
-    (traffic, 5000, 7) for traffic in ((0.05, 0.0), (0.02, 4.0), (0.05, 4.0),
-                                       (0.1, 4.0), (0.15, 4.0), (0.2, 4.0))]
+STREAMS = [((0.05, 4.0), 31)] + [
+    (traffic, 7) for traffic in ((0.05, 0.0), (0.02, 4.0), (0.05, 4.0),
+                                 (0.1, 4.0), (0.15, 4.0), (0.2, 4.0))]
 
 
 def far_field(traffic, half, n_rows, seed):
@@ -56,8 +59,19 @@ def far_field(traffic, half, n_rows, seed):
     return var / poisson, se / poisson, cv2 + 2.0 * edge * half ** -6.0 / poisson
 
 
-def main(argv):
-    seeds = int(argv[0]) if argv else 30
+def residuals(traffic, t, window):
+    """Bias of rho in the window before and after the correction, and the bound."""
+    var = (analytic.same_vehicle_term(0.0, traffic, GEOM)
+           + analytic.covariance(0.0, traffic, GEOM, "exact-quadrature").covariance)
+    cov = analytic.covariance(t, traffic, GEOM, "exact-quadrature").covariance
+    lost_var, lost_cov = oracles.lost_moments_defining(t, traffic, GEOM, window)
+    _, add_var, add_cov, bound = sim._losses(traffic, GEOM, window, t)
+    raw = (cov - lost_cov) / (var - lost_var) - cov / var
+    corrected = (cov - lost_cov + add_cov) / (var - lost_var + add_var) - cov / var
+    return raw, corrected, bound
+
+
+def main():
     print("far field: occupancy W  var/poisson +- se  (1-occ)^2  model  z")
     for lam in (0.05, 0.1, 0.2):
         traffic = TrafficModel(lam, 4.0)
@@ -65,18 +79,14 @@ def main(argv):
             ratio, se, model = far_field(traffic, half, 16000, 77)
             print(f"  {traffic.occupancy:.1f} {half:6.0f}  {ratio:.4f} +- {se:.4f}  "
                   f"{(1.0 - traffic.occupancy) ** 2:.4f}  {model:.4f}  {(ratio - model) / se:+.2f}")
-    print("streams: lambda c n  old W  new W  max bound  min se_rho  min se sqrt(n)/rho0")
-    for (lam, c), n, points in STREAMS:
+    print("residual: lambda c window  t  raw bias  corrected  bound")
+    for (lam, c), points in STREAMS:
         traffic = TrafficModel(lam, c)
-        grid = [float(t) for t in np.linspace(0.0, 30.0, points)]
-        window = sim.default_window(traffic, GEOM, 30.0, n)
-        bound = max(sim.truncation_bias_bound(traffic, GEOM, window, t) for t in grid)
-        rho0 = sim._far_field(traffic, GEOM)[2]
-        least = min(min(est.se_rho for est in sim.estimate_curve(traffic, GEOM, grid, n, seed))
-                    for seed in range(seeds))
-        print(f"  {lam} {c} {n}  {450.0 + 50.0 / lam:.0f}  {window[1]:.0f}  {bound:.2e}  "
-              f"{least:.2e}  {least * math.sqrt(n) / rho0:.3f}")
+        window = sim.default_window(traffic, GEOM, 30.0)
+        for t in np.linspace(0.0, 30.0, points):
+            raw, corrected, bound = residuals(traffic, float(t), window)
+            print(f"  {lam} {c} {window}  {t:4.1f}  {raw:+.2e}  {corrected:+.2e}  {bound:.2e}")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

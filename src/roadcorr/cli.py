@@ -217,7 +217,7 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
             inside = []
         if inside:
             lags = [grid[i] for i in inside]
-            window = sim.default_window(traffic, geom, max(lags), config.n_samples)
+            window = sim.default_window(traffic, geom, max(lags))
             results = sim.estimate_curve(traffic, geom, lags, config.n_samples,
                                          config.seed, window=window)
             values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}

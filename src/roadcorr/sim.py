@@ -8,7 +8,12 @@ throughout, and cuts it into consecutive windows, one realization each
 serves every lag of a curve (common random numbers). Fading is never
 drawn: it is unit-mean exponential and independent per vehicle and slot,
 so its average given the positions is known in closed form, and the
-estimators use that average (Rao-Blackwellisation).
+estimators use that average (Rao-Blackwellisation). The window spans the
+guard zone and a guard-zone diameter on each side of it, whatever the
+sample count; what the vehicles beyond it carry is added back in closed
+form from the stream's far-field constants (Cox, Renewal Theory, 1962).
+Every window of the stream has the stationary law, so the same
+correction applies to every realization.
 """
 
 from __future__ import annotations
@@ -36,10 +41,6 @@ __all__ = [
 
 MIN_SAMPLES = 1000
 N_BLOCKS = 20
-# default_window holds the truncation bias to this share of the
-# standard-error floor SE_FLOOR * rho0 / sqrt(n_samples).
-BIAS_FRACTION = 0.1
-SE_FLOOR = 0.4
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -105,11 +106,27 @@ def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, flo
 
 def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
             t: float) -> tuple[float, float, float, float]:
-    """Moments lost at lag t to the window, with the fading part kept.
+    """Moments lost at lag t to the window, to leading order, and the size
+    of the edge term they carry.
 
-    Returns (kept_q, lost_q, lost_var, lost_cov): the pooled E[Q] inside
-    the window and outside it, and bounds on the pooled variance and the
-    covariance lost (see truncation_bias_bound).
+    The window [w_lo, w_hi] holds the slot-0 positions, and must cover the
+    guard zone at both slots. Returns (lost_mean, lost_var, lost_cov,
+    allowance): the pooled mean, the pooled variance (fading part kept)
+    and the covariance that the vehicles outside the window carry, and
+    truncation_bias_bound's allowance. With e the distances from the
+    receiver to the window's edges, at each slot:
+
+    - the mean lost is intensity / (eta - 1) * sum e**(1 - eta), exact;
+    - the same-vehicle tail T_t = intensity * integral of g(x) g(x + u t)
+      over the x outside the window is exact (a 2F1 per side); at lag 0
+      it is the lost E[Q];
+    - the pair terms add (cv2 - 1) * T_t and subtract |M1| * g(e) g(e + u t)
+      at each edge: the window's own pair terms carry that edge term (see
+      _far_field) and the whole line's do not.
+
+    So lost_var = (1 + cv2) * lost E[Q] - edge_var and
+    lost_cov = cv2 * T_t - edge_cov. For a Poisson stream (min_gap 0)
+    cv2 = 1 and M1 = 0, so the losses are exact.
     """
     _require_window(window)
     w_lo, w_hi = window
@@ -120,84 +137,56 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     lam = traffic.intensity
     eta = geom.pathloss_exponent
     power = 2.0 * eta - 1.0
-    cv2, edge, _ = _far_field(traffic, geom)
+    cv2, edge, rho0 = _far_field(traffic, geom)
     slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
     slot_t = np.array([w_hi + shift, -w_lo - shift])
     near = np.minimum(slot_0, slot_t)
+    lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
+                                         + slot_t ** (1.0 - eta))) / (eta - 1.0)
     lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
     same = lam * float(np.sum(near ** -power / power
                               * hyp2f1(power, eta, 2.0 * eta, -shift / near)))
     edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
     edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
     kept_q = 2.0 * lam * r0 ** -power / power - lost_q
-    return kept_q, lost_q, (1.0 + cv2) * lost_q + edge_var, cv2 * same + edge_cov
+    return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
+            max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q)
 
 
 def truncation_bias_bound(traffic: TrafficModel, geom: NetworkGeometry,
                           window: tuple[float, float], t: float) -> float:
-    """Bound on |rho_W - rho| at lag t: the bias in the correlation
-    coefficient from sampling only the vehicles inside the window.
+    """Bound on |rho_W - rho| at lag t: the bias left in the simulated
+    correlation coefficient after the moments lost outside the window are
+    added back (see _losses).
 
     The window [w_lo, w_hi] holds the slot-0 positions, and must cover the
-    guard zone at both slots. Losing the vehicles outside it lowers the
-    covariance by dcov and the pooled variance by dvar, so
-    rho_W - rho = (rho_W * dvar - dcov) / var. Both losses are
-    nonnegative to leading order and 0 <= rho_W <= rho0, so the bias is at
-    most max(rho0 * dvar, dcov) / E[Q_W]; E[Q_W], the fading part of the
-    sampled variance, is a lower bound on all of it. The losses have
-    three terms:
-
-    - the same-vehicle tail T_t = intensity * integral of g(x) g(x + u t)
-      over the x outside the window, exact (a 2F1 per side); at lag 0
-      this is the lost E[Q], which dvar holds in full;
-    - the deviation tail (cv2 - 1) * T_t, so that the two sum to
-      cv2 * T_t (see _far_field); likewise cv2 times the lost E[Q] is the
-      lost var(S) in dvar;
-    - an allowance for the edge term: |M1| * g(e) * g(e + u t) summed over
-      the two window edges e. At leading order the edge term lowers the
-      loss by this much; the bound adds it instead, to cover higher
-      orders in 1 / (intensity * W).
-
-    For a Poisson stream (min_gap 0) cv2 = 1, M1 = 0 and rho0 = 1/2, so
-    the losses are exact.
+    guard zone at both slots. If the added losses miss the true ones by
+    dcov and dvar, then rho_W - rho = (rho_W * dvar - dcov) / var, and
+    0 <= rho_W <= rho0 to leading order, so the bias is at most
+    max(rho0 * dvar, dcov) / E[Q_W]; E[Q_W], the fading part of the
+    sampled variance, is a lower bound on all of it. The misses are of
+    higher order in 1 / (intensity * W) than the edge terms; the bound
+    allows twice their size, 2 edge_var and 2 edge_cov. For a Poisson
+    stream (min_gap 0) the losses are exact and the bound is 0.
     """
-    kept_q, _, lost_var, lost_cov = _losses(traffic, geom, window, t)
-    return max(_far_field(traffic, geom)[2] * lost_var, lost_cov) / kept_q
+    return _losses(traffic, geom, window, t)[3]
 
 
-def default_window(traffic: TrafficModel, geom: NetworkGeometry, t: float,
-                   n_samples: int) -> tuple[float, float]:
-    """Sampling window [-(W + u t), W] for lags up to t, as small as the
-    bias it leaves allows.
+def default_window(traffic: TrafficModel, geom: NetworkGeometry,
+                   t: float) -> tuple[float, float]:
+    """Sampling window [-(W + u t), W] for lags up to t, with
+    W = guard_radius + speed * t_max = 3 guard_radius.
 
-    W = guard_radius + speed * t_max + m, with the smallest margin m >= 0
-    (in whole meters) that holds truncation_bias_bound at every lag in
-    [0, t] to BIAS_FRACTION of the standard-error floor
-    SE_FLOOR * rho0 / sqrt(n_samples). The floor sits below the smallest
-    jackknife se_rho over the lags (at least 0.41 rho0 / sqrt(n) in 30
-    seeds on each perfbench stream; scripts/window_bias.py), so the bias
-    stays a tenth of the noise. W grows like n_samples ** (1 / (4 eta - 2)).
-    m is solved for by
-    bisection on the bound of the symmetric window [-W, W] at lag 0: every
-    missing distance there is W, the nearest any lag up to t can have, so
-    it bounds the bound at each of those lags.
+    Every vehicle outside it lies at least speed * t_max, a guard-zone
+    diameter, beyond the guard zone at both slots of every lag up to t,
+    where the gain is smooth over the pair deviation's reach; there the
+    closed-form losses of _losses hold, and estimate_curve adds them
+    back. The window depends on the geometry alone, not on the sample
+    count: the residual bias is at most 2.2e-5 by truncation_bias_bound
+    on every benchmark stream, and measured below 1e-7
+    (scripts/window_bias.py).
     """
-    if n_samples < 1:
-        raise ParameterError(f"need at least one sample, got {n_samples}")
-    target = BIAS_FRACTION * SE_FLOOR * _far_field(traffic, geom)[2] / math.sqrt(n_samples)
-    base = geom.guard_radius + geom.speed * TimeLagWindow.from_params(traffic, geom).t_max
-
-    def holds(margin: int) -> bool:
-        half = base + margin
-        return truncation_bias_bound(traffic, geom, (-half, half), 0.0) <= target
-
-    lo, hi = -1, 0                      # the bound fails at margin lo, holds at hi
-    while not holds(hi):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    half = base + hi
+    half = geom.guard_radius + geom.speed * TimeLagWindow.from_params(traffic, geom).t_max
     return (-(half + geom.speed * t), half)
 
 
@@ -286,8 +275,10 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     return out
 
 
-def _moments(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variance, covariance and mean deviation from block sums (last axis)."""
+def _moments(sums: np.ndarray, lost_var: float,
+             lost_cov: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variance and covariance, each with the window's loss added, and the
+    mean deviation, from block sums (last axis)."""
     n, a0, at, a00, att, a0t, q0, qt = np.moveaxis(sums, -1, 0)
     s00 = (a00 - a0 * a0 / n) / (n - 1.0)
     stt = (att - at * at / n) / (n - 1.0)
@@ -295,7 +286,7 @@ def _moments(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     var = 0.5 * (s00 + stt) + 0.5 * (q0 + qt) / n
     if not np.all((q0 + qt > 0.0) & np.isfinite(var) & (var > 0.0)):
         raise EstimationError("degenerate sample variance; no vehicle outside the guard zone?")
-    return var, cov, 0.5 * (a0 + at) / n
+    return var + lost_var, cov + lost_cov, 0.5 * (a0 + at) / n
 
 
 def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
@@ -308,10 +299,13 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     [0, 2**64). A block cuts its realizations from one stationary stream
     in the window of the largest lag (default_window unless given) and
     evaluates every lag on them, so the curve's errors are correlated
-    across lags. Fading is integrated out exactly (see _block_sums). Each
-    lag's estimate is the same whichever other lags share its window.
-    Standard errors are a leave-one-block-out jackknife over independent
-    blocks.
+    across lags. Fading is integrated out exactly (see _block_sums). The
+    mean, variance and covariance lost outside the window are added back
+    in closed form (_losses), to the totals and to every leave-one-out
+    alike, so the window must cover the guard zone at both slots of every
+    lag. Each lag's estimate is the same whichever other lags share its
+    window. Standard errors are a leave-one-block-out jackknife over
+    independent blocks.
     """
     lags = [float(t) for t in t_grid]
     if not lags:
@@ -323,8 +317,8 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     if n_samples < MIN_SAMPLES:
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if window is None:
-        window = default_window(traffic, geom, max(lags), n_samples)
-    _require_window(window)
+        window = default_window(traffic, geom, max(lags))
+    losses = [_losses(traffic, geom, window, t) for t in lags]
     base, rem = divmod(n_samples, N_BLOCKS)
     blocks = np.stack([
         _block_sums(traffic, geom, lags, base + (1 if k < rem else 0), window,
@@ -333,15 +327,15 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     centre = mean_interference(traffic, geom)
     scale = (N_BLOCKS - 1) / N_BLOCKS
     out = []
-    for j in range(len(lags)):
+    for j, (lost_mean, lost_var, lost_cov, _) in enumerate(losses):
         sums = blocks[:, j]
         total = sums.sum(axis=0)
-        variance, covariance, mean_dev = _moments(total)
-        loo_var, loo_cov, _ = _moments(total - sums)
+        variance, covariance, mean_dev = _moments(total, lost_var, lost_cov)
+        loo_var, loo_cov, _ = _moments(total - sums, lost_var, lost_cov)
         loo_rho = loo_cov / loo_var
         out.append(CorrelationEstimate(
             n=n_samples,
-            mean=centre + float(mean_dev),
+            mean=centre + float(mean_dev) + lost_mean,
             variance=float(variance),
             covariance=float(covariance),
             rho=float(covariance / variance),

@@ -8,6 +8,7 @@ routes actually means something.
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as _beta
+from scipy.special import gammaln, hyp2f1, xlogy
 
 from roadcorr import NetworkGeometry, TrafficModel, mean_interference
 
@@ -226,3 +227,72 @@ def masked_gains(r, geom: NetworkGeometry) -> np.ndarray:
     outside = dist > geom.guard_radius
     np.place(gains, outside, np.exp(np.log(dist[outside]) * -geom.pathloss_exponent))
     return gains
+
+
+def pair_deviation_defining(d: float, traffic: TrafficModel) -> float:
+    """rho2(d) - intensity**2 at a separation d > 0 from the renewal density.
+
+    rho2 is the intensity times the sum over k of the density of k gaps,
+    c + Exp(rate) each: an Erlang(k, rate) density at d - k c, formed in
+    the log domain with scipy.special.
+    """
+    lam, c, rate = traffic.intensity, traffic.min_gap, traffic.gap_rate
+    k = np.arange(1.0, np.floor(d / c) + 1.0) if d > c else np.zeros(0)
+    rem = d - k * c
+    log_terms = k * np.log(rate) + xlogy(k - 1.0, rem) - rate * rem - gammaln(k)
+    return lam * float(np.exp(log_terms).sum()) - lam * lam
+
+
+def _far_pair(lo: float, shift: float, eta: float) -> float:
+    """Integral of x**-eta (x + shift)**-eta over x > lo, with lo and
+    lo + shift positive. As an incomplete beta function it is
+    hi**(1 - 2 eta) / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; |shift| / hi)
+    with hi = max(lo, lo + shift), so the argument stays in [0, 1)."""
+    hi = max(lo, lo + shift)
+    return hi ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0) * hyp2f1(
+        2.0 * eta - 1.0, eta, 2.0 * eta, abs(shift) / hi)
+
+
+def lost_moments_defining(t: float, traffic: TrafficModel, geom: NetworkGeometry,
+                          window: tuple[float, float]) -> tuple[float, float]:
+    """Pooled variance and covariance that sampling only the slot-0
+    positions in window loses at lag t, from their defining integrals.
+
+    A moment between the gains at slot offsets a and b, g(x + a) g(y + b),
+    loses the single-vehicle integral over x outside the window and the
+    pair integral of h(y - x) = rho2 - intensity**2 over every (x, y) not
+    both inside it. Over the separation d = y - x the pairs lost are
+    x > w_hi - max(d, 0) and x < w_lo + max(-d, 0); every lost position
+    lies beyond the guard zone at both slots (the window must clear it by
+    64 minimum gaps, the reach of h resolved here), where the inner x
+    integral is _far_pair. The outer integral over d runs on (0, 64 c]
+    by scipy quad, with the first seven band edges k c as breakpoints:
+    h jumps at c, and the k-th Erlang term has k - 2 continuous
+    derivatives at k c, so past 7 c it is smooth enough for the adaptive
+    rule (all 63 edges as breakpoints give the same residuals). The pooled
+    variance adds the lost E[Q] of both slots to the lost var(S).
+    """
+    lam, c = traffic.intensity, traffic.min_gap
+    r0, eta = geom.guard_radius, geom.pathloss_exponent
+    w_lo, w_hi = window
+    shift = geom.speed * t
+    reach = 64.0 * c
+    if not (w_hi - reach > r0 and -w_lo - shift - reach > r0):
+        raise ValueError("window must clear the guard zone by the deviation reach")
+
+    def lost(a, b):
+        def kernel(d):
+            return (_far_pair(w_hi - max(d, 0.0) + a, d + b - a, eta)
+                    + _far_pair(-w_lo - max(-d, 0.0) - a, a - b - d, eta))
+
+        single = lam * kernel(0.0)
+        if c == 0.0:
+            return single
+        pairs = quad(lambda d: pair_deviation_defining(d, traffic) * (kernel(d) + kernel(-d)),
+                     0.0, reach, points=c * np.arange(1.0, 8.0), limit=400,
+                     epsabs=0.0, epsrel=1e-10)[0]
+        return single + pairs
+
+    lost_q = 0.5 * lam * (_far_pair(w_hi, 0.0, eta) + _far_pair(-w_lo, 0.0, eta)
+                          + _far_pair(w_hi + shift, 0.0, eta) + _far_pair(-w_lo - shift, 0.0, eta))
+    return lost_q + 0.5 * (lost(0.0, 0.0) + lost(shift, shift)), lost(0.0, shift)

@@ -215,7 +215,7 @@ class TestRunCommand:
         traffic = TrafficModel.from_intensity(0.05, 4.0)
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0,
                                speed=10.0)
-        window = default_window(traffic, geom, 30.0, 1000)
+        window = default_window(traffic, geom, 30.0)
         assert entry["truncation_bias_bound"] == max(
             truncation_bias_bound(traffic, geom, window, t)
             for t in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))
