@@ -3,14 +3,15 @@ closed-form losses, and the bias the corrected window leaves.
 
 1. Far field. The variance of the gain summed beyond a distance W is, to
    leading order, (1 - occupancy)**2 times its Poisson value plus the edge
-   term 2 |M1| W**(-2 eta) (sim._far_field). For each occupancy and W this
-   prints the Monte Carlo ratio to the Poisson value, with its standard
-   error, next to (1 - occupancy)**2 and the model with the edge term.
+   term 2 |M1| W**(-2 eta) (analytic._far_field). For each occupancy and W
+   this prints the Monte Carlo ratio to the Poisson value, with its
+   standard error, next to (1 - occupancy)**2 and the model with the edge
+   term.
 2. Residual. For each benchmark stream (perfbench's canonical-run and
    occupancy-sweep traffic and lags, on the curve's default window) and
    lag this prints, deterministically, the bias of rho in the window
-   before the correction, the residual after sim._losses' closed forms
-   are added back, and truncation_bias_bound. The windowed moments are
+   before the correction, the residual after analytic._losses' closed
+   forms are added back, and their bias bound. The windowed moments are
    the exact route's less the losses tests/oracles.py integrates by scipy
    quadrature.
 
@@ -55,7 +56,7 @@ def far_field(traffic, half, n_rows, seed):
     var = sums.var(ddof=1)
     se = math.sqrt((np.mean((sums - sums.mean()) ** 4) - var * var) / sums.size)
     poisson = 2.0 * traffic.intensity * half ** -5.0 / 5.0
-    cv2, edge, _ = sim._far_field(traffic, far)
+    cv2, edge, _ = analytic._far_field(traffic, far)
     return var / poisson, se / poisson, cv2 + 2.0 * edge * half ** -6.0 / poisson
 
 
@@ -65,7 +66,7 @@ def residuals(traffic, t, window):
            + analytic.covariance(0.0, traffic, GEOM, "exact-quadrature").covariance)
     cov = analytic.covariance(t, traffic, GEOM, "exact-quadrature").covariance
     lost_var, lost_cov = oracles.lost_moments_defining(t, traffic, GEOM, window)
-    _, add_var, add_cov, bound = sim._losses(traffic, GEOM, window, t)
+    _, add_var, add_cov, bound = analytic._losses(traffic, GEOM, window, t)
     raw = (cov - lost_cov) / (var - lost_var) - cov / var
     corrected = (cov - lost_cov + add_cov) / (var - lost_var + add_var) - cov / var
     return raw, corrected, bound

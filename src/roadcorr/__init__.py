@@ -22,8 +22,7 @@ from .analytic import (CovarianceBreakdown, close_pairs_expansion,
                        close_pairs_numeric, covariance, distant_pairs_exact,
                        rho, rho_ppp, same_vehicle_term, variance)
 from .sim import (CorrelationEstimate, PairDistanceHistogram, default_window,
-                  estimate, estimate_curve, pair_distance_histogram,
-                  truncation_bias_bound)
+                  estimate, estimate_curve, pair_distance_histogram)
 
 __all__ = [
     "__version__",
@@ -38,5 +37,4 @@ __all__ = [
     "rho", "rho_ppp", "same_vehicle_term", "variance",
     "CorrelationEstimate", "PairDistanceHistogram", "default_window",
     "estimate", "estimate_curve", "pair_distance_histogram",
-    "truncation_bias_bound",
 ]

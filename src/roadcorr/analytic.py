@@ -14,7 +14,9 @@ pair correlation, closed forms with the squared-intensity far field
 ("pcf-approx"), and the small-occupancy expansion ("expansion").
 The same-vehicle term is the intensity times the gain autocorrelation K,
 in closed form, and the exact route's pair terms are one convolution of
-the pair density against K, integrated in one adaptive pass.
+the pair density against K, integrated in one adaptive pass. The renewal
+far-field constants and the moments a finite window loses to the far field,
+which the simulator adds back, are closed forms here too (_losses).
 """
 
 from __future__ import annotations
@@ -84,19 +86,27 @@ _PANEL_X = ((np.arange(3.0)[:, None] + 0.5 + 0.5 * _GK_X) / 3.0).ravel()
 _PANEL_W = np.tile(_GK_WK, 3) / 3.0
 
 
+def _gain_tail(a, s, eta: float):
+    """The integral of x**-eta * (x + s)**-eta over x > a, for a > 0 and
+    s >= 0: a**(1 - 2 eta) / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -s / a).
+    Takes scalars or arrays."""
+    power = 2.0 * eta - 1.0
+    return a ** -power / power * hyp2f1(power, eta, 2.0 * eta, -s / a)
+
+
 def _gain_kernel(s, eta: float):
     """Gain autocorrelation K(s), the integral of g(x) * g(x + s) over x.
 
     g(x) = |x|**-eta outside the guard zone |x| <= 1, zero inside (lengths
     in guard radii). Positions on one side of the zone give
-    2 / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -|s|); for |s| > 2 the
-    zone fits between them, adding the integral of y**-eta * (|s| - y)**-eta
-    over 1 < y < |s| - 1: twice its half up to |s| / 2, taken over log y,
-    which keeps it within 2e-15 of K out to |s| = 556. K is even, kinked at
-    0 and |s| = 2. Takes a scalar (returns a float) or an array.
+    2 * _gain_tail(1, |s|); for |s| > 2 the zone fits between them, adding
+    the integral of y**-eta * (|s| - y)**-eta over 1 < y < |s| - 1: twice
+    its half up to |s| / 2, taken over log y, which keeps it within 2e-15
+    of K out to |s| = 556. K is even, kinked at 0 and |s| = 2. Takes a
+    scalar (returns a float) or an array.
     """
     s = np.abs(np.asarray(s, dtype=float))
-    value = np.asarray(2.0 / (2.0 * eta - 1.0) * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, -s))
+    value = np.asarray(2.0 * _gain_tail(1.0, s, eta))
     across = s > 2.0
     if np.any(across):
         far = s[across]
@@ -305,3 +315,82 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
         breakdown = covariance(t, traffic, geom, "pcf-approx", spec)
         return breakdown.covariance / variance(traffic, geom, "approx")
     raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
+
+
+def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, float, float]:
+    """Leading-order far-field constants of the stream: (cv2, edge, rho0).
+
+    Over lengths long against the mean spacing, a renewal stream's pair
+    deviation h = rho2 - intensity**2 acts as a point mass of total
+    intensity * (cv2 - 1), where cv2 = (1 - occupancy)**2 is the squared
+    coefficient of variation of a gap c + Exp(rate) (Cox, Renewal Theory,
+    1962). So every pair term over a region where the gain varies slowly
+    is cv2 times its same-vehicle term, plus -M1 * g(e) * f(e) at each
+    boundary point e of the region (g and f the two slots' gains), where
+    M1 is the first moment of h over d > 0. From the Laplace transform of
+    the renewal density, M1 = -occupancy**2 * (1 + 2m + 3m**2) / 12 with
+    m = 1 - occupancy, never positive; edge is |M1|. rho0 is the zero-lag
+    coefficient this gives: var(S) = cv2 * E[Q] + |M1| * 2 g(r0)**2 over
+    var(S) + E[Q], with the guard zone's two edges.
+    """
+    occ = traffic.occupancy
+    m = 1.0 - occ
+    cv2 = m * m
+    edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
+    eta = geom.pathloss_exponent
+    r0 = geom.guard_radius
+    mean_q = 2.0 * traffic.intensity * r0 ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
+    var_s = cv2 * mean_q + 2.0 * edge * r0 ** (-2.0 * eta)
+    return cv2, edge, var_s / (var_s + mean_q)
+
+
+def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
+            t: float) -> tuple[float, float, float, float]:
+    """Moments lost at lag t to the window, to leading order, and a bound
+    on the bias of rho they leave.
+
+    The window [w_lo, w_hi], finite with w_lo < w_hi, holds the slot-0
+    positions, and must cover the guard zone at both slots. Returns
+    (lost_mean, lost_var, lost_cov, bias_bound): the pooled mean, the
+    pooled variance (fading part kept) and the covariance that the
+    vehicles outside the window carry, and a bound on |rho_W - rho| once
+    they are added back. With e the distances from the receiver to the
+    window's edges, at each slot:
+
+    - the mean lost is intensity / (eta - 1) * sum e**(1 - eta), exact;
+    - the same-vehicle tail T_t = intensity * integral of g(x) g(x + u t)
+      over the x outside the window is exact (_gain_tail per side); at
+      lag 0 it is the lost E[Q];
+    - the pair terms add (cv2 - 1) * T_t and subtract |M1| * g(e) g(e + u t)
+      at each edge: the window's own pair terms carry that edge term (see
+      _far_field) and the whole line's do not.
+
+    So lost_var = (1 + cv2) * lost E[Q] - edge_var and
+    lost_cov = cv2 * T_t - edge_cov. Misses dvar and dcov in these give
+    rho_W - rho = (rho_W * dvar - dcov) / var with 0 <= rho_W <= rho0, so
+    a bias of at most max(rho0 * dvar, dcov) / E[Q_W] (E[Q_W] <= var). The
+    misses are of higher order in 1 / (intensity * W) than the edge terms;
+    the bound allows twice their size. For a Poisson stream (min_gap 0)
+    cv2 = 1 and M1 = 0: the losses are exact and the bound is 0.
+    """
+    w_lo, w_hi = window
+    shift = geom.speed * t
+    r0 = geom.guard_radius
+    if not (w_hi > r0 and -w_lo - shift > r0):
+        raise DomainError(f"window {window!r} must cover the guard zone at both slots of lag {t!r}")
+    lam = traffic.intensity
+    eta = geom.pathloss_exponent
+    power = 2.0 * eta - 1.0
+    cv2, edge, rho0 = _far_field(traffic, geom)
+    slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
+    slot_t = np.array([w_hi + shift, -w_lo - shift])
+    near = np.minimum(slot_0, slot_t)
+    lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
+                                         + slot_t ** (1.0 - eta))) / (eta - 1.0)
+    lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
+    same = lam * float(np.sum(_gain_tail(near, shift, eta)))
+    edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
+    edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
+    kept_q = 2.0 * lam * r0 ** -power / power - lost_q
+    return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
+            max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q)

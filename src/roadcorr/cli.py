@@ -111,8 +111,8 @@ def _parse_traffic(value: str, line_no: int) -> tuple[float, float]:
     fields: dict[str, float] = {}
     for token in value.split():
         name, sep, raw = token.partition("=")
-        if not sep or name not in ("lambda", "c"):
-            raise ConfigError(f"traffic expects 'lambda=<x> c=<y>', got {token!r}", line_no)
+        if not sep or name not in ("lambda", "c") or name in fields:
+            raise ConfigError(f"traffic takes 'lambda=<x> c=<y>' once each, got {token!r}", line_no)
         try:
             fields[name] = float(raw)
         except ValueError as exc:
@@ -126,7 +126,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse the flat key = value config format.
 
     Unknown keys, malformed lines, and bad values are reported with their
-    line numbers. Repeated traffic lines accumulate; other keys overwrite.
+    line numbers. Traffic lines accumulate and other keys overwrite; a
+    traffic line or a method given twice is an error.
     """
     values: dict[str, object] = {}
     traffics: list[tuple[float, float]] = []
@@ -138,9 +139,14 @@ def parse_config(text: str) -> RunConfig:
         if not sep or not key:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", line_no)
         if key == "traffic":
-            traffics.append(_parse_traffic(value, line_no))
+            traffic = _parse_traffic(value, line_no)
+            if traffic in traffics:
+                raise ConfigError(f"traffic {value!r} repeats an earlier line", line_no)
+            traffics.append(traffic)
         elif key == "methods":
-            values["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
+            values["methods"] = methods = tuple(m.strip() for m in value.split(",") if m.strip())
+            if len(set(methods)) < len(methods):
+                raise ConfigError(f"methods lists a method twice: {value!r}", line_no)
         elif key == "n_partitions":
             # Retired: the simulation always runs sim.N_BLOCKS blocks, which
             # any count from 1 to N_BLOCKS left unchanged. Still parsed
@@ -216,13 +222,10 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
         except DomainError:
             inside = []
         if inside:
-            lags = [grid[i] for i in inside]
-            window = sim.default_window(traffic, geom, max(lags))
-            results = sim.estimate_curve(traffic, geom, lags, config.n_samples,
-                                         config.seed, window=window)
+            results = sim.estimate_curve(traffic, geom, [grid[i] for i in inside],
+                                         config.n_samples, config.seed)
             values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
-            bias_bound = max(sim.truncation_bias_bound(traffic, geom, window, t)
-                             for t in lags)
+            bias_bound = max(r.bias_bound for r in results)
     else:
         for i, t in enumerate(grid):
             try:
@@ -346,10 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _resolve(args)
-        if args.command == "run":
-            _run(config)
-        else:
-            _pcf(config)
+        try:
+            (_run if args.command == "run" else _pcf)(config)
+        except OSError as exc:  # creating or writing the output
+            raise ConfigError(f"cannot write the output: {exc}") from exc
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ so its average given the positions is known in closed form, and the
 estimators use that average (Rao-Blackwellisation). The window spans the
 guard zone and a guard-zone diameter on each side of it, whatever the
 sample count; what the vehicles beyond it carry is added back in closed
-form from the stream's far-field constants (Cox, Renewal Theory, 1962).
-Every window of the stream has the stationary law, so the same
-correction applies to every realization.
+form (analytic._losses; Cox, Renewal Theory, 1962). Every window of the
+stream has the stationary law, so the same correction, and the bound on
+the bias it leaves, applies to every realization.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _losses
 from .errors import DomainError, EstimationError, ParameterError
 from .model import NetworkGeometry, TimeLagWindow, TrafficModel, mean_interference, pathloss
-from .specfun import hyp2f1
 
 __all__ = [
     "CorrelationEstimate",
     "PairDistanceHistogram",
     "default_window",
-    "truncation_bias_bound",
     "estimate",
     "estimate_curve",
     "pair_distance_histogram",
@@ -56,7 +55,8 @@ class CorrelationEstimate:
 
     variance pools both slots; rho is covariance over that pooled variance,
     which keeps it within [-1, 1]; se_rho and se_variance are jackknife
-    standard errors over the sampling blocks.
+    standard errors over the sampling blocks; bias_bound bounds the bias
+    of rho left by the window's correction (analytic._losses).
     """
 
     n: int
@@ -66,6 +66,7 @@ class CorrelationEstimate:
     rho: float
     se_rho: float
     se_variance: float
+    bias_bound: float
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -77,101 +78,6 @@ class CorrelationEstimate:
             raise ParameterError(f"rho out of range: {self.rho!r}")
 
 
-def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, float, float]:
-    """Leading-order far-field constants of the stream: (cv2, edge, rho0).
-
-    Over lengths long against the mean spacing, a renewal stream's pair
-    deviation h = rho2 - intensity**2 acts as a point mass of total
-    intensity * (cv2 - 1), where cv2 = (1 - occupancy)**2 is the squared
-    coefficient of variation of a gap c + Exp(rate) (Cox, Renewal Theory,
-    1962). So every pair term over a region where the gain varies slowly
-    is cv2 times its same-vehicle term, plus -M1 * g(e) * f(e) at each
-    boundary point e of the region (g and f the two slots' gains), where
-    M1 is the first moment of h over d > 0. From the Laplace transform of
-    the renewal density, M1 = -occupancy**2 * (1 + 2m + 3m**2) / 12 with
-    m = 1 - occupancy, never positive; edge is |M1|. rho0 is the zero-lag
-    coefficient this gives: var(S) = cv2 * E[Q] + |M1| * 2 g(r0)**2 over
-    var(S) + E[Q], with the guard zone's two edges.
-    """
-    occ = traffic.occupancy
-    m = 1.0 - occ
-    cv2 = m * m
-    edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    mean_q = 2.0 * traffic.intensity * r0 ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
-    var_s = cv2 * mean_q + 2.0 * edge * r0 ** (-2.0 * eta)
-    return cv2, edge, var_s / (var_s + mean_q)
-
-
-def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
-            t: float) -> tuple[float, float, float, float]:
-    """Moments lost at lag t to the window, to leading order, and the size
-    of the edge term they carry.
-
-    The window [w_lo, w_hi] holds the slot-0 positions, and must cover the
-    guard zone at both slots. Returns (lost_mean, lost_var, lost_cov,
-    allowance): the pooled mean, the pooled variance (fading part kept)
-    and the covariance that the vehicles outside the window carry, and
-    truncation_bias_bound's allowance. With e the distances from the
-    receiver to the window's edges, at each slot:
-
-    - the mean lost is intensity / (eta - 1) * sum e**(1 - eta), exact;
-    - the same-vehicle tail T_t = intensity * integral of g(x) g(x + u t)
-      over the x outside the window is exact (a 2F1 per side); at lag 0
-      it is the lost E[Q];
-    - the pair terms add (cv2 - 1) * T_t and subtract |M1| * g(e) g(e + u t)
-      at each edge: the window's own pair terms carry that edge term (see
-      _far_field) and the whole line's do not.
-
-    So lost_var = (1 + cv2) * lost E[Q] - edge_var and
-    lost_cov = cv2 * T_t - edge_cov. For a Poisson stream (min_gap 0)
-    cv2 = 1 and M1 = 0, so the losses are exact.
-    """
-    _require_window(window)
-    w_lo, w_hi = window
-    shift = geom.speed * t
-    r0 = geom.guard_radius
-    if not (w_hi > r0 and -w_lo - shift > r0):
-        raise DomainError(f"window {window!r} must cover the guard zone at both slots of lag {t!r}")
-    lam = traffic.intensity
-    eta = geom.pathloss_exponent
-    power = 2.0 * eta - 1.0
-    cv2, edge, rho0 = _far_field(traffic, geom)
-    slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
-    slot_t = np.array([w_hi + shift, -w_lo - shift])
-    near = np.minimum(slot_0, slot_t)
-    lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
-                                         + slot_t ** (1.0 - eta))) / (eta - 1.0)
-    lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
-    same = lam * float(np.sum(near ** -power / power
-                              * hyp2f1(power, eta, 2.0 * eta, -shift / near)))
-    edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
-    edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
-    kept_q = 2.0 * lam * r0 ** -power / power - lost_q
-    return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
-            max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q)
-
-
-def truncation_bias_bound(traffic: TrafficModel, geom: NetworkGeometry,
-                          window: tuple[float, float], t: float) -> float:
-    """Bound on |rho_W - rho| at lag t: the bias left in the simulated
-    correlation coefficient after the moments lost outside the window are
-    added back (see _losses).
-
-    The window [w_lo, w_hi] holds the slot-0 positions, and must cover the
-    guard zone at both slots. If the added losses miss the true ones by
-    dcov and dvar, then rho_W - rho = (rho_W * dvar - dcov) / var, and
-    0 <= rho_W <= rho0 to leading order, so the bias is at most
-    max(rho0 * dvar, dcov) / E[Q_W]; E[Q_W], the fading part of the
-    sampled variance, is a lower bound on all of it. The misses are of
-    higher order in 1 / (intensity * W) than the edge terms; the bound
-    allows twice their size, 2 edge_var and 2 edge_cov. For a Poisson
-    stream (min_gap 0) the losses are exact and the bound is 0.
-    """
-    return _losses(traffic, geom, window, t)[3]
-
-
 def default_window(traffic: TrafficModel, geom: NetworkGeometry,
                    t: float) -> tuple[float, float]:
     """Sampling window [-(W + u t), W] for lags up to t, with
@@ -180,9 +86,9 @@ def default_window(traffic: TrafficModel, geom: NetworkGeometry,
     Every vehicle outside it lies at least speed * t_max, a guard-zone
     diameter, beyond the guard zone at both slots of every lag up to t,
     where the gain is smooth over the pair deviation's reach; there the
-    closed-form losses of _losses hold, and estimate_curve adds them
-    back. The window depends on the geometry alone, not on the sample
-    count: the residual bias is at most 2.2e-5 by truncation_bias_bound
+    closed-form losses of analytic._losses hold, and estimate_curve adds
+    them back. The window depends on the geometry alone, not on the
+    sample count: the residual bias is at most 2.2e-5 by _losses' bound
     on every benchmark stream, and measured below 1e-7
     (scripts/window_bias.py).
     """
@@ -301,11 +207,12 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     evaluates every lag on them, so the curve's errors are correlated
     across lags. Fading is integrated out exactly (see _block_sums). The
     mean, variance and covariance lost outside the window are added back
-    in closed form (_losses), to the totals and to every leave-one-out
-    alike, so the window must cover the guard zone at both slots of every
-    lag. Each lag's estimate is the same whichever other lags share its
-    window. Standard errors are a leave-one-block-out jackknife over
-    independent blocks.
+    in closed form (analytic._losses), to the totals and to every
+    leave-one-out alike, so the window must cover the guard zone at both
+    slots of every lag; each estimate's bias_bound is the bound _losses
+    gives for its lag. Each lag's estimate is the same whichever other
+    lags share its window. Standard errors are a leave-one-block-out
+    jackknife over independent blocks.
     """
     lags = [float(t) for t in t_grid]
     if not lags:
@@ -318,6 +225,7 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if window is None:
         window = default_window(traffic, geom, max(lags))
+    _require_window(window)
     losses = [_losses(traffic, geom, window, t) for t in lags]
     base, rem = divmod(n_samples, N_BLOCKS)
     blocks = np.stack([
@@ -327,7 +235,7 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     centre = mean_interference(traffic, geom)
     scale = (N_BLOCKS - 1) / N_BLOCKS
     out = []
-    for j, (lost_mean, lost_var, lost_cov, _) in enumerate(losses):
+    for j, (lost_mean, lost_var, lost_cov, bias_bound) in enumerate(losses):
         sums = blocks[:, j]
         total = sums.sum(axis=0)
         variance, covariance, mean_dev = _moments(total, lost_var, lost_cov)
@@ -341,6 +249,7 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
             rho=float(covariance / variance),
             se_rho=math.sqrt(scale * float(np.sum((loo_rho - loo_rho.mean()) ** 2))),
             se_variance=math.sqrt(scale * float(np.sum((loo_var - loo_var.mean()) ** 2))),
+            bias_bound=bias_bound,
         ))
     return out
 

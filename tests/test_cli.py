@@ -16,7 +16,7 @@ import pytest
 from roadcorr.analytic import rho
 from roadcorr.cli import RunConfig, load_config_file, main, parse_config
 from roadcorr.errors import ConfigError
-from roadcorr.sim import default_window, truncation_bias_bound
+from roadcorr.sim import estimate_curve
 from roadcorr.model import (
     NetworkGeometry,
     TrafficModel,
@@ -80,6 +80,19 @@ class TestParseConfig:
                     "traffic = rate=0.05 c=4\n"):
             with pytest.raises(ConfigError):
                 parse_config(bad)
+
+    @pytest.mark.parametrize("text,line", [
+        ("traffic = lambda=0.05 lambda=0.2 c=4\n", 1),
+        ("traffic = lambda=0.05 c=4\nr0 = 100\ntraffic = lambda=5e-2 c=4.0\n", 3),
+        ("t_points = 3\nmethods = ppp,ppp,expansion\n", 2),
+    ])
+    def test_duplicate_entries_report_line(self, text, line):
+        """A field set twice on a traffic line, a repeated traffic line or a
+        method listed twice is refused at its line: the repeats would each
+        recompute a curve and overwrite its one file."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -215,10 +228,9 @@ class TestRunCommand:
         traffic = TrafficModel.from_intensity(0.05, 4.0)
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0,
                                speed=10.0)
-        window = default_window(traffic, geom, 30.0)
-        assert entry["truncation_bias_bound"] == max(
-            truncation_bias_bound(traffic, geom, window, t)
-            for t in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))
+        curve = estimate_curve(traffic, geom, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                               1000, RunConfig().seed)
+        assert entry["truncation_bias_bound"] == max(est.bias_bound for est in curve)
 
     def test_simulation_of_unwindowed_stream_is_all_invalid(self, tmp_path):
         # a minimum gap above r0 / 2 leaves no lag window: nothing is
@@ -297,6 +309,14 @@ class TestRunCommand:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "pcf"])
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, command, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main([command, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and str(taken) in err[0]
+
     def test_bad_flag(self, capsys):
         assert main(["run", "--nope"]) == 1
         capsys.readouterr()
@@ -369,7 +389,7 @@ def test_benchmark_boundaries_resolve():
                          ids=os.path.basename)
 def test_script_names_resolve(path):
     """Each script under scripts/ imports (its main is guarded, so nothing
-    runs), and every module attribute it reads, such as sim._far_field, is
+    runs), and every module attribute it reads, such as analytic._far_field, is
     still bound: the scripts reach private names and run outside the test
     suite, so a rename would otherwise break them unseen."""
     saved = list(sys.path)

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import oracles
-from roadcorr.analytic import covariance, rho, rho_ppp, same_vehicle_term, variance
+from roadcorr.analytic import (_far_field, _losses, covariance, rho, rho_ppp,
+                               same_vehicle_term, variance)
 from roadcorr.errors import DomainError, EstimationError, ParameterError
 from roadcorr.model import (
     _ASYMPTOTE_CUTOFF_GAPS,
@@ -24,14 +25,11 @@ from roadcorr.sim import (
     _block_rng,
     _block_sums,
     _equilibrium_delay,
-    _far_field,
-    _losses,
     _stream_windows,
     default_window,
     estimate,
     estimate_curve,
     pair_distance_histogram,
-    truncation_bias_bound,
 )
 from roadcorr.specfun import QuadratureSpec, integrate_finite
 
@@ -62,7 +60,7 @@ CURVE_PINS = {
            4.3333006259051435e-13, 9.21436554414204e-15),
 }
 
-# The largest truncation_bias_bound over the 31 lags of the canonical
+# The largest bias bound of _losses over the 31 lags of the canonical
 # curve on its default window (-750, 450).
 BOUND_PIN = 1.445328367759808e-05
 
@@ -187,10 +185,10 @@ class TestWindows:
         lam = traffic.intensity
         kept_q = 2.0 * lam * 150.0 ** -5.0 / 5.0 - 0.5 * lam * np.sum(
             slot_0 ** -5.0 + slot_t ** -5.0) / 5.0
-        bound = truncation_bias_bound(traffic, geom, window, t)
+        bound = _losses(traffic, geom, window, t)[3]
         assert math.isclose(bound, max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q,
                             rel_tol=1e-13)
-        wider = truncation_bias_bound(traffic, geom, (-30000.0, 30000.0), t)
+        wider = _losses(traffic, geom, (-30000.0, 30000.0), t)[3]
         assert 0.0 < wider < 1e-4 * bound
 
     def test_window_pins(self, geom):
@@ -201,7 +199,7 @@ class TestWindows:
         assert default_window(TrafficModel(0.05, 4.0), geom, 29.2) == (-742.0, 450.0)
         assert default_window(TrafficModel(0.2, 4.0), geom, 30.0) == (-750.0, 450.0)
         window = (-750.0, 450.0)
-        assert math.isclose(max(truncation_bias_bound(TrafficModel(0.05, 4.0), geom, window, t)
+        assert math.isclose(max(_losses(TrafficModel(0.05, 4.0), geom, window, t)[3]
                                 for t in self.GRID), BOUND_PIN, rel_tol=1e-12)
 
     @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
@@ -210,7 +208,7 @@ class TestWindows:
         losses are exact and it is 0."""
         traffic = TrafficModel.from_intensity(lam, c)
         for t in (0.0, 5.0, 30.0):
-            bounds = [truncation_bias_bound(traffic, geom, (-(half + 300.0), half), t)
+            bounds = [_losses(traffic, geom, (-(half + 300.0), half), t)[3]
                       for half in (500.0, 600.0, 800.0, 1200.0, 2000.0, 5000.0)]
             if c == 0.0:
                 assert bounds == [0.0] * len(bounds)
@@ -222,11 +220,11 @@ class TestWindows:
         every lag cannot be corrected: the bound, estimate and
         estimate_curve raise DomainError before sampling."""
         with pytest.raises(DomainError, match="guard zone"):
-            truncation_bias_bound(traffic, geom, (-1000.0, 100.0), 0.0)
+            _losses(traffic, geom, (-1000.0, 100.0), 0.0)[3]
         with pytest.raises(DomainError, match="guard zone"):
-            truncation_bias_bound(traffic, geom, (-400.0, 1000.0), 30.0)
+            _losses(traffic, geom, (-400.0, 1000.0), 30.0)[3]
         with pytest.raises(DomainError, match="window must be finite"):
-            truncation_bias_bound(traffic, geom, (-math.inf, 1000.0), 0.0)
+            estimate(traffic, geom, 0.0, 1000, SEED, window=(-math.inf, 1000.0))
         silent = NetworkGeometry(guard_radius=10000.0, pathloss_exponent=3.0, speed=10.0)
         with pytest.raises(DomainError, match="guard zone"):
             estimate(traffic, silent, 0.0, 1000, SEED, window=(-3000.0, 2000.0))
@@ -308,7 +306,7 @@ class TestWindows:
         grid = [0.0, 5.0, 15.0, 30.0]
         curve = estimate_curve(traffic, geom, grid, 2000, SEED)
         window = default_window(traffic, geom, 30.0)
-        worst = max(truncation_bias_bound(traffic, geom, window, t) for t in grid)
+        worst = max(_losses(traffic, geom, window, t)[3] for t in grid)
         assert worst <= 0.1 * min(est.se_rho for est in curve) * math.sqrt(2000 / 10 ** 6)
 
     @pytest.mark.parametrize("eta,occupancy", [(3.0, 0.08), (3.0, 0.2), (3.0, 0.4),
@@ -318,10 +316,10 @@ class TestWindows:
         The windowed moments are the exact route's less the losses
         oracles.lost_moments_defining integrates (scipy quad and
         scipy.special only); adding _losses' closed forms back must leave
-        |rho_W - rho| <= truncation_bias_bound at every lag. The tolerance
-        is the bound itself, fixed before measuring. Measured, the
-        residual is 1e-11 to 1.4e-7, at most 0.004 of the bound, while
-        the uncorrected bias reaches 7e-4 at eta 3 (5e-3 at eta 2.05)."""
+        |rho_W - rho| <= their bound at every lag. The tolerance is the
+        bound itself, fixed before measuring. Measured, the residual is
+        1e-11 to 1.4e-7, at most 0.004 of the bound, while the uncorrected
+        bias reaches 7e-4 at eta 3 (5e-3 at eta 2.05)."""
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
         var = (same_vehicle_term(0.0, traffic, geom)
@@ -532,6 +530,17 @@ class TestEstimate:
         for t, est in zip(grid, curve):
             assert estimate(traffic, geom, t, 2000, SEED, window=window) == est
 
+    def test_bias_bound_is_the_losses_bound(self, traffic, geom):
+        """Each estimate carries the bound _losses gives for its own lag on
+        the window it sampled: the default window of the largest lag, or
+        the caller's."""
+        grid = [0.0, 0.8, 5.0, 29.2]
+        for window, sampled in ((None, default_window(traffic, geom, 29.2)),
+                                ((-1100.0, 800.0), (-1100.0, 800.0))):
+            curve = estimate_curve(traffic, geom, grid, 1000, SEED, window=window)
+            assert [est.bias_bound for est in curve] == [
+                _losses(traffic, geom, sampled, t)[3] for t in grid]
+
     def test_seed_changes_the_draw(self, traffic, geom):
         a = estimate(traffic, geom, 5.0, 2000, SEED)
         b = estimate(traffic, geom, 5.0, 2000, SEED + 1)
@@ -574,10 +583,10 @@ class TestEstimate:
     def test_estimate_validates_its_own_fields(self):
         with pytest.raises(ParameterError):
             CorrelationEstimate(n=1, mean=1.0, variance=1.0, covariance=0.5,
-                                rho=0.5, se_rho=0.01, se_variance=0.01)
+                                rho=0.5, se_rho=0.01, se_variance=0.01, bias_bound=0.0)
         with pytest.raises(ParameterError):
             CorrelationEstimate(n=100, mean=1.0, variance=1.0, covariance=0.2,
-                                rho=0.5, se_rho=0.01, se_variance=0.01)
+                                rho=0.5, se_rho=0.01, se_variance=0.01, bias_bound=0.0)
 
     def test_poisson_stream_matches_analytic(self, traffic_ppp, geom):
         est = estimate(traffic_ppp, geom, 5.0, 100000, SEED)
