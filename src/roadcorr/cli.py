@@ -12,6 +12,7 @@ timestamps, stable float repr, atomic writes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -186,10 +187,17 @@ def _format_value(v: object) -> str:
 
 
 def _write_atomic(path: str, data: str) -> str:
+    """Write data to <path>.tmp and rename it over path; on any failure the
+    temporary file is removed before the error propagates."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 

@@ -128,6 +128,24 @@ class TimeLagWindow:
         )
 
 
+def _gain_in_place(dist: np.ndarray, geom: NetworkGeometry, silent: np.ndarray) -> None:
+    """Overwrite finite distances dist >= 0 with their gains; silent is a
+    bool buffer of dist's shape that receives dist <= guard_radius.
+
+    Silent entries are clamped to the guard radius, so log sees only
+    finite, normal, positive values, and zeroed after exp; the clamp
+    leaves every other entry as it is, so each gain is
+    exp(-exponent * log dist) on its own lane.
+    """
+    r0 = geom.guard_radius
+    np.less_equal(dist, r0, out=silent)
+    np.maximum(dist, r0, out=dist)
+    np.log(dist, out=dist)
+    np.multiply(dist, -geom.pathloss_exponent, out=dist)
+    np.exp(dist, out=dist)
+    np.copyto(dist, 0.0, where=silent)
+
+
 def pathloss(r, geom: NetworkGeometry):
     """Power-law gain |r| ** -exponent outside the guard zone, 0 inside.
 
@@ -140,21 +158,19 @@ def pathloss(r, geom: NetworkGeometry):
     numpy's vectorised pow on a simulator block and one pass for any
     exponent. Its relative error against pow is at most about
     (|exponent * ln|r|| + 2) ulp: log's half ulp, carried through the
-    product, is scaled by the size of the exponent. Silent entries
-    (inside the guard zone or infinitely far) hold 1.0 while the logarithm
-    and exponential run and are zeroed after them, so log sees only
-    finite, normal, positive values; each lane is computed on its own.
+    product, is scaled by the size of the exponent. Infinite distances are
+    first set to 0, which makes them silent; silent entries (|r| at or
+    inside the guard radius) are then clamped to the guard radius while
+    the logarithm and exponential run and are zeroed after them, so log
+    sees only finite, normal, positive values. That arithmetic is
+    _gain_in_place, which the simulator runs on its own buffers.
     """
     arr = np.asarray(r, dtype=float)
     gains = np.abs(arr, out=np.empty_like(arr))
     if np.isnan(gains).any():
         raise ParameterError("pathloss distance must not be NaN")
-    silent = (gains <= geom.guard_radius) | (gains == np.inf)
-    np.copyto(gains, 1.0, where=silent)
-    np.log(gains, out=gains)
-    np.multiply(gains, -geom.pathloss_exponent, out=gains)
-    np.exp(gains, out=gains)
-    np.copyto(gains, 0.0, where=silent)
+    np.copyto(gains, 0.0, where=gains == np.inf)
+    _gain_in_place(gains, geom, np.empty(gains.shape, dtype=bool))
     if np.isscalar(r) or arr.ndim == 0:
         return float(gains)
     return gains

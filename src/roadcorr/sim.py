@@ -27,7 +27,8 @@ import numpy as np
 
 from .analytic import _losses
 from .errors import DomainError, EstimationError, ParameterError
-from .model import NetworkGeometry, TimeLagWindow, TrafficModel, mean_interference, pathloss
+from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _gain_in_place,
+                    mean_interference)
 
 __all__ = [
     "CorrelationEstimate",
@@ -124,18 +125,26 @@ def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_window
     The stream starts at w_lo from the equilibrium delay and is cut at the
     edges w_hi + k L, L = w_hi - w_lo: window k holds (w_hi + (k - 1) L,
     w_hi + k L], and its vehicles less k L are realization k. Consecutive
-    windows are weakly dependent. Returns the positions up to the last
-    edge, ascending and unshifted, and each window's vehicle count.
+    windows are weakly dependent. Each chunk of gaps is drawn into the
+    stream's own buffer, scaled, offset by the minimum gap and summed in
+    place; a chunk that stops short of the last edge is followed by
+    another. Returns the positions up to the last edge, ascending and
+    unshifted, and each window's vehicle count.
     """
     w_lo, w_hi = window
-    lam, c, rate = traffic.intensity, traffic.min_gap, traffic.gap_rate
     edges = w_hi + (w_hi - w_lo) * np.arange(n_windows)
     pos = np.array([w_lo + _equilibrium_delay(traffic, rng.random())])
     while pos[-1] <= edges[-1]:
-        expected = lam * (edges[-1] - pos[-1])
-        steps = c + rng.exponential(1.0 / rate, int(expected + 4.0 * math.sqrt(expected)) + 1)
-        steps[0] += pos[-1]
-        pos = np.concatenate([pos, np.cumsum(steps, out=steps)])
+        expected = traffic.intensity * (edges[-1] - pos[-1])
+        filled = pos.size
+        grown = np.empty(filled + int(expected + 4.0 * math.sqrt(expected)) + 1)
+        grown[:filled] = pos
+        pos, gaps = grown, grown[filled:]
+        rng.standard_exponential(out=gaps)
+        gaps *= 1.0 / traffic.gap_rate
+        gaps += traffic.min_gap
+        tail = pos[filled - 1:]
+        np.cumsum(tail, out=tail)
     cuts = np.searchsorted(pos, edges, side="right")
     return pos[:cuts[-1]], np.diff(cuts, prepend=0)
 
@@ -152,11 +161,14 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     columns are n, sum d_0, sum d_t, sum d_0**2, sum d_t**2, sum d_0 d_t,
     sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
     later subtractions from cancelling digits. One position draw serves
-    every lag; gains come from model.pathloss, one pass per lag, and lag 0
-    is evaluated once. The rows are consecutive windows of one stream
-    (_stream_windows); less their window's offset, its positions are every
-    row's vehicles laid end to end, and every gain pass runs on them only.
-    Row sums are np.add.reduceat over the segments of the rows that hold a
+    every lag, and lag 0 is evaluated once. The rows are consecutive
+    windows of one stream (_stream_windows); less their window's offset,
+    its positions are every row's vehicles laid end to end, and every gain
+    pass runs on them only. The block allocates one gain buffer and one
+    mask; each lag shifts the positions into the buffer and runs
+    pathloss's kernel (model._gain_in_place) on it in place, without
+    pathloss's NaN and inf checks, since the positions are finite. Row
+    sums are np.add.reduceat over the segments of the rows that hold a
     vehicle; an empty row sums to 0. Q_t squares the gains in place and
     sums them, a pairwise sum that stays off BLAS (whose threads spin in
     np.vdot).
@@ -166,9 +178,13 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
     flat -= np.repeat((window[1] - window[0]) * np.arange(n_rows), counts)
     rows = np.flatnonzero(counts)  # reduceat would give an empty segment the next gain
     starts = (np.cumsum(counts) - counts)[rows]
+    gains = np.empty_like(flat)
+    silent = np.empty(flat.shape, dtype=bool)
 
     def totals(shift: float) -> tuple[np.ndarray, float]:
-        gains = pathloss(flat + shift, geom)
+        np.add(flat, shift, out=gains)
+        np.abs(gains, out=gains)
+        _gain_in_place(gains, geom, silent)
         sums = np.zeros(n_rows)
         sums[rows] = np.add.reduceat(gains, starts)
         return sums - centre, float(np.square(gains, out=gains).sum())

@@ -266,6 +266,16 @@ class TestRunCommand:
         _, out = self.run_main(tmp_path, self.ANALYTIC)
         assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        """An output name taken by a directory makes the rename fail: one
+        config error line, exit 1, and the temporary file is removed."""
+        out = tmp_path / "results"
+        (out / "pcf_lam0.05_c4.0.csv").mkdir(parents=True)
+        assert main(["pcf", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
         assert "config error" in capsys.readouterr().err

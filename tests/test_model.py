@@ -129,6 +129,18 @@ class TestPathloss:
         r = self._edge_distances(geom.guard_radius)
         assert np.array_equal(pathloss(r, geom), oracles.masked_gains(r, geom))
 
+    def test_scalar_and_0d_edges_bit_equal_to_masked_reference(self, geom):
+        """Infinite distances are silenced before the guard-radius clamp,
+        which would leave them infinite; the boundary and the next double
+        beyond it fall on either side of it."""
+        r0 = geom.guard_radius
+        for r in (math.inf, -math.inf, r0, np.nextafter(r0, math.inf)):
+            want = oracles.masked_gains(np.array([r]), geom)[0]
+            for arg in (float(r), np.array(r)):
+                got = pathloss(arg, geom)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes()
+
     def test_power_sees_only_normal_bases(self, geom, power_bases):
         """Silent entries (|r| <= guard_radius, subnormal, zero or infinite)
         never reach np.log, which would return -inf or nan on them and
