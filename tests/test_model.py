@@ -131,8 +131,8 @@ class TestPathloss:
 
     def test_scalar_and_0d_edges_bit_equal_to_masked_reference(self, geom):
         """Infinite distances are silenced before the guard-radius clamp,
-        which would leave them infinite; the boundary and the next double
-        beyond it fall on either side of it."""
+        which would leave them infinite; the guard radius itself is silent
+        and the next double beyond it is not."""
         r0 = geom.guard_radius
         for r in (math.inf, -math.inf, r0, np.nextafter(r0, math.inf)):
             want = oracles.masked_gains(np.array([r]), geom)[0]
