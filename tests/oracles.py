@@ -3,14 +3,19 @@
 Everything here is built on scipy quadrature, raw grid sums and plain
 gather/scatter numpy, on purpose: none of it shares code with roadcorr's
 own integrators, closed forms or gain pass, so an agreement between the two
-routes actually means something.
+routes actually means something. The exceptions are the frozen copies at the
+end of an earlier hyp2f1 and pair density, kept as bit-for-bit references
+for rewrites that must leave every output bit as it was.
 """
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as _beta
 from scipy.special import gammaln, hyp2f1, xlogy
 
-from roadcorr import NetworkGeometry, TrafficModel, mean_interference
+from roadcorr import (ConvergenceError, DomainError, NetworkGeometry, ParameterError,
+                      TrafficModel, mean_interference)
 
 
 def quad_tail(f, lo: float, points=None) -> float:
@@ -296,3 +301,91 @@ def lost_moments_defining(t: float, traffic: TrafficModel, geom: NetworkGeometry
     lost_q = 0.5 * lam * (_far_pair(w_hi, 0.0, eta) + _far_pair(-w_lo, 0.0, eta)
                           + _far_pair(w_hi + shift, 0.0, eta) + _far_pair(-w_lo - shift, 0.0, eta))
     return lost_q + 0.5 * (lost(0.0, 0.0) + lost(shift, shift)), lost(0.0, shift)
+
+
+# Frozen copies of the one-row-per-entry series loop and the per-band
+# pair density loop, as the package had them before both were batched.
+# Tests compare the package's outputs with these by their bytes.
+
+def frozen_gauss_series(a: np.ndarray, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Sum the Gauss hypergeometric series at each z, |z| < 1, with its own a.
+
+    Terms and partial sums are formed in order (cumprod and cumsum
+    accumulate sequentially), a chunk of up to 128 terms per step, fewer
+    for many arguments so that a step's arrays stay small. Each entry stops
+    at its first term below 1e-16 of its sum, so it does not depend on the
+    other entries or on the chunk size.
+    """
+    out = np.empty_like(z)
+    todo = np.arange(z.size)
+    term, total = np.ones((2, z.size, 1))
+    chunk = max(16, min(128, 8192 // max(z.size, 1)))
+    for start in range(0, 100_000, chunk):
+        n = np.arange(start, start + chunk, dtype=float)
+        terms = (a[todo, None] + n) * (b + n) / ((c + n) * (n + 1.0)) * z[todo, None]
+        terms = np.cumprod(np.concatenate([term, terms], axis=1), axis=1)[:, 1:]
+        totals = np.cumsum(np.concatenate([total, terms], axis=1), axis=1)[:, 1:]
+        settled = np.abs(terms) <= 1e-16 * np.abs(totals)
+        done = settled.any(axis=1)
+        out[todo[done]] = totals[done, settled[done].argmax(axis=1)]
+        if done.all():
+            return out
+        todo, term, total = todo[~done], terms[~done, -1:], totals[~done, -1:]
+    raise ConvergenceError(f"hypergeometric series did not settle for z = {float(z[todo[0]])!r}",
+                           best_estimate=float(total[0, 0]), error_bound=float(abs(term[0, 0])))
+
+
+def frozen_hyp2f1(a: float, b: float, c: float, z):
+    """Gauss hypergeometric function 2F1(a, b; c; z) for c > b > 0 and z < 1.
+
+    z is a scalar (a float is returned) or an array (an array of its shape
+    is returned); both take the one series path, so each entry equals the
+    scalar call. Nonnegative z is summed directly; negative z is first
+    mapped into [0, 1) with the Pfaff transformation
+    2F1(a, b; c; z) = (1 - z)**(-b) * 2F1(c - a, b; c; z / (z - 1)),
+    which keeps the series argument small even for z near -2.
+    """
+    zs = np.asarray(z, dtype=float)
+    if not (all(math.isfinite(v) for v in (a, b, c)) and np.all(np.isfinite(zs))):
+        raise ParameterError(f"arguments must be finite, got {(a, b, c, z)!r}")
+    if not c > b > 0.0:
+        raise DomainError(f"parameters must satisfy c > b > 0, got b = {b!r}, c = {c!r}")
+    if np.any(zs >= 1.0):
+        raise DomainError(f"argument must satisfy z < 1, got z = {z!r}")
+    flat = zs.reshape(-1)
+    pfaff = flat < 0.0
+    series = frozen_gauss_series(np.where(pfaff, c - a, a), b, c,
+                                 np.where(pfaff, flat / (flat - 1.0), flat))
+    values = np.where(pfaff, np.power(1.0 - flat, -b) * series, series)
+    return float(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
+
+
+_ASYMPTOTE_CUTOFF_GAPS = 64.0
+
+
+def frozen_pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
+    """Vectorized core of pair_correlation; d must be nonnegative."""
+    d = np.asarray(d, dtype=float)
+    lam = traffic.intensity
+    c = traffic.min_gap
+    out = np.full(d.shape, lam * lam)
+    if c == 0.0:
+        return out
+    out[d < c] = 0.0
+    mid = (d >= c) & (d <= _ASYMPTOTE_CUTOFF_GAPS * c)
+    if not np.any(mid):
+        return out
+    dm = d[mid]
+    rate = traffic.gap_rate
+    k_max = int(math.floor(float(np.max(dm)) / c))
+    total = rate * np.exp(-rate * (dm - c))
+    for j in range(2, k_max + 1):
+        rem = dm - j * c
+        sel = rem > 0.0
+        if not np.any(sel):
+            continue
+        log_term = (j * math.log(rate) + (j - 1.0) * np.log(rem[sel])
+                    - rate * rem[sel] - math.lgamma(j))
+        total[sel] += np.exp(log_term)
+    out[mid] = lam * total
+    return out

@@ -14,7 +14,7 @@ import types
 import pytest
 
 from roadcorr.analytic import rho
-from roadcorr.cli import RunConfig, load_config_file, main, parse_config
+from roadcorr.cli import RunConfig, _pcf_rows, load_config_file, main, parse_config
 from roadcorr.errors import ConfigError
 from roadcorr.sim import estimate_curve
 from roadcorr.model import (
@@ -363,6 +363,20 @@ class TestPcfCommand:
             last = rows[-1]
             assert float(last["d_over_c"]) == 8.0
             assert abs(float(last["value"]) - float(last["asymptote"])) <= 1e-3
+
+    @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.02, 4.0), (0.05, 4.0), (0.1, 4.0),
+                                       (0.15, 4.0), (0.2, 4.0), (0.012, 20.0)])
+    def test_rows_are_the_scalar_density(self, lam, c):
+        """One density call per stream gives, value for value, the scalar
+        normalized_pair_correlation at each grid point; 1.0 exactly for a
+        Poisson stream."""
+        traffic = TrafficModel.from_intensity(lam, c)
+        rows = _pcf_rows(traffic)
+        assert [row[0] for row in rows] == [k / 8 for k in range(1, 65)]
+        assert repr([row[1] for row in rows]) == repr(
+            [normalized_pair_correlation(k / 8, traffic) for k in range(1, 65)])
+        if c == 0.0:
+            assert all(row[1] == 1.0 for row in rows)
 
     def test_pcf_default_config(self, tmp_path):
         out = tmp_path / "results"

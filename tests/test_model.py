@@ -216,6 +216,21 @@ class TestPairCorrelation:
             assert vi == pair_correlation(float(di), traffic)
 
 
+    @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.02, 4.0), (0.05, 4.0), (0.1, 4.0),
+                                       (0.15, 4.0), (0.2, 4.0), (0.1, 1.0), (0.012, 20.0)])
+    def test_bits_match_the_per_band_loop(self, lam, c):
+        """The bands summed as one (band, entry) array give the bytes of the
+        per-band masked loop, from below the minimum gap to past the cutoff."""
+        stream = TrafficModel.from_intensity(lam, c)
+        unit = c or 4.0
+        d = np.concatenate([np.linspace(0.0, 70.0 * unit, 7001), unit * np.array([1.0, 2.0, 64.0])])
+        expected = oracles.frozen_pair_correlation_array(d, stream)
+        assert _pair_correlation_array(d, stream).tobytes() == expected.tobytes()
+        for i in (1, 100, 6400):
+            one = _pair_correlation_array(d[i:i + 1], stream)
+            assert one.tobytes() == expected[i:i + 1].tobytes()
+
+
 class TestDeviationReach:
     @pytest.mark.parametrize("occupancy", np.geomspace(1e-3, 0.82, 25))
     def test_density_settled_on_the_reach_band(self, occupancy):

@@ -94,6 +94,45 @@ class TestHyp2F1:
             hyp2f1(*args)
 
 
+    @pytest.mark.parametrize("eta", [2.05, 2.5, 3.0, 4.0, 6.0])
+    def test_bits_match_the_frozen_series(self, eta):
+        """The scalar and the array path give the bytes of the
+        one-row-per-entry series they replaced, for every argument form."""
+        rng = np.random.default_rng(23)
+        z = rng.uniform(-50.0, 0.9, size=(6, 50))
+        z[0, :4] = (0.0, -0.0, -1e-9, -2.0)
+        for triple in oracles.hypergeometric_family(eta) + [(1.0, 1.0, 2.0)]:
+            frozen = oracles.frozen_hyp2f1(*triple, z)
+            assert hyp2f1(*triple, z).tobytes() == frozen.tobytes()
+            assert hyp2f1(*triple, np.empty(0)).shape == (0,)
+            for v in z[0, :12]:
+                expected = np.float64(oracles.frozen_hyp2f1(*triple, float(v))).tobytes()
+                for form in (float(v), np.float64(v), np.array(v)):
+                    value = hyp2f1(*triple, form)
+                    assert type(value) is float
+                    assert np.float64(value).tobytes() == expected
+
+    @pytest.mark.parametrize("z", [-1e6, 1.0 - 1e-7])
+    def test_unsettled_series_names_the_callers_argument(self, z):
+        """The error names the caller's z, not the Pfaff-mapped argument,
+        and its estimate carries the prefactor; the scalar and the array
+        path raise the same error, the array at its first unsettled entry."""
+        with pytest.raises(ConvergenceError) as scalar:
+            hyp2f1(5.0, 3.0, 6.0, z)
+        with pytest.raises(ConvergenceError) as array:
+            hyp2f1(5.0, 3.0, 6.0, np.array([0.5, z, -2e6]))
+        assert f"z = {z!r} " in str(scalar.value)
+        assert str(array.value) == str(scalar.value)
+        if z < 0.0:
+            # mpmath.hyp2f1(5, 3, 6, -10**6) at 30 digits: 2.49998500039696536673889e-18
+            assert scalar.value.error_bound < 1e-6 * scalar.value.best_estimate
+            assert (abs(scalar.value.best_estimate - 2.49998500039696536673889e-18)
+                    <= scalar.value.error_bound)
+        else:
+            # the terms grow towards the end of the sum: no finite bound on the rest
+            assert scalar.value.error_bound == math.inf
+
+
 class TestUpperIncompleteGamma:
     def test_exponential_identity(self):
         assert rel_err(upper_incomplete_gamma(1.0, 2.0), math.exp(-2.0)) < 1e-12
