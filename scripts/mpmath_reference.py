@@ -8,8 +8,8 @@ mpmath's 2F1 plus, past |s| = 2 r0, an mpmath quadrature of the crossing
 piece; rho2 is the sum of shifted Erlang renewal densities. The integral
 runs over both signs of d, with every band edge k * c and every kink of K
 as a breakpoint, and is cut at the same number of minimum gaps as the
-exact-quadrature route (model._deviation_reach), so the two differ only by
-the error of the numerics. Each point takes 15 to 20 s on one core.
+exact-quadrature route (TrafficModel.deviation_reach), so the two differ
+only by the error of the numerics. Each point takes 15 to 20 s on one core.
 
 Usage:
   python scripts/mpmath_reference.py                 # the pinned points
@@ -25,7 +25,7 @@ from pathlib import Path
 import mpmath as mp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from roadcorr.model import TrafficModel, _deviation_reach  # noqa: E402
+from roadcorr.model import TrafficModel  # noqa: E402
 
 mp.mp.dps = 25
 R0, U = 150, 10
@@ -59,7 +59,7 @@ def covariance(eta, lam, t, c=4.0):
     """Covariance at lag t for the stream and geometry roadcorr builds from
     the same float parameters."""
     eta, lam, t, c = (mp.mpf(float(x)) for x in (eta, lam, t, c))
-    reach = _deviation_reach(TrafficModel(float(lam), float(c)))
+    reach = TrafficModel(float(lam), float(c)).deviation_reach
     shift = U * t
     edge = reach * c
     points = {k * c for k in range(-reach, reach + 1)}

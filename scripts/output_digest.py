@@ -1,0 +1,75 @@
+"""One sha256 per output tree, to show that a change leaves every output bit.
+
+Prints a digest for each of:
+
+- canonical-run/run: `roadcorr run` on perfbench's canonical-run config;
+- occupancy-sweep/run and occupancy-sweep/pcf: `roadcorr run` and
+  `roadcorr pcf` on perfbench's occupancy-sweep config;
+- exact-dense/covariance: every field of the exact-quadrature covariance
+  breakdown over perfbench's exact-dense stream and lags.
+
+The configs are built by perfbench/workloads.config_text, at the seed given
+(perfbench's default seed otherwise). A tree's digest covers each file's
+path, relative to the output directory, and its bytes, manifest.json
+included. Run it in two checkouts and compare the lines.
+
+Usage:
+  python scripts/output_digest.py [SEED]
+
+Takes a few seconds on one core.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import workloads  # noqa: E402
+from roadcorr import NetworkGeometry, TrafficModel, analytic, cli  # noqa: E402
+
+
+def tree_digest(out_dir: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def cli_digest(workload: str, command: str, seed: int, scratch: Path) -> str:
+    config = scratch / f"{workload}.cfg"
+    config.write_text(workloads.config_text(workload, seed), encoding="utf-8")
+    out_dir = scratch / workload / command
+    code = cli.main([command, "--config", str(config), "--out", str(out_dir)])
+    if code != 0:
+        raise SystemExit(f"roadcorr {command} on {workload} exited with {code}")
+    return tree_digest(out_dir)
+
+
+def dense_digest() -> str:
+    traffic = TrafficModel.from_intensity(*workloads.DENSE_TRAFFIC)
+    g = workloads.GEOMETRY
+    geom = NetworkGeometry(guard_radius=g["r0"], pathloss_exponent=g["eta"], speed=g["u"])
+    digest = hashlib.sha256()
+    for t in np.linspace(*workloads.DENSE_LAGS):
+        b = analytic.covariance(float(t), traffic, geom, "exact-quadrature")
+        fields = (b.same_vehicle, b.distant_pairs, b.close_pairs, b.mean_sq, b.covariance)
+        digest.update(",".join(repr(float(v)) for v in fields).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def main(argv: list[str]) -> None:
+    seed = int(argv[0]) if argv else workloads.DEFAULT_SEED
+    with tempfile.TemporaryDirectory() as scratch:
+        for workload, command in (("canonical-run", "run"), ("occupancy-sweep", "run"),
+                                  ("occupancy-sweep", "pcf")):
+            print(f"{workload}/{command}", cli_digest(workload, command, seed, Path(scratch)))
+    print("exact-dense/covariance", dense_digest())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -14,7 +14,8 @@ pair correlation, closed forms with the squared-intensity far field
 ("pcf-approx"), and the small-occupancy expansion ("expansion").
 The same-vehicle term is the intensity times the gain autocorrelation K,
 in closed form, and the exact route's pair terms are one convolution of
-the pair density against K, integrated in one adaptive pass. The renewal
+the pair density against K, integrated in one adaptive pass out to the
+stream's deviation reach (TrafficModel.deviation_reach). The renewal
 far-field constants and the moments a finite window loses to the far field,
 which the simulator adds back, are closed forms here too (_losses).
 """
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _deviation_reach,
-                    _pair_correlation_array, mean_interference)
+from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _pair_correlation_array,
+                    mean_interference)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, hyp2f1,
                       integrate_finite)
 from .specfun import integrate_semi_infinite  # unused: perfbench's tracer wraps it here
@@ -199,19 +200,19 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     minimum gaps) by the pair density, part "deviation" every band within
     the deviation reach by the density minus the squared intensity.
     Lengths are in guard radii. The band edges (where the density jumps or
-    kinks) and K's kinks are breakpoints, so every piece is smooth.
+    kinks) and K's kinks are breakpoints, so every piece is smooth. Bands
+    of no width (min_gap 0 or vanishing against r0, or reach 0) give 0.
     """
-    c = traffic.min_gap
-    if c == 0.0:
-        return 0.0
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
     shift = t * geom.speed / r0
     if part == "close":
         first, last, offset = 1, 2, 0.0
     else:
-        first, last, offset = 0, _deviation_reach(traffic), traffic.intensity ** 2
-    edges = np.arange(first, last + 1) * c / r0
+        first, last, offset = 0, traffic.deviation_reach, traffic.intensity ** 2
+    edges = np.arange(first, last + 1) * traffic.min_gap / r0
+    if not edges[-1] > edges[0]:
+        return 0.0
     kinks = np.array([shift, abs(shift - 2.0), shift + 2.0])
     points = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
 
@@ -231,7 +232,7 @@ def variance(traffic: TrafficModel, geom: NetworkGeometry, method: str = "approx
     eta = geom.pathloss_exponent
     base = 4.0 * traffic.intensity * geom.guard_radius ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
     if method == "approx":
-        return base * (1.0 - traffic.intensity * traffic.min_gap)
+        return base * (1.0 - traffic.occupancy)
     if method == "ppp":
         return base
     raise ParameterError(f"unknown variance method {method!r}; expected 'approx' or 'ppp'")
@@ -249,29 +250,24 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     valid on [t_lo, t_hi]). The squared mean is cancelled symbolically, so
     the result does not suffer the near-equal-difference loss.
     """
+    if method not in COVARIANCE_METHODS:
+        raise ParameterError(
+            f"unknown covariance method {method!r}; expected one of {COVARIANCE_METHODS}"
+        )
     window = TimeLagWindow.from_params(traffic, geom)
+    lo, hi = (0.0, window.t_max) if method == "exact-quadrature" else (window.t_lo, window.t_hi)
+    _require_lag(t, lo, hi, f"covariance ({method})")
     mean = mean_interference(traffic, geom)
     mean_sq = mean * mean
-    if method == "exact-quadrature":
-        _require_lag(t, 0.0, window.t_max, "covariance (exact-quadrature)")
-        base = same_vehicle_term(t, traffic, geom)
-        close = _exact_pair_integral(t, traffic, geom, spec, "close")
-        excess = _exact_pair_integral(t, traffic, geom, spec, "deviation") - close
-    elif method == "pcf-approx":
-        _require_lag(t, window.t_lo, window.t_hi, "covariance (pcf-approx)")
-        base = same_vehicle_term(t, traffic, geom)
-        excess = _distant_excess_exact(t, traffic, geom)
-        close = close_pairs_numeric(t, traffic, geom, spec)
-    elif method == "expansion":
-        _require_lag(t, window.t_lo, window.t_hi, "covariance (expansion)")
-        base = same_vehicle_term(t, traffic, geom)
+    base = same_vehicle_term(t, traffic, geom)
+    if method == "expansion":
         occ = traffic.occupancy
         excess = -4.0 * occ * base
         close = occ * (2.0 + occ) * base
     else:
-        raise ParameterError(
-            f"unknown covariance method {method!r}; expected one of {COVARIANCE_METHODS}"
-        )
+        close = _exact_pair_integral(t, traffic, geom, spec, "close")
+        excess = (_exact_pair_integral(t, traffic, geom, spec, "deviation") - close
+                  if method == "exact-quadrature" else _distant_excess_exact(t, traffic, geom))
     return CovarianceBreakdown(
         same_vehicle=base,
         distant_pairs=mean_sq + excess,
@@ -310,7 +306,7 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     if method == "expansion":
         window = TimeLagWindow.from_params(traffic, geom)
         _require_lag(t, window.t_lo, window.t_hi, "rho (expansion)")
-        return (1.0 - traffic.intensity * traffic.min_gap) * rho_ppp(t, geom)
+        return (1.0 - traffic.occupancy) * rho_ppp(t, geom)
     if method == "pcf-approx":
         breakdown = covariance(t, traffic, geom, "pcf-approx", spec)
         return breakdown.covariance / variance(traffic, geom, "approx")
@@ -337,10 +333,8 @@ def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, flo
     m = 1.0 - occ
     cv2 = m * m
     edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    mean_q = 2.0 * traffic.intensity * r0 ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
-    var_s = cv2 * mean_q + 2.0 * edge * r0 ** (-2.0 * eta)
+    mean_q = 0.5 * variance(traffic, geom, "ppp")
+    var_s = cv2 * mean_q + 2.0 * edge * geom.guard_radius ** (-2.0 * geom.pathloss_exponent)
     return cv2, edge, var_s / (var_s + mean_q)
 
 
@@ -391,6 +385,6 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     same = lam * float(np.sum(_gain_tail(near, shift, eta)))
     edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
     edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
-    kept_q = 2.0 * lam * r0 ** -power / power - lost_q
+    kept_q = 0.5 * variance(traffic, geom, "ppp") - lost_q
     return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
             max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q)

@@ -3,7 +3,8 @@
 Two subcommands. `run` evaluates correlation-coefficient curves for each
 configured traffic model and method (analytic routes and simulation) over a
 lag grid. `pcf` emits the normalized pair correlation against separation in
-units of the minimum gap, with its far-field level for reference.
+units of the minimum gap, from one normalized_pair_correlation call per
+stream, with its far-field level for reference.
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: no
 timestamps, stable float repr, atomic writes.
@@ -24,10 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
-from .model import NetworkGeometry, TimeLagWindow, TrafficModel, _pair_correlation_array
-# Bound here for perfbench's tracer, which wraps it as the pcf command's
-# boundary into model; _pcf_rows no longer calls it.
-from .model import normalized_pair_correlation  # noqa: F401
+from .model import NetworkGeometry, TimeLagWindow, TrafficModel, normalized_pair_correlation
 from . import analytic, sim
 
 __all__ = ["RunConfig", "parse_config", "load_config_file", "main"]
@@ -250,17 +248,13 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
 
 def _pcf_rows(traffic: TrafficModel) -> list[list[object]]:
     """normalized_pair_correlation at k / PCF_POINTS_PER_GAP minimum gaps,
-    k = 1 .. PCF_POINTS_PER_GAP * PCF_MAX_GAPS, from one call of the
-    density on the whole grid: the same arithmetic, so the same values.
-    The grid stays inside the 64 gaps the density resolves."""
-    lam, c = traffic.intensity, traffic.min_gap
-    asymptote = 1.0 - lam * c
+    k = 1 .. PCF_POINTS_PER_GAP * PCF_MAX_GAPS, from one call on the whole
+    grid, with the far-field level 1 - occupancy. The grid stays inside
+    the 64 gaps the density resolves."""
     d_over_c = np.arange(1, PCF_POINTS_PER_GAP * PCF_MAX_GAPS + 1) / PCF_POINTS_PER_GAP
-    if c == 0.0:
-        values = np.ones_like(d_over_c)
-    else:
-        values = _pair_correlation_array(d_over_c * c, traffic) / (lam * traffic.gap_rate)
-    return [[x, value, asymptote, lam, c] for x, value in zip(d_over_c.tolist(), values.tolist())]
+    values = normalized_pair_correlation(d_over_c, traffic).tolist()
+    stream = [1.0 - traffic.occupancy, traffic.intensity, traffic.min_gap]
+    return [[x, value, *stream] for x, value in zip(d_over_c.tolist(), values)]
 
 
 def _artifact_name(kind: str, traffic: TrafficModel, method: str | None, fmt: str) -> str:

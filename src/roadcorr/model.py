@@ -1,7 +1,9 @@
 """Domain types for a 1-D stream of vehicles with a minimum spacing.
 
 Vehicle positions form a renewal process whose gaps are a hard minimum
-spacing plus an exponential overshoot. The receiver sits at the origin and
+spacing plus an exponential overshoot; TrafficModel holds what that gap law
+implies (gap rate, occupancy, deviation reach, Erlang normalisers), the
+costly parts derived once per stream. The receiver sits at the origin and
 ignores transmitters closer than a guard radius; beyond it, power decays as
 a pure power law.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import wrightomega
@@ -25,6 +28,10 @@ __all__ = [
     "normalized_pair_correlation",
     "mean_interference",
 ]
+
+# Beyond this many minimum gaps the pair correlation is taken to sit on its
+# squared-intensity asymptote.
+_ASYMPTOTE_CUTOFF_GAPS = 64.0
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,9 @@ class TrafficModel:
             raise ParameterError(f"intensity must be positive, got {self.intensity!r}")
         if not (math.isfinite(self.min_gap) and self.min_gap >= 0):
             raise ParameterError(f"min_gap must be nonnegative, got {self.min_gap!r}")
-        if self.intensity * self.min_gap >= 1.0:
-            raise ParameterError(
-                "intensity * min_gap must stay below 1 (jammed road), got "
-                f"{self.intensity * self.min_gap!r}"
-            )
+        if self.occupancy >= 1.0:
+            raise ParameterError(f"intensity * min_gap must stay below 1 (jammed road), "
+                                 f"got {self.occupancy!r}")
 
     @classmethod
     def from_intensity(cls, intensity: float, min_gap: float) -> "TrafficModel":
@@ -59,12 +64,50 @@ class TrafficModel:
     @property
     def gap_rate(self) -> float:
         """Rate of the exponential part of each gap."""
-        return self.intensity / (1.0 - self.intensity * self.min_gap)
+        return self.intensity / (1.0 - self.occupancy)
 
     @property
     def occupancy(self) -> float:
         """Fraction of road length covered by minimum gaps (intensity * min_gap)."""
         return self.intensity * self.min_gap
+
+    @cached_property
+    def deviation_reach(self) -> int:
+        """Number of minimum-gap bands until the pair correlation sits on its asymptote.
+
+        rho2 - intensity**2 is intensity * sum A_k exp(s_k d) over the poles
+        s_k != 0 of the gap law's Laplace transform rate e**(-s c) / (rate + s):
+        A_k = 1 / (c + 1 / (rate + s_k)) and (rate + s_k) c = W_k(x e**x), with
+        x = rate c (Feller, vol. II, ch. XI; Corless et al., 1996). The leading
+        pair's envelope of the relative deviation is 2 |A_1| / intensity *
+        exp(Re(s_1) d); W_1(x e**x) is the Wright omega function at
+        x + log x + 2 pi i, which never forms x e**x. Returns the smallest k
+        whose envelope at k c is <= 1e-10 (0 where rate * c is 0), or raises
+        ConvergenceError carrying the envelope at the last band resolved
+        before the 64-gap asymptote; the error is not cached.
+        """
+        x = self.gap_rate * self.min_gap
+        if x == 0.0:
+            return 0
+        w = wrightomega(complex(x + math.log(x), 2.0 * math.pi))
+        decay = x - w.real                                     # -Re(s_1) c
+        # log(envelope at 0 / 1e-10) as a sum, so a vanishing occupancy cannot overflow it
+        need = math.log(2.0 * abs(w / (1.0 + w))) - math.log(self.occupancy) + math.log(1e10)
+        left = need - decay * (_ASYMPTOTE_CUTOFF_GAPS - 1.0)   # nats above 1e-10 at the last band
+        if left > 0.0:
+            raise ConvergenceError(
+                f"pair correlation still deviates from its asymptote at "
+                f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {self.occupancy!r})",
+                best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
+                error_bound=1e-10 * math.exp(left),
+            )
+        return math.ceil(need / decay)
+
+    @cached_property
+    def _erlang_logs(self) -> tuple[float, np.ndarray]:
+        """log(gap_rate) and the column of lgamma(j) for the Erlang bands j = 2 .. 64."""
+        bands = range(2, int(_ASYMPTOTE_CUTOFF_GAPS) + 1)
+        return math.log(self.gap_rate), np.array([math.lgamma(j) for j in bands])[:, None]
 
 
 @dataclass(frozen=True)
@@ -176,11 +219,6 @@ def pathloss(r, geom: NetworkGeometry):
     return gains
 
 
-# Beyond this many minimum gaps the pair correlation is taken to sit on its
-# squared-intensity asymptote.
-_ASYMPTOTE_CUTOFF_GAPS = 64.0
-
-
 def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     """Vectorized core of pair_correlation; d must be nonnegative.
 
@@ -212,8 +250,8 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
         # 1.0 stands in where band j has not started: its log is 0, and its
         # term (zeroed below) is at most the Erlang density's peak, so finite.
         rem = np.where(inside, rem, 1.0)
-        lgammas = np.array([math.lgamma(k) for k in range(2, k_max + 1)])[:, None]
-        log_terms = j * math.log(rate) + (j - 1.0) * np.log(rem) - rate * rem - lgammas
+        log_rate, lgammas = traffic._erlang_logs
+        log_terms = j * log_rate + (j - 1.0) * np.log(rem) - rate * rem - lgammas[:k_max - 1]
         terms = np.where(inside, np.exp(log_terms), 0.0)
         for row in terms:
             total += row
@@ -221,68 +259,43 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     return out
 
 
-def _deviation_reach(traffic: TrafficModel) -> int:
-    """Number of minimum-gap bands until the pair correlation sits on its asymptote.
-
-    rho2 - intensity**2 is intensity * sum A_k exp(s_k d) over the poles
-    s_k != 0 of the gap law's Laplace transform rate e**(-s c) / (rate + s):
-    A_k = 1 / (c + 1 / (rate + s_k)) and (rate + s_k) c = W_k(x e**x), with
-    x = rate c (Feller, vol. II, ch. XI; Corless et al., 1996). The leading
-    pair's envelope of the relative deviation is 2 |A_1| / intensity *
-    exp(Re(s_1) d); W_1(x e**x) is the Wright omega function at
-    x + log x + 2 pi i, which never forms x e**x. Returns the smallest k
-    whose envelope at k c is <= 1e-10 (0 for a Poisson stream), or raises
-    ConvergenceError carrying the envelope at the last band resolved before
-    the 64-gap asymptote.
-    """
-    x = traffic.gap_rate * traffic.min_gap
-    if x == 0.0:
-        return 0
-    w = wrightomega(complex(x + math.log(x), 2.0 * math.pi))
-    decay = x - w.real                                     # -Re(s_1) c
-    need = math.log(2.0 * abs(w / (1.0 + w)) / traffic.occupancy / 1e-10)
-    left = need - decay * (_ASYMPTOTE_CUTOFF_GAPS - 1.0)   # nats above 1e-10 at the last band
-    if left > 0.0:
-        raise ConvergenceError(
-            f"pair correlation still deviates from its asymptote at "
-            f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
-            best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
-            error_bound=1e-10 * math.exp(left),
-        )
-    return math.ceil(need / decay)
+def _separations(d, what: str) -> np.ndarray:
+    arr = np.asarray(d, dtype=float)
+    if not np.all((arr >= 0.0) & (arr < math.inf)):
+        raise ParameterError(f"{what} must be finite and nonnegative, got {d!r}")
+    return arr
 
 
-def pair_correlation(d: float, traffic: TrafficModel) -> float:
+def pair_correlation(d, traffic: TrafficModel):
     """Second-order product density of the vehicle stream at separation d.
 
     Zero below the minimum spacing; on (k, k+1] minimum gaps it sums the k
     shifted Erlang renewal densities (higher orders evaluated in the log
     domain so they cannot overflow), times the intensity. Beyond 64
     minimum gaps the squared-intensity asymptote is returned, and
-    ConvergenceError (carrying _deviation_reach's leading-pole envelope of
-    the relative deviation left) is raised where it has not settled by then.
-    With min_gap == 0 the stream is Poisson and the density is flat.
+    ConvergenceError (carrying deviation_reach's envelope of the deviation
+    left) is raised where it has not settled by then. A Poisson stream
+    (min_gap 0) is flat. Takes a scalar (returns a float) or an array of
+    any shape; a NaN, infinite or negative entry raises ParameterError.
     """
-    if not (math.isfinite(d) and d >= 0):
-        raise ParameterError(f"separation must be nonnegative, got {d!r}")
-    if d > _ASYMPTOTE_CUTOFF_GAPS * traffic.min_gap:
-        _deviation_reach(traffic)
-    return float(_pair_correlation_array(np.array([d]), traffic)[0])
+    arr = _separations(d, "separation")
+    if np.any(arr > _ASYMPTOTE_CUTOFF_GAPS * traffic.min_gap):
+        traffic.deviation_reach                 # raises where the far field has not settled
+    values = _pair_correlation_array(arr, traffic)
+    return float(values) if values.ndim == 0 else values
 
 
-def normalized_pair_correlation(d_over_c: float, traffic: TrafficModel) -> float:
+def normalized_pair_correlation(d_over_c, traffic: TrafficModel):
     """Pair correlation at d_over_c minimum gaps, scaled by intensity * gap_rate.
 
     The scaling makes the value at the minimum spacing equal 1 and the
-    far-field asymptote equal 1 - intensity * min_gap. Identically 1 for a
-    Poisson stream (min_gap == 0).
+    far-field asymptote equal 1 - occupancy. Identically 1 for a Poisson
+    stream (min_gap == 0). Takes a scalar or an array, as pair_correlation.
     """
-    if not (math.isfinite(d_over_c) and d_over_c >= 0):
-        raise ParameterError(f"d_over_c must be nonnegative, got {d_over_c!r}")
+    arr = _separations(d_over_c, "d_over_c")
     if traffic.min_gap == 0.0:
-        return 1.0
-    d = d_over_c * traffic.min_gap
-    return pair_correlation(d, traffic) / (traffic.intensity * traffic.gap_rate)
+        return 1.0 if arr.ndim == 0 else np.ones_like(arr)
+    return pair_correlation(arr * traffic.min_gap, traffic) / (traffic.intensity * traffic.gap_rate)
 
 
 def mean_interference(traffic: TrafficModel, geom: NetworkGeometry) -> float:

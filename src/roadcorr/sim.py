@@ -110,12 +110,10 @@ def _equilibrium_delay(traffic: TrafficModel, first_uniform: float) -> np.ndarra
     intensity below c and exponential beyond it; a single uniform draw is
     inverted through that piecewise CDF.
     """
-    lam = traffic.intensity
-    c = traffic.min_gap
-    occupied = lam * c
     with np.errstate(divide="ignore"):
-        tail = c - np.log((1.0 - first_uniform) / (1.0 - occupied)) / traffic.gap_rate
-    return np.where(first_uniform < occupied, first_uniform / lam, tail)
+        tail = np.log((1.0 - first_uniform) / (1.0 - traffic.occupancy)) / traffic.gap_rate
+    tail = traffic.min_gap - tail
+    return np.where(first_uniform < traffic.occupancy, first_uniform / traffic.intensity, tail)
 
 
 def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_windows: int,

@@ -378,6 +378,25 @@ class TestPcfCommand:
         if c == 0.0:
             assert all(row[1] == 1.0 for row in rows)
 
+    def test_one_density_call_per_stream(self, tmp_path, monkeypatch):
+        """The pcf command reads the density through cli's
+        normalized_pair_correlation, one call on the whole grid per stream:
+        the boundary perfbench's tracer times."""
+        import roadcorr.cli
+        sizes = []
+        density = roadcorr.cli.normalized_pair_correlation
+
+        def counted(d_over_c, traffic):
+            sizes.append(len(d_over_c))
+            return density(d_over_c, traffic)
+
+        monkeypatch.setattr(roadcorr.cli, "normalized_pair_correlation", counted)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("traffic = lambda=0.05 c=0\ntraffic = lambda=0.05 c=4\n"
+                       "traffic = lambda=0.2 c=4\n", encoding="utf-8")
+        assert main(["pcf", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert sizes == [64, 64, 64]
+
     def test_pcf_default_config(self, tmp_path):
         out = tmp_path / "results"
         assert main(["pcf", "--out", str(out)]) == 0

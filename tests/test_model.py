@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
+import roadcorr.model
 from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
                       ParameterError, TimeLagWindow, TrafficModel, covariance,
                       integrate_semi_infinite, mean_interference,
-                      normalized_pair_correlation, pair_correlation, pathloss)
-from roadcorr.model import _deviation_reach, _pair_correlation_array
+                      normalized_pair_correlation, pair_correlation, pathloss, rho)
+from roadcorr.model import _pair_correlation_array
 
 
 class TestTrafficModel:
@@ -237,7 +238,7 @@ class TestDeviationReach:
         """On band reach, from reach to reach + 1 minimum gaps, the density
         sits within 1e-10 relative of the squared intensity."""
         stream = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
-        reach = _deviation_reach(stream)
+        reach = stream.deviation_reach
         d = stream.min_gap * (reach + np.linspace(0.0, 1.0, 2001))
         ratio = _pair_correlation_array(d, stream) / stream.intensity ** 2
         assert np.max(np.abs(ratio - 1.0)) <= 1e-10
@@ -246,12 +247,12 @@ class TestDeviationReach:
         """The reaches of the streams behind the frozen exact-route values
         (RHO_EXACT, EXACT_DENSE, MPMATH_COVARIANCE in test_analytic.py),
         which are integrated out to these bands."""
-        reaches = [_deviation_reach(TrafficModel.from_intensity(lam, 4.0))
+        reaches = [TrafficModel.from_intensity(lam, 4.0).deviation_reach
                    for lam in (0.02, 0.05, 0.1, 0.2)]
         assert reaches == [7, 9, 13, 52]
 
     def test_poisson_stream_has_no_deviation(self, traffic_ppp):
-        assert _deviation_reach(traffic_ppp) == 0
+        assert traffic_ppp.deviation_reach == 0
 
     @pytest.mark.parametrize("occupancy", [0.83, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_refuses_near_jam_with_a_finite_bound(self, occupancy, geom):
@@ -269,6 +270,91 @@ class TestDeviationReach:
         stream = TrafficModel.from_intensity(1e-12 / 4.0, 4.0)
         assert math.isfinite(covariance(5.0, stream, geom, "exact-quadrature").covariance)
         assert pair_correlation(65.0 * stream.min_gap, stream) == stream.intensity ** 2
+
+
+    def test_solved_once_per_stream(self, geom, monkeypatch):
+        """A 31-lag exact-route curve solves for the leading pole once."""
+        calls = []
+        omega = roadcorr.model.wrightomega
+
+        def counted(z):
+            calls.append(z)
+            return omega(z)
+
+        monkeypatch.setattr(roadcorr.model, "wrightomega", counted)
+        stream = TrafficModel.from_intensity(0.1, 4.0)
+        for t in np.linspace(0.0, 30.0, 31):
+            covariance(float(t), stream, geom, "exact-quadrature")
+        assert len(calls) == 1
+
+
+class TestVanishingMinimumGap:
+    """As min_gap tends to 0 every route tends to its Poisson (min_gap 0)
+    value. The hardcore corrections scale with the occupancy, at most 5e-22
+    here, so the tolerance is a few ulp: rel_tol 1e-15. At 5e-324 the
+    product rate * min_gap underflows to 0; at 1e-300 the reach's envelope
+    over the occupancy would overflow if formed as a quotient."""
+
+    GAPS = (5e-324, 1e-300, 1e-250, 1e-20)
+
+    @pytest.mark.parametrize("c", GAPS)
+    def test_covariance_and_rho_routes(self, c, geom, traffic_ppp):
+        stream = TrafficModel.from_intensity(traffic_ppp.intensity, c)
+        for method in ("exact-quadrature", "pcf-approx"):
+            assert math.isclose(covariance(5.0, stream, geom, method).covariance,
+                                covariance(5.0, traffic_ppp, geom, method).covariance,
+                                rel_tol=1e-15)
+        for method in ("expansion", "pcf-approx"):
+            assert math.isclose(rho(5.0, stream, geom, method),
+                                rho(5.0, traffic_ppp, geom, method), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("c", GAPS)
+    def test_densities_and_reach(self, c, traffic_ppp):
+        """The densities at and beyond one minimum gap (below it the
+        density is 0 for any min_gap > 0), and the reach's length, which
+        tends to the Poisson stream's 0."""
+        stream = TrafficModel.from_intensity(traffic_ppp.intensity, c)
+        for d in (1e-3, 1.0, 100.0):
+            assert math.isclose(pair_correlation(d, stream),
+                                pair_correlation(d, traffic_ppp), rel_tol=1e-15)
+        for d_over_c in (1.0, 1.5, 8.0, 100.0):
+            assert math.isclose(normalized_pair_correlation(d_over_c, stream),
+                                normalized_pair_correlation(d_over_c, traffic_ppp),
+                                rel_tol=1e-15)
+        assert stream.deviation_reach <= 2
+        assert stream.deviation_reach * c <= 2.0 * c
+
+
+class TestDensityArrays:
+    @pytest.mark.parametrize("density", [pair_correlation, normalized_pair_correlation])
+    def test_keeps_the_shape(self, density, traffic):
+        d = np.linspace(0.0, 70.0, 24).reshape(4, 6)
+        values = density(d, traffic)
+        assert values.shape == (4, 6)
+        assert values.tobytes() == density(d.ravel(), traffic).tobytes()
+
+    @pytest.mark.parametrize("density", [pair_correlation, normalized_pair_correlation])
+    @pytest.mark.parametrize("stream", [(0.05, 4.0), (0.05, 0.0)])
+    def test_scalar_and_zero_d_give_a_float(self, density, stream):
+        stream = TrafficModel.from_intensity(*stream)
+        for d in (6.0, np.float64(6.0), np.array(6.0)):
+            value = density(d, stream)
+            assert type(value) is float
+            assert value == density(np.array([6.0]), stream)[0]
+
+    @pytest.mark.parametrize("density", [pair_correlation, normalized_pair_correlation])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_any_bad_entry_raises(self, density, bad, traffic, traffic_ppp):
+        for stream in (traffic, traffic_ppp):
+            with pytest.raises(ParameterError):
+                density(np.array([[1.0, 2.0], [bad, 3.0]]), stream)
+
+    def test_an_unsettled_entry_raises(self):
+        jammed = TrafficModel.from_intensity(0.225, 4.0)
+        with pytest.raises(ConvergenceError, match="64 minimum gaps"):
+            pair_correlation(np.array([4.0, 65.0 * 4.0]), jammed)
+        with pytest.raises(ConvergenceError, match="64 minimum gaps"):
+            normalized_pair_correlation(np.array([1.0, 65.0]), jammed)
 
 
 class TestNormalizedPairCorrelation:
