@@ -6,10 +6,15 @@ Prints a digest for each of:
 - occupancy-sweep/run and occupancy-sweep/pcf: `roadcorr run` and
   `roadcorr pcf` on perfbench's occupancy-sweep config;
 - exact-dense/covariance: every field of the exact-quadrature covariance
-  breakdown over perfbench's exact-dense stream and lags.
+  breakdown over perfbench's exact-dense stream and lags;
+- edges/run: `roadcorr run` with all four methods on 151 lags over [0, 30]
+  and streams at c = 0, 4, r0 / 2 and just past it, so every method's
+  valid/invalid decision at t_lo, t_hi and t_max, and on a stream whose lag
+  window is empty, is covered.
 
-The configs are built by perfbench/workloads.config_text, at the seed given
-(perfbench's default seed otherwise). A tree's digest covers each file's
+The perfbench configs are built by perfbench/workloads.config_text, and the
+edges config by edges_config_text, at the seed given (perfbench's default
+seed otherwise). A tree's digest covers each file's
 path, relative to the output directory, and its bytes, manifest.json
 included. Run it in two checkouts and compare the lines.
 
@@ -40,9 +45,23 @@ def tree_digest(out_dir: Path) -> str:
     return digest.hexdigest()
 
 
+def edges_config_text(seed: int) -> str:
+    """Streams (lambda, c) = (0.05, 0), (0.05, 4), (0.005, 75) and
+    (0.005, 80) in the canonical geometry: c = 75 is half the guard
+    radius, where t_lo = t_hi, and c = 80 leaves only ppp a lag window."""
+    lines = [f"{k} = {v!r}" for k, v in workloads.GEOMETRY.items()]
+    lines += [f"traffic = lambda={lam!r} c={c!r}"
+              for lam, c in ((0.05, 0.0), (0.05, 4.0), (0.005, 75.0), (0.005, 80.0))]
+    lines += ["t_lo = 0.0", "t_hi = 30.0", "t_points = 151",
+              "methods = ppp, expansion, pcf-approx, simulation",
+              "n_samples = 1000", f"seed = {seed}"]
+    return "\n".join(lines) + "\n"
+
+
 def cli_digest(workload: str, command: str, seed: int, scratch: Path) -> str:
     config = scratch / f"{workload}.cfg"
-    config.write_text(workloads.config_text(workload, seed), encoding="utf-8")
+    text = edges_config_text(seed) if workload == "edges" else workloads.config_text(workload, seed)
+    config.write_text(text, encoding="utf-8")
     out_dir = scratch / workload / command
     code = cli.main([command, "--config", str(config), "--out", str(out_dir)])
     if code != 0:
@@ -66,7 +85,7 @@ def main(argv: list[str]) -> None:
     seed = int(argv[0]) if argv else workloads.DEFAULT_SEED
     with tempfile.TemporaryDirectory() as scratch:
         for workload, command in (("canonical-run", "run"), ("occupancy-sweep", "run"),
-                                  ("occupancy-sweep", "pcf")):
+                                  ("occupancy-sweep", "pcf"), ("edges", "run")):
             print(f"{workload}/{command}", cli_digest(workload, command, seed, Path(scratch)))
     print("exact-dense/covariance", dense_digest())
 

@@ -17,7 +17,9 @@ in closed form, and the exact route's pair terms are one convolution of
 the pair density against K, integrated in one adaptive pass out to the
 stream's deviation reach (TrafficModel.deviation_reach). The renewal
 far-field constants and the moments a finite window loses to the far field,
-which the simulator adds back, are closed forms here too (_losses).
+which the simulator adds back, are closed forms here too (_losses). One
+rule, _lag_range, decides which lags each route serves, the simulation's
+included; every lag check and the CLI's valid column read it.
 """
 
 from __future__ import annotations
@@ -77,9 +79,40 @@ class CovarianceBreakdown:
             )
 
 
-def _require_lag(t: float, lo: float, hi: float, what: str) -> None:
+def _lag_range(route: str, traffic: TrafficModel | None,
+               geom: NetworkGeometry) -> tuple[float, float]:
+    """The lags [lo, hi] at which a route is evaluated; every lag check reads it.
+
+    [t_lo, t_hi] for the closed pair forms ("expansion", "pcf-approx");
+    [0, 2 r0 / u] for "ppp", from the geometry alone, so it holds on any
+    stream; [0, t_max] for every other route ("exact-quadrature",
+    "simulation") and the same-vehicle term. Except for "ppp", raises
+    DomainError where TimeLagWindow.from_params does.
+    """
+    if route == "ppp":
+        return 0.0, 2.0 * geom.guard_radius / geom.speed
+    window = TimeLagWindow.from_params(traffic, geom)
+    if route in ("expansion", "pcf-approx"):
+        return window.t_lo, window.t_hi
+    return 0.0, window.t_max
+
+
+def _require_lag(t: float, route: str, traffic: TrafficModel | None,
+                 geom: NetworkGeometry, what: str) -> None:
+    lo, hi = _lag_range(route, traffic, geom)
     if not (math.isfinite(t) and lo <= t <= hi):
         raise DomainError(f"{what} requires lag in [{lo!r}, {hi!r}] s, got {t!r}")
+
+
+def _lags_served(route: str, traffic: TrafficModel, geom: NetworkGeometry,
+                 lags: list[float]) -> list[int]:
+    """Indices of the lags the route evaluates: those in its _lag_range,
+    none where that range is empty (min_gap above half the guard radius)."""
+    try:
+        lo, hi = _lag_range(route, traffic, geom)
+    except DomainError:
+        return []
+    return [i for i, t in enumerate(lags) if lo <= t <= hi]
 
 
 # The 15-point Kronrod rule on three panels of [0, 1], weights summing to 2: K's crossing piece.
@@ -124,8 +157,7 @@ def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) ->
     Valid for lags in [0, t_max]. Equals the Poisson-stream covariance; the
     hardcore structure does not enter a single-vehicle average.
     """
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, 0.0, window.t_max, "same_vehicle_term")
+    _require_lag(t, "same-vehicle", traffic, geom, "same_vehicle_term")
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
     return (traffic.intensity * r0 ** (1.0 - 2.0 * eta)
@@ -139,10 +171,11 @@ def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry
     lam = traffic.intensity
     gap2 = 2.0 * traffic.min_gap
     shift = t * geom.speed
-    z = np.array([-(gap2 + shift), gap2 - shift]) / r0    # far, near
     lead = lam * lam * r0 ** (2.0 - 2.0 * eta)
-    lower = hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, z)
-    upper = z * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, z)
+    lower, upper = [], []
+    for z in (-(gap2 + shift) / r0, (gap2 - shift) / r0):   # far, near
+        lower.append(hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, z))
+        upper.append(z * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, z))
     return float(lead / (eta - 1.0) ** 2 * (lower[0] - lower[1])
                  + 2.0 * lead / ((2.0 * eta - 1.0) * (eta - 1.0)) * (upper[1] - upper[0]))
 
@@ -155,8 +188,7 @@ def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) 
     beyond two minimum gaps is replaced by its squared-intensity far field,
     which is what the pcf-approx covariance route uses.
     """
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, window.t_lo, window.t_hi, "distant_pairs_exact")
+    _require_lag(t, "pcf-approx", traffic, geom, "distant_pairs_exact")
     mean = mean_interference(traffic, geom)
     return mean * mean + _distant_excess_exact(t, traffic, geom)
 
@@ -172,8 +204,7 @@ def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     lag is held to [t_lo, t_hi], the window of the distant-pair closed form
     it is paired with.
     """
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, window.t_lo, window.t_hi, "close_pairs_numeric")
+    _require_lag(t, "pcf-approx", traffic, geom, "close_pairs_numeric")
     return _exact_pair_integral(t, traffic, geom, spec, "close")
 
 
@@ -182,8 +213,7 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
 
     Equals occupancy * (2 + occupancy) times the same-vehicle term.
     """
-    window = TimeLagWindow.from_params(traffic, geom)
-    _require_lag(t, window.t_lo, window.t_hi, "close_pairs_expansion")
+    _require_lag(t, "expansion", traffic, geom, "close_pairs_expansion")
     occ = traffic.occupancy
     return occ * (2.0 + occ) * same_vehicle_term(t, traffic, geom)
 
@@ -254,9 +284,7 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
         raise ParameterError(
             f"unknown covariance method {method!r}; expected one of {COVARIANCE_METHODS}"
         )
-    window = TimeLagWindow.from_params(traffic, geom)
-    lo, hi = (0.0, window.t_max) if method == "exact-quadrature" else (window.t_lo, window.t_hi)
-    _require_lag(t, lo, hi, f"covariance ({method})")
+    _require_lag(t, method, traffic, geom, f"covariance ({method})")
     mean = mean_interference(traffic, geom)
     mean_sq = mean * mean
     base = same_vehicle_term(t, traffic, geom)
@@ -284,8 +312,7 @@ def rho_ppp(t: float, geom: NetworkGeometry) -> float:
     Equals 0.5 at zero lag (the independent-fading floor) and decays with
     the lag; valid on [0, t_max].
     """
-    t_max = 2.0 * geom.guard_radius / geom.speed
-    _require_lag(t, 0.0, t_max, "rho_ppp")
+    _require_lag(t, "ppp", None, geom, "rho_ppp")
     eta = geom.pathloss_exponent
     return 0.5 * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta,
                         -t * geom.speed / geom.guard_radius)
@@ -304,8 +331,7 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     if method == "ppp":
         return rho_ppp(t, geom)
     if method == "expansion":
-        window = TimeLagWindow.from_params(traffic, geom)
-        _require_lag(t, window.t_lo, window.t_hi, "rho (expansion)")
+        _require_lag(t, "expansion", traffic, geom, "rho (expansion)")
         return (1.0 - traffic.occupancy) * rho_ppp(t, geom)
     if method == "pcf-approx":
         breakdown = covariance(t, traffic, geom, "pcf-approx", spec)

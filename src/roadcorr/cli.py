@@ -2,9 +2,12 @@
 
 Two subcommands. `run` evaluates correlation-coefficient curves for each
 configured traffic model and method (analytic routes and simulation) over a
-lag grid. `pcf` emits the normalized pair correlation against separation in
-units of the minimum gap, from one normalized_pair_correlation call per
-stream, with its far-field level for reference.
+lag grid. A method is evaluated at the grid lags its range serves, the one
+rule in analytic._lag_range, and written invalid at the others; a
+DomainError at a lag it serves propagates. `pcf` emits the normalized pair
+correlation against separation in units of the minimum gap, from one
+normalized_pair_correlation call per stream, with its far-field level for
+reference.
 
 Outputs are deterministic byte-for-byte for a fixed config and seed: no
 timestamps, stable float repr, atomic writes.
@@ -24,13 +27,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConvergenceError, DomainError, ParameterError
-from .model import NetworkGeometry, TimeLagWindow, TrafficModel, normalized_pair_correlation
+from .errors import ConfigError, ConvergenceError, ParameterError
+from .model import NetworkGeometry, TrafficModel, normalized_pair_correlation
 from . import analytic, sim
 
 __all__ = ["RunConfig", "parse_config", "load_config_file", "main"]
 
-KNOWN_METHODS = ("ppp", "expansion", "pcf-approx", "simulation")
+KNOWN_METHODS = analytic.RHO_METHODS + ("simulation",)
 CSV_HEADER = "t,value,stderr,method,lambda,c,r0,eta,u,valid"
 PCF_HEADER = "d_over_c,value,asymptote,lambda,c"
 PCF_POINTS_PER_GAP = 8
@@ -218,28 +221,22 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
                 ) -> tuple[list[list[object]], list[int], float | None]:
     """CSV rows of one curve, the indices of its invalid points, and, for a
     simulated curve, the largest bound on the truncation bias of rho over
-    its simulated lags (None when no lag was simulated)."""
+    its simulated lags (None when no lag was simulated).
+
+    The lags the method serves (analytic._lags_served) are evaluated and
+    the others are invalid; an error at a served lag propagates."""
     lam, c = traffic.intensity, traffic.min_gap
     grid = [float(t) for t in config.t_grid()]
+    inside = analytic._lags_served(method, traffic, geom, grid)
     values: dict[int, tuple[float, float | None]] = {}
     bias_bound = None
-    if method == "simulation":
-        try:
-            t_max = TimeLagWindow.from_params(traffic, geom).t_max
-            inside = [i for i, t in enumerate(grid) if t <= t_max]
-        except DomainError:
-            inside = []
-        if inside:
-            results = sim.estimate_curve(traffic, geom, [grid[i] for i in inside],
-                                         config.n_samples, config.seed)
-            values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
-            bias_bound = max(r.bias_bound for r in results)
-    else:
-        for i, t in enumerate(grid):
-            try:
-                values[i] = (analytic.rho(t, traffic, geom, method), None)
-            except DomainError:
-                pass
+    if method != "simulation":
+        values = {i: (analytic.rho(grid[i], traffic, geom, method), None) for i in inside}
+    elif inside:
+        results = sim.estimate_curve(traffic, geom, [grid[i] for i in inside],
+                                     config.n_samples, config.seed)
+        values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
+        bias_bound = max(r.bias_bound for r in results)
     rows = [[t, *values.get(i, (None, None)), method, lam, c,
              config.r0, config.eta, config.u, i in values]
             for i, t in enumerate(grid)]
@@ -271,13 +268,13 @@ def _emit(config: RunConfig, header: str, name: str,
 
 
 def _config_manifest(config: RunConfig) -> dict[str, object]:
-    return {
-        "traffics": [{"lambda": lam, "c": c} for lam, c in config.traffics],
-        "r0": config.r0, "eta": config.eta, "u": config.u,
-        "t_lo": config.t_lo, "t_hi": config.t_hi, "t_points": config.t_points,
-        "methods": list(config.methods),
-        "n_samples": config.n_samples, "seed": config.seed, "format": config.fmt,
-    }
+    """The config as manifest.json records it: every config-file scalar but
+    the output directory, the traffic lines and the methods."""
+    manifest: dict[str, object] = {key: getattr(config, attr)
+                                   for key, (attr, _) in _SCALARS.items() if key != "out"}
+    manifest["traffics"] = [{"lambda": lam, "c": c} for lam, c in config.traffics]
+    manifest["methods"] = list(config.methods)
+    return manifest
 
 
 def _write_manifest(config: RunConfig, command: str,

@@ -291,11 +291,17 @@ def normalized_pair_correlation(d_over_c, traffic: TrafficModel):
     The scaling makes the value at the minimum spacing equal 1 and the
     far-field asymptote equal 1 - occupancy. Identically 1 for a Poisson
     stream (min_gap == 0). Takes a scalar or an array, as pair_correlation.
+    Raises DomainError where the scale underflows to 0 (an intensity
+    below about 1e-162 at a positive min_gap).
     """
     arr = _separations(d_over_c, "d_over_c")
     if traffic.min_gap == 0.0:
         return 1.0 if arr.ndim == 0 else np.ones_like(arr)
-    return pair_correlation(arr * traffic.min_gap, traffic) / (traffic.intensity * traffic.gap_rate)
+    scale = traffic.intensity * traffic.gap_rate
+    if scale == 0.0:
+        raise DomainError(f"intensity {traffic.intensity!r} is too small to normalize: "
+                          f"intensity * gap_rate underflows to 0")
+    return pair_correlation(arr * traffic.min_gap, traffic) / scale
 
 
 def mean_interference(traffic: TrafficModel, geom: NetworkGeometry) -> float:

@@ -13,7 +13,9 @@ guard zone and a guard-zone diameter on each side of it, whatever the
 sample count; what the vehicles beyond it carry is added back in closed
 form (analytic._losses; Cox, Renewal Theory, 1962). Every window of the
 stream has the stationary law, so the same correction, and the bound on
-the bias it leaves, applies to every realization.
+the bias it leaves, applies to every realization. The lags served are
+[0, t_max], as analytic._lag_range gives them for the simulation route:
+estimate_curve refuses any other, and the window is sized for t_max.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _losses
+from .analytic import _lag_range, _losses, _require_lag
 from .errors import DomainError, EstimationError, ParameterError
-from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _gain_in_place,
-                    mean_interference)
+from .model import NetworkGeometry, TrafficModel, _gain_in_place, mean_interference
 
 __all__ = [
     "CorrelationEstimate",
@@ -82,7 +83,8 @@ class CorrelationEstimate:
 def default_window(traffic: TrafficModel, geom: NetworkGeometry,
                    t: float) -> tuple[float, float]:
     """Sampling window [-(W + u t), W] for lags up to t, with
-    W = guard_radius + speed * t_max = 3 guard_radius.
+    W = guard_radius + speed * t_max = 3 guard_radius, t_max the largest
+    lag the simulation serves (analytic._lag_range).
 
     Every vehicle outside it lies at least speed * t_max, a guard-zone
     diameter, beyond the guard zone at both slots of every lag up to t,
@@ -93,7 +95,7 @@ def default_window(traffic: TrafficModel, geom: NetworkGeometry,
     on every benchmark stream, and measured below 1e-7
     (scripts/window_bias.py).
     """
-    half = geom.guard_radius + geom.speed * TimeLagWindow.from_params(traffic, geom).t_max
+    half = geom.guard_radius + geom.speed * _lag_range("simulation", traffic, geom)[1]
     return (-(half + geom.speed * t), half)
 
 
@@ -231,10 +233,8 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     lags = [float(t) for t in t_grid]
     if not lags:
         raise ParameterError("t_grid must hold at least one lag")
-    lag_window = TimeLagWindow.from_params(traffic, geom)
     for t in lags:
-        if not (math.isfinite(t) and 0.0 <= t <= lag_window.t_max):
-            raise DomainError(f"lag must lie in [0.0, {lag_window.t_max!r}] s, got {t!r}")
+        _require_lag(t, "simulation", traffic, geom, "estimate_curve")
     if n_samples < MIN_SAMPLES:
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if window is None:

@@ -1,14 +1,17 @@
 """Tests for the analytic covariance and correlation routes."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
 from roadcorr.analytic import (
+    COVARIANCE_METHODS,
     CovarianceBreakdown,
     _gain_kernel,
+    _lags_served,
     close_pairs_expansion,
     close_pairs_numeric,
     covariance,
@@ -18,8 +21,10 @@ from roadcorr.analytic import (
     same_vehicle_term,
     variance,
 )
+from roadcorr.cli import KNOWN_METHODS
 from roadcorr.errors import ConvergenceError, DomainError, ParameterError
 from roadcorr.model import NetworkGeometry, TrafficModel, mean_interference
+from roadcorr.sim import estimate_curve
 from roadcorr.specfun import QuadratureSpec
 
 # Reference values for the canonical configuration (intensity 0.05 /m,
@@ -445,3 +450,68 @@ class TestRho:
     def test_unknown_method_rejected(self, traffic, geom):
         with pytest.raises(ParameterError):
             rho(5.0, traffic, geom, "monte-carlo")
+
+
+class TestLagRule:
+    """Every route evaluates exactly at the lags its rule gives, written
+    out here: [t_lo, t_hi] = [2c / u, 2 (r0 - c) / u] for the closed pair
+    forms, [0, 2 r0 / u] for ppp on any stream, and [0, t_max] =
+    [0, 2 r0 / u] for the exact route, the simulation and the same-vehicle
+    term. A stream with c > r0 / 2 has no lag window, so only ppp
+    evaluates on it. Everywhere else a route raises DomainError. The lags
+    are t_lo, t_hi and t_max with one floating-point step on each side."""
+
+    ROUTES = {
+        **{f"rho {m}": partial(rho, method=m) for m in KNOWN_METHODS if m != "simulation"},
+        **{f"covariance {m}": partial(covariance, method=m) for m in COVARIANCE_METHODS},
+        "same_vehicle_term": same_vehicle_term,
+        "distant_pairs_exact": distant_pairs_exact,
+        "close_pairs_numeric": close_pairs_numeric,
+        "close_pairs_expansion": close_pairs_expansion,
+    }
+    PAIR_FORMS = {"rho expansion", "rho pcf-approx", "covariance expansion",
+                  "covariance pcf-approx", "distant_pairs_exact", "close_pairs_numeric",
+                  "close_pairs_expansion"}
+
+    @classmethod
+    def inside(cls, route, c, geom, lags):
+        """The lags the route must evaluate on a stream with min gap c."""
+        r0, u = geom.guard_radius, geom.speed
+        if route == "rho ppp":
+            lo, hi = 0.0, 2.0 * r0 / u
+        elif c > r0 / 2.0:
+            return []
+        elif route in cls.PAIR_FORMS:
+            lo, hi = 2.0 * c / u, 2.0 * (r0 - c) / u
+        else:
+            lo, hi = 0.0, 2.0 * r0 / u
+        return [t for t in lags if lo <= t <= hi]
+
+    @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.005, 75.0), (0.005, 80.0)])
+    def test_routes_evaluate_exactly_where_the_rule_says(self, lam, c, geom):
+        traffic = TrafficModel.from_intensity(lam, c)
+        r0, u = geom.guard_radius, geom.speed
+        edges = {2.0 * c / u, 2.0 * (r0 - c) / u, 2.0 * r0 / u}
+        lags = sorted(edges | {float(np.nextafter(t, side)) for t in edges
+                               for side in (-np.inf, np.inf)})
+        for route, fn in self.ROUTES.items():
+            inside = self.inside(route, c, geom, lags)
+            for t in lags:
+                if t in inside:
+                    value = fn(t, traffic, geom)
+                    assert math.isfinite(getattr(value, "covariance", value)), (route, t)
+                else:
+                    with pytest.raises(DomainError):
+                        fn(t, traffic, geom)
+        inside = self.inside("simulation", c, geom, lags)
+        if inside:
+            curve = estimate_curve(traffic, geom, inside, 1000, 20260816)
+            assert all(math.isfinite(est.rho) for est in curve)
+        for t in sorted(set(lags) - set(inside)):
+            with pytest.raises(DomainError):
+                estimate_curve(traffic, geom, [t], 1000, 20260816)
+        # the CLI's filter serves the same lags
+        for method in KNOWN_METHODS:
+            route = method if method == "simulation" else f"rho {method}"
+            assert [lags[i] for i in _lags_served(method, traffic, geom, lags)] \
+                == self.inside(route, c, geom, lags)

@@ -13,9 +13,10 @@ import types
 
 import pytest
 
+from roadcorr import analytic
 from roadcorr.analytic import rho
 from roadcorr.cli import RunConfig, _pcf_rows, load_config_file, main, parse_config
-from roadcorr.errors import ConfigError
+from roadcorr.errors import ConfigError, DomainError
 from roadcorr.sim import estimate_curve
 from roadcorr.model import (
     NetworkGeometry,
@@ -244,6 +245,20 @@ class TestRunCommand:
         entry = manifest["files"]["curve_simulation_lam0.005_c80.0.csv"]
         assert entry["invalid_points"] == [0, 1, 2, 3]
         assert "truncation_bias_bound" not in entry
+
+    def test_domain_error_inside_the_range_propagates(self, tmp_path, monkeypatch):
+        """Only lags outside a method's range are written as invalid; a
+        DomainError at a lag the method serves is an error, not a blank."""
+        real = analytic.rho
+
+        def failing(t, *args, **kwargs):
+            if t == 15.0:
+                raise DomainError("injected at t = 15")
+            return real(t, *args, **kwargs)
+
+        monkeypatch.setattr(analytic, "rho", failing)
+        with pytest.raises(DomainError, match="injected"):
+            self.run_main(tmp_path, self.ANALYTIC)
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         code, out = self.run_main(

@@ -373,6 +373,16 @@ class TestNormalizedPairCorrelation:
         for d_over_c in (0.5, 1.0, 7.0):
             assert normalized_pair_correlation(d_over_c, traffic_ppp) == 1.0
 
+    @pytest.mark.parametrize("lam", [1e-170, 1e-200])
+    def test_underflowing_scale_raises(self, lam):
+        """At c = 1 the scale intensity * gap_rate underflows to 0 below an
+        intensity of about 1e-162: a scalar and an array both raise
+        DomainError naming the intensity, not ZeroDivisionError or NaN."""
+        faint = TrafficModel.from_intensity(lam, 1.0)
+        for d_over_c in (2.0, np.array([1.0, 2.0])):
+            with pytest.raises(DomainError, match=f"intensity {lam!r}"):
+                normalized_pair_correlation(d_over_c, faint)
+
 
 class TestMeanInterference:
     def test_closed_form(self, traffic, geom):
