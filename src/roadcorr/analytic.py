@@ -123,9 +123,10 @@ _PANEL_W = np.tile(_GK_WK, 3) / 3.0
 def _gain_tail(a, s, eta: float):
     """The integral of x**-eta * (x + s)**-eta over x > a, for a > 0 and
     s >= 0: a**(1 - 2 eta) / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -s / a).
-    Takes scalars or arrays."""
+    Takes scalars or arrays. The power is numpy's, so a scalar a rounds as
+    an entry of an array a would (float ** can differ in the last bit)."""
     power = 2.0 * eta - 1.0
-    return a ** -power / power * hyp2f1(power, eta, 2.0 * eta, -s / a)
+    return np.power(a, -power) / power * hyp2f1(power, eta, 2.0 * eta, -s / a)
 
 
 def _gain_kernel(s, eta: float):
@@ -244,7 +245,9 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     if not edges[-1] > edges[0]:
         return 0.0
     kinks = np.array([shift, abs(shift - 2.0), shift + 2.0])
-    points = np.union1d(edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])
+    # the sorted distinct values np.union1d gives, without the numpy.ma it loads
+    points = np.sort(np.concatenate((edges, kinks[(kinks > edges[0]) & (kinks < edges[-1])])))
+    points = points[np.concatenate(([True], points[1:] != points[:-1]))]
 
     def integrand(d: np.ndarray) -> np.ndarray:
         gains = _gain_kernel(np.add.outer(d, (shift, -shift)), eta).sum(axis=1)
@@ -404,11 +407,12 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     cv2, edge, rho0 = _far_field(traffic, geom)
     slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
     slot_t = np.array([w_hi + shift, -w_lo - shift])
-    near = np.minimum(slot_0, slot_t)
     lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
                                          + slot_t ** (1.0 - eta))) / (eta - 1.0)
     lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
-    same = lam * float(np.sum(_gain_tail(near, shift, eta)))
+    # one scalar tail per side: hyp2f1 on a 2-element array costs five times as much
+    same = lam * float(_gain_tail(min(w_hi, w_hi + shift), shift, eta)
+                       + _gain_tail(min(-w_lo, -w_lo - shift), shift, eta))
     edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
     edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
     kept_q = 0.5 * variance(traffic, geom, "ppp") - lost_q

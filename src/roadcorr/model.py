@@ -10,12 +10,12 @@ a pure power law.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .errors import ConvergenceError, DomainError, ParameterError
 
@@ -32,6 +32,26 @@ __all__ = [
 # Beyond this many minimum gaps the pair correlation is taken to sit on its
 # squared-intensity asymptote.
 _ASYMPTOTE_CUTOFF_GAPS = 64.0
+# Newton steps allowed to _wright_omega; it takes at most five from 0 to a jam.
+_OMEGA_STEPS = 32
+
+
+def _wright_omega(z: complex) -> complex:
+    """Wright omega at z off its branch cuts: the w with w + Log w = z.
+
+    Newton's method from z - Log z, each step (w + Log w - z) * w / (w + 1),
+    stops once a step is at most 4e-16 |w| (a tighter bound can stall on the
+    last ulp). Raises ConvergenceError, carrying the last w and step, if
+    _OMEGA_STEPS steps do not get there.
+    """
+    w = z - cmath.log(z)
+    for _ in range(_OMEGA_STEPS):
+        step = (w + cmath.log(w) - z) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 4e-16 * abs(w):
+            return w
+    raise ConvergenceError(f"Wright omega at {z!r} did not settle in {_OMEGA_STEPS} Newton steps",
+                           best_estimate=w, error_bound=abs(step))
 
 
 @dataclass(frozen=True)
@@ -81,7 +101,8 @@ class TrafficModel:
         x = rate c (Feller, vol. II, ch. XI; Corless et al., 1996). The leading
         pair's envelope of the relative deviation is 2 |A_1| / intensity *
         exp(Re(s_1) d); W_1(x e**x) is the Wright omega function at
-        x + log x + 2 pi i, which never forms x e**x. Returns the smallest k
+        x + log x + 2 pi i, which never forms x e**x, solved by Newton's
+        method in pure Python (_wright_omega). Returns the smallest k
         whose envelope at k c is <= 1e-10 (0 where rate * c is 0), or raises
         ConvergenceError carrying the envelope at the last band resolved
         before the 64-gap asymptote; the error is not cached.
@@ -89,7 +110,7 @@ class TrafficModel:
         x = self.gap_rate * self.min_gap
         if x == 0.0:
             return 0
-        w = wrightomega(complex(x + math.log(x), 2.0 * math.pi))
+        w = _wright_omega(complex(x + math.log(x), 2.0 * math.pi))
         decay = x - w.real                                     # -Re(s_1) c
         # log(envelope at 0 / 1e-10) as a sum, so a vanishing occupancy cannot overflow it
         need = math.log(2.0 * abs(w / (1.0 + w))) - math.log(self.occupancy) + math.log(1e10)

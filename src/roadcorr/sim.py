@@ -26,6 +26,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+# by name, so numpy.random loads with the package rather than on the first draw
+from numpy.random import Generator, Philox
 
 from .analytic import _lag_range, _losses, _require_lag
 from .errors import DomainError, EstimationError, ParameterError
@@ -44,11 +46,11 @@ MIN_SAMPLES = 1000
 N_BLOCKS = 20
 
 
-def _block_rng(seed: int, index: int) -> np.random.Generator:
+def _block_rng(seed: int, index: int) -> Generator:
     if not 0 <= operator.index(seed) < 2 ** 64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed!r}")
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def _equilibrium_delay(traffic: TrafficModel, first_uniform: float) -> np.ndarra
 
 
 def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_windows: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                    rng: Generator) -> tuple[np.ndarray, np.ndarray]:
     """One stationary stream cut into n_windows consecutive windows.
 
     The stream starts at w_lo from the equilibrium delay and is cut at the
@@ -151,7 +153,7 @@ def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_window
 
 def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
                 n_rows: int, window: tuple[float, float],
-                rng: np.random.Generator) -> np.ndarray:
+                rng: Generator) -> np.ndarray:
     """Additive moment sums of n_rows realizations, one row of sums per lag.
 
     Given the positions, unit-mean exponential fading independent per

@@ -4,7 +4,9 @@ One adaptive Gauss-Kronrod rule integrates every range: a finite one
 split at the caller's breakpoints, a semi-infinite one after mapping it
 onto (0, 1]. Everything here is deterministic: the same inputs always
 produce the same floating point outputs, so results can be frozen into
-regression tests.
+regression tests. All of it needs numpy alone except
+upper_incomplete_gamma, which imports scipy.special on its first call, so
+importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError, ParameterError
 
@@ -322,8 +323,11 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     (where the library routine is unavailable) are reached by repeatedly
     applying Gamma(a, x) = (Gamma(a + 1, x) - x**a * exp(-x)) / a downward
     from a base order in (0, 1], or from Gamma(0, x) = E1(x) when a is a
-    nonpositive integer. Requires x > 0 when a <= 0.
+    nonpositive integer. Requires x > 0 when a <= 0. Imports scipy.special
+    on its first call.
     """
+    from scipy import special as _sp
+
     if not (math.isfinite(a) and math.isfinite(x)):
         raise ParameterError(f"arguments must be finite, got a = {a!r}, x = {x!r}")
     if a > 0.0:

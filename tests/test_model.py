@@ -275,17 +275,56 @@ class TestDeviationReach:
     def test_solved_once_per_stream(self, geom, monkeypatch):
         """A 31-lag exact-route curve solves for the leading pole once."""
         calls = []
-        omega = roadcorr.model.wrightomega
+        omega = roadcorr.model._wright_omega
 
         def counted(z):
             calls.append(z)
             return omega(z)
 
-        monkeypatch.setattr(roadcorr.model, "wrightomega", counted)
+        monkeypatch.setattr(roadcorr.model, "_wright_omega", counted)
         stream = TrafficModel.from_intensity(0.1, 4.0)
         for t in np.linspace(0.0, 30.0, 31):
             covariance(float(t), stream, geom, "exact-quadrature")
         assert len(calls) == 1
+
+    # c = 4 from a vanishing occupancy to within 1e-12 of a jam, both refusing past ~0.83
+    OMEGA_OCCUPANCIES = np.concatenate([np.geomspace(1e-6, 0.5, 300),
+                                        1.0 - np.geomspace(1e-12, 0.5, 300)])
+
+    def test_omega_matches_scipy(self):
+        """The Newton solve agrees with scipy's wrightomega within 4 ulp
+        wherever deviation_reach calls it."""
+        from scipy.special import wrightomega
+
+        for occupancy in self.OMEGA_OCCUPANCIES:
+            x = TrafficModel.from_intensity(occupancy / 4.0, 4.0).gap_rate * 4.0
+            z = complex(x + math.log(x), 2.0 * math.pi)
+            expected = wrightomega(z)
+            assert abs(roadcorr.model._wright_omega(z) - expected) <= 4 * 2.0 ** -52 * abs(expected)
+
+    def test_reach_matches_scipy_omega(self, monkeypatch):
+        """deviation_reach by the Newton solve gives the reach it gives with
+        scipy's wrightomega, or both refuse with ConvergenceError."""
+        from scipy.special import wrightomega
+
+        def reach(occupancy):
+            try:
+                return TrafficModel.from_intensity(occupancy / 4.0, 4.0).deviation_reach
+            except ConvergenceError:
+                return "refused"
+
+        ours = [reach(o) for o in self.OMEGA_OCCUPANCIES]
+        monkeypatch.setattr(roadcorr.model, "_wright_omega", wrightomega)
+        assert ours == [reach(o) for o in self.OMEGA_OCCUPANCIES]
+        assert "refused" in ours and len(set(ours)) > 20   # many reaches, and refusals
+
+    def test_omega_refuses_when_steps_run_out(self, monkeypatch):
+        """With too few Newton steps the solve raises, never returns an unsettled w."""
+        monkeypatch.setattr(roadcorr.model, "_OMEGA_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="Newton steps") as info:
+            roadcorr.model._wright_omega(complex(-20.0, 2.0 * math.pi))
+        assert isinstance(info.value.best_estimate, complex)
+        assert 0.0 < info.value.error_bound < math.inf
 
 
 class TestVanishingMinimumGap:
