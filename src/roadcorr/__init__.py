@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      EstimationError, ParameterError)
-from .model import (NetworkGeometry, TimeLagWindow, TrafficModel,
+from .model import (NetworkGeometry, TrafficModel,
                     mean_interference, normalized_pair_correlation,
                     pair_correlation, pathloss)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, hyp2f1,
@@ -28,7 +28,7 @@ __all__ = [
     "__version__",
     "ConfigError", "ConvergenceError", "DomainError", "EstimationError",
     "ParameterError",
-    "NetworkGeometry", "TimeLagWindow", "TrafficModel", "mean_interference",
+    "NetworkGeometry", "TrafficModel", "mean_interference",
     "normalized_pair_correlation", "pair_correlation", "pathloss",
     "DEFAULT_QUADRATURE", "QuadratureSpec", "hyp2f1", "integrate_finite",
     "integrate_semi_infinite", "upper_incomplete_gamma",

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import (NetworkGeometry, TimeLagWindow, TrafficModel, _pair_correlation_array,
-                    mean_interference)
+from .model import NetworkGeometry, TrafficModel, _pair_correlation_array, mean_interference
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, hyp2f1,
                       integrate_finite)
 from .specfun import integrate_semi_infinite  # unused: perfbench's tracer wraps it here
@@ -83,18 +82,32 @@ def _lag_range(route: str, traffic: TrafficModel | None,
                geom: NetworkGeometry) -> tuple[float, float]:
     """The lags [lo, hi] at which a route is evaluated; every lag check reads it.
 
-    [t_lo, t_hi] for the closed pair forms ("expansion", "pcf-approx");
-    [0, 2 r0 / u] for "ppp", from the geometry alone, so it holds on any
-    stream; [0, t_max] for every other route ("exact-quadrature",
-    "simulation") and the same-vehicle term. Except for "ppp", raises
-    DomainError where TimeLagWindow.from_params does.
+    t_lo = 2 min_gap / speed is the lag beyond which the nearest-neighbor
+    bands have fully cleared their zero-lag overlap, t_hi =
+    2 (guard_radius - min_gap) / speed the lag at which a neighbor band
+    first reaches the far guard boundary, and t_max = 2 guard_radius / speed
+    the lag at which a vehicle can cross the whole guard zone. The closed
+    pair forms ("expansion", "pcf-approx") hold on [t_lo, t_hi]; every
+    other route serves [0, t_max]: "ppp" from the geometry alone, so on any
+    stream, and "exact-quadrature", "simulation" and the same-vehicle term.
+    Except for "ppp", raises DomainError where the window is empty (min_gap
+    above half the guard radius) or t_max is not finite. Otherwise
+    0 <= t_lo <= t_hi <= t_max: rounding is monotone, so min_gap <=
+    guard_radius / 2 keeps guard_radius - min_gap >= min_gap.
     """
+    t_max = 2.0 * geom.guard_radius / geom.speed
     if route == "ppp":
-        return 0.0, 2.0 * geom.guard_radius / geom.speed
-    window = TimeLagWindow.from_params(traffic, geom)
+        return 0.0, t_max
+    c = traffic.min_gap
+    if c > geom.guard_radius / 2.0:
+        raise DomainError(f"min_gap {c!r} exceeds half the guard radius "
+                          f"{geom.guard_radius!r}; the lag window would be empty")
+    if not math.isfinite(t_max):
+        raise DomainError(f"lag window [0, {t_max!r}] is not finite: guard radius "
+                          f"{geom.guard_radius!r} over speed {geom.speed!r} overflows")
     if route in ("expansion", "pcf-approx"):
-        return window.t_lo, window.t_hi
-    return 0.0, window.t_max
+        return 2.0 * c / geom.speed, 2.0 * (geom.guard_radius - c) / geom.speed
+    return 0.0, t_max
 
 
 def _require_lag(t: float, route: str, traffic: TrafficModel | None,

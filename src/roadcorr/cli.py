@@ -4,7 +4,7 @@ Two subcommands. `run` evaluates correlation-coefficient curves for each
 configured traffic model and method (analytic routes and simulation) over a
 lag grid. A method is evaluated at the grid lags its range serves, the one
 rule in analytic._lag_range, and written invalid at the others; a
-DomainError at a lag it serves propagates. `pcf` emits the normalized pair
+DomainError at a lag it serves fails the run. `pcf` emits the normalized pair
 correlation against separation in units of the minimum gap, from one
 normalized_pair_correlation call per stream, with its far-field level for
 reference.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConvergenceError, ParameterError
+from .errors import ConfigError, ConvergenceError, DomainError, EstimationError, ParameterError
 from .model import NetworkGeometry, TrafficModel, normalized_pair_correlation
 from . import analytic, sim
 
@@ -364,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
+    except (DomainError, EstimationError) as exc:
+        print(f"evaluation failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

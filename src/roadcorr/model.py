@@ -22,7 +22,6 @@ from .errors import ConvergenceError, DomainError, ParameterError
 __all__ = [
     "TrafficModel",
     "NetworkGeometry",
-    "TimeLagWindow",
     "pathloss",
     "pair_correlation",
     "normalized_pair_correlation",
@@ -155,43 +154,6 @@ class NetworkGeometry:
             raise ParameterError(f"speed must be positive, got {self.speed!r}")
 
 
-@dataclass(frozen=True)
-class TimeLagWindow:
-    """Time-lag regime boundaries for the correlation formulas.
-
-    t_lo is the lag beyond which the nearest-neighbor bands have fully
-    cleared their zero-lag overlap (2 * min_gap / speed), t_hi the lag at
-    which a neighbor band first reaches the far guard boundary
-    (2 * (guard_radius - min_gap) / speed), and t_max the lag at which a
-    vehicle can cross the whole guard zone (2 * guard_radius / speed).
-    The closed-form pair approximations hold on [t_lo, t_hi].
-    """
-
-    t_lo: float
-    t_hi: float
-    t_max: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.t_lo <= self.t_hi <= self.t_max) or not math.isfinite(self.t_max):
-            raise DomainError(
-                f"window must satisfy 0 <= t_lo <= t_hi <= t_max, got "
-                f"({self.t_lo!r}, {self.t_hi!r}, {self.t_max!r})"
-            )
-
-    @classmethod
-    def from_params(cls, traffic: TrafficModel, geom: NetworkGeometry) -> "TimeLagWindow":
-        if traffic.min_gap > geom.guard_radius / 2.0:
-            raise DomainError(
-                f"min_gap {traffic.min_gap!r} exceeds half the guard radius "
-                f"{geom.guard_radius!r}; the lag window would be empty"
-            )
-        return cls(
-            t_lo=2.0 * traffic.min_gap / geom.speed,
-            t_hi=2.0 * (geom.guard_radius - traffic.min_gap) / geom.speed,
-            t_max=2.0 * geom.guard_radius / geom.speed,
-        )
-
-
 def _gain_in_place(dist: np.ndarray, geom: NetworkGeometry, silent: np.ndarray) -> None:
     """Overwrite finite distances dist >= 0 with their gains; silent is a
     bool buffer of dist's shape that receives dist <= guard_radius.
@@ -306,22 +268,29 @@ def pair_correlation(d, traffic: TrafficModel):
     return float(values) if values.ndim == 0 else values
 
 
+def _pair_density_scale(traffic: TrafficModel) -> float:
+    """intensity * gap_rate, the pair density at the minimum spacing, which
+    normalizes it; raises DomainError where it underflows to 0 (an
+    intensity below about 1e-162 at min_gap 1)."""
+    scale = traffic.intensity * traffic.gap_rate
+    if scale == 0.0:
+        raise DomainError(f"intensity {traffic.intensity!r} is too small to normalize: "
+                          f"intensity * gap_rate underflows to 0")
+    return scale
+
+
 def normalized_pair_correlation(d_over_c, traffic: TrafficModel):
     """Pair correlation at d_over_c minimum gaps, scaled by intensity * gap_rate.
 
     The scaling makes the value at the minimum spacing equal 1 and the
     far-field asymptote equal 1 - occupancy. Identically 1 for a Poisson
     stream (min_gap == 0). Takes a scalar or an array, as pair_correlation.
-    Raises DomainError where the scale underflows to 0 (an intensity
-    below about 1e-162 at a positive min_gap).
+    Raises DomainError where the scale underflows to 0 (_pair_density_scale).
     """
     arr = _separations(d_over_c, "d_over_c")
     if traffic.min_gap == 0.0:
         return 1.0 if arr.ndim == 0 else np.ones_like(arr)
-    scale = traffic.intensity * traffic.gap_rate
-    if scale == 0.0:
-        raise DomainError(f"intensity {traffic.intensity!r} is too small to normalize: "
-                          f"intensity * gap_rate underflows to 0")
+    scale = _pair_density_scale(traffic)
     return pair_correlation(arr * traffic.min_gap, traffic) / scale
 
 

@@ -31,7 +31,8 @@ from numpy.random import Generator, Philox
 
 from .analytic import _lag_range, _losses, _require_lag
 from .errors import DomainError, EstimationError, ParameterError
-from .model import NetworkGeometry, TrafficModel, _gain_in_place, mean_interference
+from .model import (NetworkGeometry, TrafficModel, _gain_in_place, _pair_density_scale,
+                    mean_interference)
 
 __all__ = [
     "CorrelationEstimate",
@@ -322,34 +323,34 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
     w_lo, w_hi = window
     if (w_hi - w_lo) * traffic.intensity < 100.0:
         raise DomainError("window must cover at least one hundred mean spacings")
+    scale = _pair_density_scale(traffic)
     edges = bin_width * np.arange(bins + 1)
     max_d = edges[-1]
     pos, sizes = _stream_windows(traffic, window, n_realizations, _block_rng(seed, 0))
     owner = np.repeat(np.arange(n_realizations), sizes)
-    # Every pair j < k < upper[j] within one window, laid out j by j as k = j + 1 + offset.
-    upper = np.minimum(np.searchsorted(pos, pos + max_d, side="right"),
-                       np.cumsum(sizes)[owner])
-    index = np.arange(pos.size)
-    lengths = upper - index - 1
-    first = np.repeat(index, lengths)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    seps = pos[first + 1 + offset] - pos[first]
-    owner = owner[first]
-    # np.histogram's edge rule: bin k is [e_k, e_k+1), the last bin also
-    # holds max_d, and longer separations are dropped (none is negative).
-    bin_index = np.searchsorted(edges, seps, side="right") - 1
-    bin_index[seps == max_d] = bins - 1
-    kept = bin_index < bins
-    counts = np.bincount(owner[kept] * bins + bin_index[kept],
-                         minlength=n_realizations * bins).reshape(n_realizations, bins)
-    counts = 2.0 * counts  # unordered pairs counted once above; density is ordered
+    counts = np.zeros(n_realizations * bins, dtype=np.intp)
+    # Pairs `order` vehicles apart, order = 1, 2, ...: separations grow with the
+    # order, and a pair that spans a window edge spans it at every higher order,
+    # so the first order that keeps no pair ends the count.
+    for order in range(1, pos.size):
+        seps = pos[order:] - pos[:-order]
+        kept = (owner[order:] == owner[:-order]) & (seps <= max_d)
+        if not kept.any():
+            break
+        seps = seps[kept]
+        # np.histogram's edge rule: bin k is [e_k, e_k+1), and the last bin also holds max_d.
+        bin_index = np.searchsorted(edges, seps, side="right") - 1
+        bin_index[seps == max_d] = bins - 1
+        counts += np.bincount(owner[order:][kept] * bins + bin_index,
+                              minlength=n_realizations * bins)
+    # each unordered pair was counted once; the density is of ordered pairs
+    counts = 2.0 * counts.reshape(n_realizations, bins)
     length = w_hi - w_lo
     measure = 2.0 * bin_width * (length - 0.5 * (edges[:-1] + edges[1:]))
     mean_counts = counts.mean(axis=0)
     se_counts = counts.std(axis=0, ddof=1) / math.sqrt(n_realizations)
     density = mean_counts / measure
     se = se_counts / measure
-    scale = traffic.intensity * traffic.gap_rate
     return PairDistanceHistogram(
         bin_edges=edges,
         density=density,

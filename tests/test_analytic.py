@@ -11,6 +11,7 @@ from roadcorr.analytic import (
     COVARIANCE_METHODS,
     CovarianceBreakdown,
     _gain_kernel,
+    _lag_range,
     _lags_served,
     close_pairs_expansion,
     close_pairs_numeric,
@@ -486,6 +487,33 @@ class TestLagRule:
         else:
             lo, hi = 0.0, 2.0 * r0 / u
         return [t for t in lags if lo <= t <= hi]
+
+    def test_canonical_boundaries(self, traffic, geom):
+        for route in ("expansion", "pcf-approx"):
+            assert _lag_range(route, traffic, geom) == (2.0 * 4.0 / 10.0,
+                                                        2.0 * (150.0 - 4.0) / 10.0)
+        for route in ("ppp", "exact-quadrature", "simulation", "same-vehicle"):
+            assert _lag_range(route, traffic, geom) == (0.0, 2.0 * 150.0 / 10.0)
+
+    def test_poisson_window_starts_at_zero(self, traffic_ppp, geom):
+        assert _lag_range("pcf-approx", traffic_ppp, geom) == (0.0, 30.0)
+        assert _lag_range("exact-quadrature", traffic_ppp, geom) == (0.0, 30.0)
+
+    def test_rejects_gap_wider_than_half_guard(self, geom):
+        wide = TrafficModel.from_intensity(0.005, 80.0)
+        for route in ("expansion", "pcf-approx", "exact-quadrature", "simulation"):
+            with pytest.raises(DomainError, match="half the guard radius"):
+                _lag_range(route, wide, geom)
+        assert _lag_range("ppp", wide, geom) == (0.0, 30.0)
+
+    def test_rejects_overflowing_t_max(self, traffic):
+        """2 r0 / u overflows: only ppp, which reads the geometry alone,
+        still answers, with an unbounded range."""
+        huge = NetworkGeometry(guard_radius=1e308, pathloss_exponent=3.0, speed=1e-300)
+        for route in ("expansion", "pcf-approx", "exact-quadrature", "simulation"):
+            with pytest.raises(DomainError, match="not finite"):
+                _lag_range(route, traffic, huge)
+        assert _lag_range("ppp", traffic, huge) == (0.0, math.inf)
 
     @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.005, 75.0), (0.005, 80.0)])
     def test_routes_evaluate_exactly_where_the_rule_says(self, lam, c, geom):

@@ -246,9 +246,10 @@ class TestRunCommand:
         assert entry["invalid_points"] == [0, 1, 2, 3]
         assert "truncation_bias_bound" not in entry
 
-    def test_domain_error_inside_the_range_propagates(self, tmp_path, monkeypatch):
+    def test_domain_error_inside_the_range_propagates(self, tmp_path, monkeypatch, capsys):
         """Only lags outside a method's range are written as invalid; a
-        DomainError at a lag the method serves is an error, not a blank."""
+        DomainError at a lag the method serves is an error, not a blank:
+        one stderr line, exit 3 and no manifest."""
         real = analytic.rho
 
         def failing(t, *args, **kwargs):
@@ -257,8 +258,21 @@ class TestRunCommand:
             return real(t, *args, **kwargs)
 
         monkeypatch.setattr(analytic, "rho", failing)
-        with pytest.raises(DomainError, match="injected"):
-            self.run_main(tmp_path, self.ANALYTIC)
+        code, out = self.run_main(tmp_path, self.ANALYTIC)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["evaluation failure: injected at t = 15"]
+        assert not (out / "manifest.json").exists()
+
+    def test_degenerate_simulation_exits_3(self, tmp_path, capsys):
+        """At 1e-9 vehicles per meter no realization holds a vehicle outside
+        the guard zone: the EstimationError ends the run with one stderr
+        line, exit 3 and no manifest."""
+        code, out = self.run_main(tmp_path, "traffic = lambda=1e-9 c=4\nmethods = simulation\n"
+                                            "n_samples = 1000\n")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("evaluation failure: degenerate sample")
+        assert not (out / "manifest.json").exists()
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         code, out = self.run_main(
@@ -411,6 +425,18 @@ class TestPcfCommand:
                        "traffic = lambda=0.2 c=4\n", encoding="utf-8")
         assert main(["pcf", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert sizes == [64, 64, 64]
+
+    def test_underflowing_scale_exits_3(self, tmp_path, capsys):
+        """normalized_pair_correlation refuses a stream whose scale
+        underflows: one stderr line naming the intensity, exit 3 and no
+        manifest."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("traffic = lambda=1e-200 c=1\n", encoding="utf-8")
+        out = tmp_path / "results"
+        assert main(["pcf", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("evaluation failure: intensity 1e-200")
+        assert not (out / "manifest.json").exists()
 
     def test_pcf_default_config(self, tmp_path):
         out = tmp_path / "results"

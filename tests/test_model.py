@@ -7,7 +7,7 @@ import pytest
 import oracles
 import roadcorr.model
 from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
-                      ParameterError, TimeLagWindow, TrafficModel, covariance,
+                      ParameterError, TrafficModel, covariance,
                       integrate_semi_infinite, mean_interference,
                       normalized_pair_correlation, pair_correlation, pathloss, rho)
 from roadcorr.model import _pair_correlation_array
@@ -49,28 +49,6 @@ class TestNetworkGeometry:
         base = dict(guard_radius=150.0, pathloss_exponent=3.0, speed=10.0)
         with pytest.raises(ParameterError):
             NetworkGeometry(**{**base, **kwargs})
-
-
-class TestTimeLagWindow:
-    def test_canonical_boundaries(self, traffic, geom):
-        window = TimeLagWindow.from_params(traffic, geom)
-        assert window.t_lo == 2.0 * 4.0 / 10.0
-        assert window.t_hi == 2.0 * (150.0 - 4.0) / 10.0
-        assert window.t_max == 2.0 * 150.0 / 10.0
-
-    def test_poisson_window_starts_at_zero(self, traffic_ppp, geom):
-        window = TimeLagWindow.from_params(traffic_ppp, geom)
-        assert window.t_lo == 0.0
-        assert window.t_hi == window.t_max == 30.0
-
-    def test_rejects_disordered_boundaries(self):
-        with pytest.raises(DomainError):
-            TimeLagWindow(t_lo=5.0, t_hi=2.0, t_max=30.0)
-
-    def test_rejects_gap_wider_than_half_guard(self, geom):
-        wide = TrafficModel.from_intensity(0.005, 80.0)
-        with pytest.raises(DomainError):
-            TimeLagWindow.from_params(wide, geom)
 
 
 class TestPathloss:

@@ -6,8 +6,8 @@ correction rests on."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadcorr import NetworkGeometry, TimeLagWindow, TrafficModel
-from roadcorr.analytic import _far_field, covariance, rho_ppp, same_vehicle_term
+from roadcorr import NetworkGeometry, TrafficModel
+from roadcorr.analytic import _far_field, _lag_range, covariance, rho_ppp, same_vehicle_term
 
 # Derandomised, so every run draws the same examples, and few of them: an
 # example runs one or two exact-route quadratures of a few ms each.
@@ -35,8 +35,8 @@ def test_poisson_model_overstates_the_exact_correlation(eta, c, occupancy, where
     it is not asserted there: at eta 6, c 4, occupancy 0.8 and t 29.2,
     rho_exact is 0.00208 against rho_ppp 0.00116."""
     traffic, geom = _stream(eta, c, occupancy)
-    window = TimeLagWindow.from_params(traffic, geom)
-    t = window.t_lo + where * (window.t_hi - window.t_lo)
+    t_lo, t_hi = _lag_range("pcf-approx", traffic, geom)
+    t = t_lo + where * (t_hi - t_lo)
     var = same_vehicle_term(0.0, traffic, geom) + _exact_cov(0.0, traffic, geom)
     exact = _exact_cov(t, traffic, geom) / var
     assert -1.0 <= exact <= 1.0

@@ -634,6 +634,13 @@ class TestPairDistanceHistogram:
             with pytest.raises(DomainError):
                 pair_distance_histogram(traffic, bad_window, 10, 16, SEED)
 
+    def test_underflowing_scale_raises(self):
+        """intensity * gap_rate underflows to 0 at 1e-170 vehicles per
+        meter and c = 1: DomainError naming the intensity, not NaN."""
+        faint = TrafficModel(1e-170, 1.0)
+        with pytest.raises(DomainError, match="intensity 1e-170"):
+            pair_distance_histogram(faint, (0.0, 2e172), 2, 4, 1)
+
     def test_pinned_output(self, traffic):
         hist = pair_distance_histogram(traffic, (-1024.0, 1024.0), 20, 24, SEED)
         for k, (density, se) in HISTOGRAM_PINS.items():
