@@ -10,7 +10,10 @@ Prints a digest for each of:
 - edges/run: `roadcorr run` with all four methods on 151 lags over [0, 30]
   and streams at c = 0, 4, r0 / 2 and just past it, so every method's
   valid/invalid decision at t_lo, t_hi and t_max, and on a stream whose lag
-  window is empty, is covered.
+  window is empty, is covered;
+- edges/pcf: `roadcorr pcf` on the same four streams;
+- edges/run.json: edges/run with `--format json`, the one line that
+  covers the JSON writer.
 
 The perfbench configs are built by perfbench/workloads.config_text, and the
 edges config by edges_config_text, at the seed given (perfbench's default
@@ -58,12 +61,12 @@ def edges_config_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cli_digest(workload: str, command: str, seed: int, scratch: Path) -> str:
+def cli_digest(workload: str, command: str, fmt: str, seed: int, scratch: Path) -> str:
     config = scratch / f"{workload}.cfg"
     text = edges_config_text(seed) if workload == "edges" else workloads.config_text(workload, seed)
     config.write_text(text, encoding="utf-8")
-    out_dir = scratch / workload / command
-    code = cli.main([command, "--config", str(config), "--out", str(out_dir)])
+    out_dir = scratch / workload / f"{command}.{fmt}"
+    code = cli.main([command, "--config", str(config), "--out", str(out_dir), "--format", fmt])
     if code != 0:
         raise SystemExit(f"roadcorr {command} on {workload} exited with {code}")
     return tree_digest(out_dir)
@@ -84,9 +87,12 @@ def dense_digest() -> str:
 def main(argv: list[str]) -> None:
     seed = int(argv[0]) if argv else workloads.DEFAULT_SEED
     with tempfile.TemporaryDirectory() as scratch:
-        for workload, command in (("canonical-run", "run"), ("occupancy-sweep", "run"),
-                                  ("occupancy-sweep", "pcf"), ("edges", "run")):
-            print(f"{workload}/{command}", cli_digest(workload, command, seed, Path(scratch)))
+        for workload, command, fmt in (
+                ("canonical-run", "run", "csv"), ("occupancy-sweep", "run", "csv"),
+                ("occupancy-sweep", "pcf", "csv"), ("edges", "run", "csv"),
+                ("edges", "pcf", "csv"), ("edges", "run", "json")):
+            label = f"{workload}/{command}" + ("" if fmt == "csv" else f".{fmt}")
+            print(label, cli_digest(workload, command, fmt, seed, Path(scratch)))
     print("exact-dense/covariance", dense_digest())
 
 

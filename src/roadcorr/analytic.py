@@ -25,6 +25,7 @@ included; every lag check and the CLI's valid column read it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,8 +294,12 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     pair correlation (valid on [0, t_max]); "pcf-approx" uses the closed
     distant-pair form plus the same first-neighbor band integral;
     "expansion" uses the second-order occupancy expansion of both (each
-    valid on [t_lo, t_hi]). The squared mean is cancelled symbolically, so
-    the result does not suffer the near-equal-difference loss.
+    valid on [t_lo, t_hi]), whose total is the one product
+    (1 - occupancy)**2 times the same-vehicle term, formed as such so that
+    it does not cancel at high occupancy; its distant excess is that total
+    minus the same-vehicle and close-pair terms. The squared mean is
+    cancelled symbolically, so the result does not suffer the
+    near-equal-difference loss.
     """
     if method not in COVARIANCE_METHODS:
         raise ParameterError(
@@ -306,18 +311,20 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     base = same_vehicle_term(t, traffic, geom)
     if method == "expansion":
         occ = traffic.occupancy
-        excess = -4.0 * occ * base
         close = occ * (2.0 + occ) * base
+        total = (1.0 - occ) ** 2 * base
+        excess = total - base - close
     else:
         close = _exact_pair_integral(t, traffic, geom, spec, "close")
         excess = (_exact_pair_integral(t, traffic, geom, spec, "deviation") - close
                   if method == "exact-quadrature" else _distant_excess_exact(t, traffic, geom))
+        total = base + excess + close
     return CovarianceBreakdown(
         same_vehicle=base,
         distant_pairs=mean_sq + excess,
         close_pairs=close,
         mean_sq=mean_sq,
-        covariance=base + excess + close,
+        covariance=total,
         method=method,
     )
 
@@ -342,7 +349,10 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     "ppp" ignores the hardcore structure entirely; "expansion" scales the
     Poisson coefficient by (1 - occupancy); "pcf-approx" divides the
     pcf-approx covariance by the thinned variance. The latter two are valid
-    on [t_lo, t_hi].
+    on [t_lo, t_hi]. "pcf-approx" raises DomainError where that variance
+    falls below the smallest normal float (as at a guard radius of 1e300,
+    an exponent of 500 or an intensity of 5e-324): a subnormal divisor has
+    already lost its digits, and a zero one has none.
     """
     if method == "ppp":
         return rho_ppp(t, geom)
@@ -351,7 +361,12 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
         return (1.0 - traffic.occupancy) * rho_ppp(t, geom)
     if method == "pcf-approx":
         breakdown = covariance(t, traffic, geom, "pcf-approx", spec)
-        return breakdown.covariance / variance(traffic, geom, "approx")
+        var = variance(traffic, geom, "approx")
+        if not var >= sys.float_info.min:
+            raise DomainError(f"variance {var!r} is below the smallest normal float "
+                              f"at guard radius {geom.guard_radius!r}, exponent "
+                              f"{geom.pathloss_exponent!r} and intensity {traffic.intensity!r}")
+        return breakdown.covariance / var
     raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
 
 

@@ -9,8 +9,13 @@ correlation against separation in units of the minimum gap, from one
 normalized_pair_correlation call per stream, with its far-field level for
 reference.
 
-Outputs are deterministic byte-for-byte for a fixed config and seed: no
-timestamps, stable float repr, atomic writes.
+Both commands check the whole config, the geometry and every traffic line,
+before they create the output directory. Each then hands its artifacts,
+every one a name, a header, rows and its own manifest fields, to one
+writer, _write, which writes each file atomically and lists it with its
+row count and sha256 in manifest.json. Outputs are deterministic
+byte-for-byte for a fixed config and seed: no timestamps, stable float
+repr, atomic writes.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -216,12 +222,26 @@ def _rows_to_json(header: str, rows: list[list[object]]) -> str:
     return json.dumps(objs, sort_keys=True, indent=0) + "\n"
 
 
-def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
-                geom: NetworkGeometry
-                ) -> tuple[list[list[object]], list[int], float | None]:
-    """CSV rows of one curve, the indices of its invalid points, and, for a
-    simulated curve, the largest bound on the truncation bias of rho over
-    its simulated lags (None when no lag was simulated).
+class _Artifact(NamedTuple):
+    """One output file; fields are its manifest entry's beyond rows and sha256."""
+
+    name: str
+    header: str
+    rows: list[list[object]]
+    fields: dict[str, object]
+
+
+def _artifact_name(kind: str, traffic: TrafficModel, method: str | None, fmt: str) -> str:
+    middle = f"_{method}" if method else ""
+    return f"{kind}{middle}_lam{traffic.intensity!r}_c{traffic.min_gap!r}.{fmt}"
+
+
+def _curve(config: RunConfig, traffic: TrafficModel, method: str,
+           geom: NetworkGeometry) -> _Artifact:
+    """One method's rho curve over the lag grid. Its manifest fields are the
+    indices of its invalid points and, for a simulated curve with a
+    simulated lag, the largest bound on the truncation bias of rho over
+    those lags.
 
     The lags the method serves (analytic._lags_served) are evaluated and
     the others are invalid; an error at a served lag propagates."""
@@ -229,18 +249,20 @@ def _curve_rows(config: RunConfig, traffic: TrafficModel, method: str,
     grid = [float(t) for t in config.t_grid()]
     inside = analytic._lags_served(method, traffic, geom, grid)
     values: dict[int, tuple[float, float | None]] = {}
-    bias_bound = None
+    fields: dict[str, object] = {}
     if method != "simulation":
         values = {i: (analytic.rho(grid[i], traffic, geom, method), None) for i in inside}
     elif inside:
         results = sim.estimate_curve(traffic, geom, [grid[i] for i in inside],
                                      config.n_samples, config.seed)
         values = {i: (r.rho, r.se_rho) for i, r in zip(inside, results)}
-        bias_bound = max(r.bias_bound for r in results)
+        fields["truncation_bias_bound"] = max(r.bias_bound for r in results)
     rows = [[t, *values.get(i, (None, None)), method, lam, c,
              config.r0, config.eta, config.u, i in values]
             for i, t in enumerate(grid)]
-    return rows, [i for i in range(len(grid)) if i not in values], bias_bound
+    fields["invalid_points"] = [i for i in range(len(grid)) if i not in values]
+    return _Artifact(_artifact_name("curve", traffic, method, config.fmt), CSV_HEADER,
+                     rows, fields)
 
 
 def _pcf_rows(traffic: TrafficModel) -> list[list[object]]:
@@ -254,37 +276,23 @@ def _pcf_rows(traffic: TrafficModel) -> list[list[object]]:
     return [[x, value, *stream] for x, value in zip(d_over_c.tolist(), values)]
 
 
-def _artifact_name(kind: str, traffic: TrafficModel, method: str | None, fmt: str) -> str:
-    middle = f"_{method}" if method else ""
-    return f"{kind}{middle}_lam{traffic.intensity!r}_c{traffic.min_gap!r}.{fmt}"
-
-
-def _emit(config: RunConfig, header: str, name: str,
-          rows: list[list[object]]) -> dict[str, object]:
-    body = (_rows_to_csv(header, rows) if config.fmt == "csv"
-            else _rows_to_json(header, rows))
-    digest = _write_atomic(os.path.join(config.out_dir, name), body)
-    return {"rows": len(rows), "sha256": digest}
-
-
-def _config_manifest(config: RunConfig) -> dict[str, object]:
-    """The config as manifest.json records it: every config-file scalar but
-    the output directory, the traffic lines and the methods."""
-    manifest: dict[str, object] = {key: getattr(config, attr)
-                                   for key, (attr, _) in _SCALARS.items() if key != "out"}
-    manifest["traffics"] = [{"lambda": lam, "c": c} for lam, c in config.traffics]
-    manifest["methods"] = list(config.methods)
-    return manifest
-
-
-def _write_manifest(config: RunConfig, command: str,
-                    files: dict[str, dict[str, object]]) -> None:
-    manifest = {
-        "command": command,
-        "config": _config_manifest(config),
-        "files": files,
-        "version": __version__,
-    }
+def _write(config: RunConfig, command: str, artifacts: Iterable[_Artifact]) -> None:
+    """Create the output directory, write each artifact atomically as it
+    comes, then manifest.json, which lists every artifact with its row
+    count, sha256 and own fields. An error while the artifacts are produced
+    propagates before the manifest is written."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    to_text = _rows_to_csv if config.fmt == "csv" else _rows_to_json
+    files: dict[str, dict[str, object]] = {}
+    for artifact in artifacts:
+        digest = _write_atomic(os.path.join(config.out_dir, artifact.name),
+                               to_text(artifact.header, artifact.rows))
+        files[artifact.name] = {"rows": len(artifact.rows), "sha256": digest, **artifact.fields}
+    # the config as recorded: every config-file scalar but the output directory
+    recorded = {key: getattr(config, attr) for key, (attr, _) in _SCALARS.items() if key != "out"}
+    recorded["traffics"] = [{"lambda": lam, "c": c} for lam, c in config.traffics]
+    recorded["methods"] = list(config.methods)
+    manifest = {"command": command, "config": recorded, "files": files, "version": __version__}
     _write_atomic(os.path.join(config.out_dir, "manifest.json"),
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -292,28 +300,16 @@ def _write_manifest(config: RunConfig, command: str,
 def _run(config: RunConfig) -> None:
     geom = config.geometry()
     traffics = config.traffic_models()
-    os.makedirs(config.out_dir, exist_ok=True)
-    files: dict[str, dict[str, object]] = {}
-    for traffic in traffics:
-        for method in config.methods:
-            rows, invalid, bias_bound = _curve_rows(config, traffic, method, geom)
-            name = _artifact_name("curve", traffic, method, config.fmt)
-            entry = _emit(config, CSV_HEADER, name, rows)
-            entry["invalid_points"] = invalid
-            if bias_bound is not None:
-                entry["truncation_bias_bound"] = bias_bound
-            files[name] = entry
-    _write_manifest(config, "run", files)
+    _write(config, "run", (_curve(config, traffic, method, geom)
+                           for traffic in traffics for method in config.methods))
 
 
 def _pcf(config: RunConfig) -> None:
+    config.geometry()  # the density needs no geometry, but the manifest records it
     traffics = config.traffic_models()
-    os.makedirs(config.out_dir, exist_ok=True)
-    files = {}
-    for traffic in traffics:
-        name = _artifact_name("pcf", traffic, None, config.fmt)
-        files[name] = _emit(config, PCF_HEADER, name, _pcf_rows(traffic))
-    _write_manifest(config, "pcf", files)
+    _write(config, "pcf", (_Artifact(_artifact_name("pcf", traffic, None, config.fmt),
+                                     PCF_HEADER, _pcf_rows(traffic), {})
+                           for traffic in traffics))
 
 
 class _Parser(argparse.ArgumentParser):

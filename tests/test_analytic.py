@@ -384,11 +384,15 @@ class TestCovariance:
         assert math.isclose(approx, exact, rel_tol=1e-2)
 
     def test_expansion_equals_scaled_poisson(self, traffic, geom):
-        scale = (1.0 - traffic.occupancy) ** 2
-        for t in (0.8, 5.0, 29.2):
-            want = scale * same_vehicle_term(t, traffic, geom)
-            got = covariance(t, traffic, geom, "expansion").covariance
-            assert math.isclose(got, want, rel_tol=1e-12)
+        """Up to occupancy 0.999, where a sum of the three addends would
+        cancel to 3.7e-10 relative."""
+        for stream in (traffic, TrafficModel.from_intensity(0.95 / 4.0, 4.0),
+                       TrafficModel.from_intensity(0.999 / 4.0, 4.0)):
+            scale = (1.0 - stream.occupancy) ** 2
+            for t in (0.8, 5.0, 29.2):
+                want = scale * same_vehicle_term(t, stream, geom)
+                got = covariance(t, stream, geom, "expansion").covariance
+                assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_smooth_at_window_edge(self, traffic, geom):
         t_lo, t_hi = 0.8, 29.2
@@ -451,6 +455,21 @@ class TestRho:
     def test_unknown_method_rejected(self, traffic, geom):
         with pytest.raises(ParameterError):
             rho(5.0, traffic, geom, "monte-carlo")
+
+    @pytest.mark.parametrize("lam,c,r0,eta", [(0.05, 4.0, 1e300, 3.0), (0.05, 4.0, 150.0, 500.0),
+                                              (5e-324, 0.0, 150.0, 3.0), (1e-299, 0.0, 150.0, 3.0)])
+    def test_pcf_refuses_a_vanishing_variance(self, lam, c, r0, eta):
+        """Where the thinned variance underflows to zero, or to a subnormal
+        (1.05e-310 at intensity 1e-299), pcf-approx raises DomainError
+        naming it, not ZeroDivisionError or a digitless quotient; ppp and
+        expansion, which never form it, still evaluate."""
+        traffic = TrafficModel.from_intensity(lam, c)
+        geom = NetworkGeometry(guard_radius=r0, pathloss_exponent=eta, speed=10.0)
+        with pytest.raises(DomainError, match=r"^variance .* below the smallest normal float "
+                                              r"at guard radius .*, exponent .* and intensity"):
+            rho(5.0, traffic, geom, "pcf-approx")
+        for method in ("ppp", "expansion"):
+            assert math.isfinite(rho(5.0, traffic, geom, method))
 
 
 class TestLagRule:

@@ -274,6 +274,18 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("evaluation failure: degenerate sample")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("line", ["r0 = 1e300", "eta = 500",
+                                      "traffic = lambda=5e-324 c=0"])
+    def test_vanishing_variance_exits_3(self, tmp_path, line, capsys):
+        """Where pcf-approx's variance underflows, its DomainError ends the
+        run with one stderr line naming the variance, exit 3 and no
+        manifest, not a ZeroDivisionError traceback."""
+        code, out = self.run_main(tmp_path, f"{line}\nmethods = ppp,expansion,pcf-approx\n")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("evaluation failure: variance ")
+        assert not (out / "manifest.json").exists()
+
     def test_seed_override_lands_in_manifest(self, tmp_path):
         code, out = self.run_main(
             tmp_path, "methods = ppp\nt_points = 3\n", extra=("--seed", "7"))
@@ -437,6 +449,22 @@ class TestPcfCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("evaluation failure: intensity 1e-200")
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("line", ["eta = 1.5", "u = -10"])
+    def test_invalid_geometry_refused_as_run_refuses_it(self, tmp_path, line, capsys):
+        """pcf does not use the geometry, but its manifest records it: an
+        invalid one is the same config error as under run, exit 1, before
+        the output directory is created."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        errors = {}
+        for command in ("run", "pcf"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            errors[command] = capsys.readouterr().err.splitlines()
+            assert not out.exists()
+        assert errors["pcf"] == errors["run"]
+        assert len(errors["run"]) == 1 and errors["run"][0].startswith("config error:")
 
     def test_pcf_default_config(self, tmp_path):
         out = tmp_path / "results"

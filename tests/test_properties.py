@@ -44,6 +44,21 @@ def test_poisson_model_overstates_the_exact_correlation(eta, c, occupancy, where
 
 
 @PROFILE
+@given(eta=st.floats(2.05, 6.0), c=st.floats(1.0, 20.0), occupancy=st.floats(0.005, 0.8),
+       where=st.floats(0.0, 1.0))
+def test_exact_correlation_is_a_coefficient_up_to_eta_6(eta, c, occupancy, where):
+    """For eta up to 6, at every lag of the exact route's [0, t_max],
+    rho_exact lies in [-1, 1]. Neither rho_ppp >= rho_exact nor a decay
+    with the lag is asserted: near t_hi at eta 6 the first fails, and
+    near a jam rho ripples with the lag."""
+    traffic, geom = _stream(eta, c, occupancy)
+    t_lo, t_max = _lag_range("exact-quadrature", traffic, geom)
+    t = t_lo + where * (t_max - t_lo)
+    var = same_vehicle_term(0.0, traffic, geom) + _exact_cov(0.0, traffic, geom)
+    assert -1.0 <= _exact_cov(t, traffic, geom) / var <= 1.0
+
+
+@PROFILE
 @given(eta=st.floats(2.05, 6.0), c=st.floats(1.0, 4.0), occupancy=st.floats(0.005, 0.8))
 def test_far_field_rho0_tracks_the_exact_zero_lag_coefficient(eta, c, occupancy):
     """The far field's zero-lag coefficient rho0, which sizes the
