@@ -8,18 +8,19 @@ closed-form losses, and the bias the corrected window leaves.
    standard error, next to (1 - occupancy)**2 and the model with the edge
    term.
 2. Residual. For each benchmark stream (perfbench's canonical-run and
-   occupancy-sweep traffic and lags, on the curve's default window) and
-   lag this prints, deterministically, the bias of rho in the window
-   before the correction, the residual after analytic._losses' closed
-   forms are added back, and their bias bound. The windowed moments are
-   the exact route's less the losses tests/oracles.py integrates by scipy
-   quadrature.
+   occupancy-sweep traffic and lags) this prints its deviation reach and
+   the curve's default window, r0 + reach * c + r0 / 3 on each side of
+   the guard zone, and then for each lag, deterministically, the bias of
+   rho in the window before the correction, the residual after
+   analytic._losses' closed forms are added back, and their bias bound.
+   The windowed moments are the exact route's less the losses
+   tests/oracles.py integrates by scipy quadrature, out to the reach.
 
 Usage:
   python scripts/window_bias.py
 
-Geometry r0 150, eta 3, u 10. Part 1 takes about 20 s and part 2 a few
-seconds on one core.
+Geometry r0 150, eta 3, u 10. The two parts take about 10 s together on
+one core.
 """
 
 import math
@@ -56,7 +57,7 @@ def far_field(traffic, half, n_rows, seed):
     var = sums.var(ddof=1)
     se = math.sqrt((np.mean((sums - sums.mean()) ** 4) - var * var) / sums.size)
     poisson = 2.0 * traffic.intensity * half ** -5.0 / 5.0
-    cv2, edge, _ = analytic._far_field(traffic, far)
+    cv2, edge, _, _ = analytic._far_field(traffic, far)
     return var / poisson, se / poisson, cv2 + 2.0 * edge * half ** -6.0 / poisson
 
 
@@ -80,13 +81,14 @@ def main():
             ratio, se, model = far_field(traffic, half, 16000, 77)
             print(f"  {traffic.occupancy:.1f} {half:6.0f}  {ratio:.4f} +- {se:.4f}  "
                   f"{(1.0 - traffic.occupancy) ** 2:.4f}  {model:.4f}  {(ratio - model) / se:+.2f}")
-    print("residual: lambda c window  t  raw bias  corrected  bound")
+    print("residual: lambda c reach window, then t  raw bias  corrected  bound")
     for (lam, c), points in STREAMS:
         traffic = TrafficModel(lam, c)
         window = sim.default_window(traffic, GEOM, 30.0)
+        print(f"  {lam} {c} {traffic.deviation_reach} {window}")
         for t in np.linspace(0.0, 30.0, points):
             raw, corrected, bound = residuals(traffic, float(t), window)
-            print(f"  {lam} {c} {window}  {t:4.1f}  {raw:+.2e}  {corrected:+.2e}  {bound:.2e}")
+            print(f"    {t:4.1f}  {raw:+.2e}  {corrected:+.2e}  {bound:.2e}")
 
 
 if __name__ == "__main__":

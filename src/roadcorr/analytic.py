@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import NetworkGeometry, TrafficModel, _pair_correlation_array, mean_interference
+from .model import (NetworkGeometry, TrafficModel, _pair_correlation_array, _settled_reach,
+                    mean_interference)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, hyp2f1,
                       integrate_finite)
 from .specfun import integrate_semi_infinite  # unused: perfbench's tracer wraps it here
@@ -243,7 +244,8 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     K the gain autocorrelation. w is even, so d > 0 carries K(d + shift) +
     K(d - shift). part "close" weights the first-neighbor band (one to two
     minimum gaps) by the pair density, part "deviation" every band within
-    the deviation reach by the density minus the squared intensity.
+    the deviation reach (refused past 64 minimum gaps, _settled_reach) by
+    the density minus the squared intensity.
     Lengths are in guard radii. The band edges (where the density jumps or
     kinks) and K's kinks are breakpoints, so every piece is smooth. Bands
     of no width (min_gap 0 or vanishing against r0, or reach 0) give 0.
@@ -254,7 +256,7 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     if part == "close":
         first, last, offset = 1, 2, 0.0
     else:
-        first, last, offset = 0, traffic.deviation_reach, traffic.intensity ** 2
+        first, last, offset = 0, _settled_reach(traffic), traffic.intensity ** 2
     edges = np.arange(first, last + 1) * traffic.min_gap / r0
     if not edges[-1] > edges[0]:
         return 0.0
@@ -370,8 +372,9 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
 
 
-def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, float, float]:
-    """Leading-order far-field constants of the stream: (cv2, edge, rho0).
+def _far_field(traffic: TrafficModel,
+               geom: NetworkGeometry) -> tuple[float, float, float, float]:
+    """Far-field constants of the stream: (cv2, edge, rho0, spread).
 
     Over lengths long against the mean spacing, a renewal stream's pair
     deviation h = rho2 - intensity**2 acts as a point mass of total
@@ -380,19 +383,33 @@ def _far_field(traffic: TrafficModel, geom: NetworkGeometry) -> tuple[float, flo
     1962). So every pair term over a region where the gain varies slowly
     is cv2 times its same-vehicle term, plus -M1 * g(e) * f(e) at each
     boundary point e of the region (g and f the two slots' gains), where
-    M1 is the first moment of h over d > 0. From the Laplace transform of
-    the renewal density, M1 = -occupancy**2 * (1 + 2m + 3m**2) / 12 with
-    m = 1 - occupancy, never positive; edge is |M1|. rho0 is the zero-lag
-    coefficient this gives: var(S) = cv2 * E[Q] + |M1| * 2 g(r0)**2 over
-    var(S) + E[Q], with the guard zone's two edges.
+    Mn is the n-th moment of h over d > 0. They follow from the Laplace
+    transform of the renewal density, U(s) = F(s) / (1 - F(s)) with
+    F(s) = rate e**(-s c) / (rate + s): with U(s) - intensity / s =
+    a0 + a1 s + a2 s**2 + ..., M1 = -intensity * a1 and
+    M2 = 2 intensity * a2, which with p the occupancy and m = 1 - p give
+
+        M1 = -p**2 * (1 + 2m + 3m**2) / 12,    M2 = -c * p**2 * m**2 * (1 + 3m) / 12,
+
+    both never positive; edge is |M1| and spread is |M2|, the next order's
+    constant (_losses). rho0 is the zero-lag coefficient this gives:
+    var(S) = cv2 * E[Q] + |M1| * 2 g(r0)**2 over var(S) + E[Q], with the
+    guard zone's two edges. Raises DomainError where that divisor falls
+    below the smallest normal float (a guard radius of 1e300 or an
+    exponent of 500): both moments have underflowed.
     """
     occ = traffic.occupancy
     m = 1.0 - occ
     cv2 = m * m
     edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
+    spread = traffic.min_gap * occ * occ * cv2 * (1.0 + 3.0 * m) / 12.0
     mean_q = 0.5 * variance(traffic, geom, "ppp")
     var_s = cv2 * mean_q + 2.0 * edge * geom.guard_radius ** (-2.0 * geom.pathloss_exponent)
-    return cv2, edge, var_s / (var_s + mean_q)
+    if not var_s + mean_q >= sys.float_info.min:
+        raise DomainError(f"interference variance {var_s + mean_q!r} is below the smallest "
+                          f"normal float at guard radius {geom.guard_radius!r}, exponent "
+                          f"{geom.pathloss_exponent!r} and intensity {traffic.intensity!r}")
+    return cv2, edge, var_s / (var_s + mean_q), spread
 
 
 def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
@@ -417,12 +434,31 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
       _far_field) and the whole line's do not.
 
     So lost_var = (1 + cv2) * lost E[Q] - edge_var and
-    lost_cov = cv2 * T_t - edge_cov. Misses dvar and dcov in these give
-    rho_W - rho = (rho_W * dvar - dcov) / var with 0 <= rho_W <= rho0, so
-    a bias of at most max(rho0 * dvar, dcov) / E[Q_W] (E[Q_W] <= var). The
-    misses are of higher order in 1 / (intensity * W) than the edge terms;
-    the bound allows twice their size. For a Poisson stream (min_gap 0)
-    cv2 = 1 and M1 = 0: the losses are exact and the bound is 0.
+    lost_cov = cv2 * T_t - edge_cov. These are the first two orders of the
+    renewal expansion of the lost pair terms. Near an edge at x = e, with
+    gains g1(x) and g2(x) of the two slots, the pairs a separation d > 0
+    apart that the window loses are those with x beyond e and those
+    straddling it, x in (e - d, e]; to second order in d their gain
+    products integrate to
+
+        2 int_e g1 g2 + d g1 g2(e) + d**2 (-(g1 g2)'(e) / 2 - int_e g1' g2'),
+
+    the last from the even part of g1(x) g2(x + d) in d and the strip's
+    slope. Against h over d > 0 the three give the terms above and the
+    next order, M2 * (-(g1 g2)'(e) / 2 - int_e g1' g2') with M2 = -spread
+    (_far_field). Beyond the guard zone both addends in the bracket are
+    positive and the integral is at most eta / (2 eta + 1) < 1/2 of the
+    first (Cauchy-Schwarz, then the mean inequality), so the next-order
+    miss at each edge is at most spread * |(g1 g2)'(e)| / 2; the bound
+    allows twice that, spread * eta * (e1 e2)**-eta * (1 / e1 + 1 / e2),
+    with e1 and e2 the edge's distances at the two slots, for the orders
+    beyond. Misses dvar and dcov give rho_W - rho = (rho_W * dvar - dcov)
+    / var, both of one sign, with 0 <= rho_W <= rho0, so a bias of at
+    most max(rho0 * dvar, dcov) / E[Q_W] (E[Q_W] <= var). The expansion
+    needs the gains smooth across the pairs it moves: every lost vehicle
+    must sit past the guard zone by the deviation reach, as
+    sim.default_window's windows do. For a Poisson stream (min_gap 0)
+    cv2 = 1 and M1 = M2 = 0: the losses are exact and the bound is 0.
     """
     w_lo, w_hi = window
     shift = geom.speed * t
@@ -432,7 +468,7 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     lam = traffic.intensity
     eta = geom.pathloss_exponent
     power = 2.0 * eta - 1.0
-    cv2, edge, rho0 = _far_field(traffic, geom)
+    cv2, edge, rho0, spread = _far_field(traffic, geom)
     slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
     slot_t = np.array([w_hi + shift, -w_lo - shift])
     lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
@@ -443,6 +479,9 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
                        + _gain_tail(min(-w_lo, -w_lo - shift), shift, eta))
     edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
     edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
+    next_cov = spread * eta * float(np.sum((slot_0 * slot_t) ** -eta
+                                           * (1.0 / slot_0 + 1.0 / slot_t)))
+    next_var = spread * eta * float(np.sum(slot_0 ** -(power + 2.0) + slot_t ** -(power + 2.0)))
     kept_q = 0.5 * variance(traffic, geom, "ppp") - lost_q
     return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
-            max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q)
+            max(rho0 * next_var, next_cov) / kept_q)

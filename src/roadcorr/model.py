@@ -91,8 +91,8 @@ class TrafficModel:
         return self.intensity * self.min_gap
 
     @cached_property
-    def deviation_reach(self) -> int:
-        """Number of minimum-gap bands until the pair correlation sits on its asymptote.
+    def _leading_pole(self) -> tuple[float, float]:
+        """(need, decay) of the pair deviation's envelope, (0, 0) where rate * c is 0.
 
         rho2 - intensity**2 is intensity * sum A_k exp(s_k d) over the poles
         s_k != 0 of the gap law's Laplace transform rate e**(-s c) / (rate + s):
@@ -101,27 +101,40 @@ class TrafficModel:
         pair's envelope of the relative deviation is 2 |A_1| / intensity *
         exp(Re(s_1) d); W_1(x e**x) is the Wright omega function at
         x + log x + 2 pi i, which never forms x e**x, solved by Newton's
-        method in pure Python (_wright_omega). Returns the smallest k
-        whose envelope at k c is <= 1e-10 (0 where rate * c is 0), or raises
-        ConvergenceError carrying the envelope at the last band resolved
-        before the 64-gap asymptote; the error is not cached.
+        method in pure Python (_wright_omega). need is log(envelope at 0 /
+        1e-10), formed as a sum so that a vanishing occupancy cannot
+        overflow it, and decay = -Re(s_1) c, the nats the envelope loses per
+        minimum gap.
         """
         x = self.gap_rate * self.min_gap
         if x == 0.0:
-            return 0
+            return 0.0, 0.0
         w = _wright_omega(complex(x + math.log(x), 2.0 * math.pi))
-        decay = x - w.real                                     # -Re(s_1) c
-        # log(envelope at 0 / 1e-10) as a sum, so a vanishing occupancy cannot overflow it
         need = math.log(2.0 * abs(w / (1.0 + w))) - math.log(self.occupancy) + math.log(1e10)
-        left = need - decay * (_ASYMPTOTE_CUTOFF_GAPS - 1.0)   # nats above 1e-10 at the last band
-        if left > 0.0:
+        return need, x - w.real
+
+    @property
+    def deviation_reach(self) -> int:
+        """Number of minimum-gap bands until the pair correlation sits on its asymptote.
+
+        The smallest k whose envelope of the relative deviation at k c is
+        <= 1e-10 (_leading_pole), 0 where rate * c is 0, with no cap: 9
+        bands at occupancy 0.2, 152 at 0.9 and 527 at 0.95. Raises
+        ConvergenceError where the envelope does not decay in floating
+        point (within about 1e-6 of a jam, x - Re(w) is lost to rounding).
+        The pair density itself is resolved to 64 minimum gaps only;
+        _settled_reach refuses a reach beyond them.
+        """
+        need, decay = self._leading_pole
+        if need == 0.0:                                        # rate * c is 0
+            return 0
+        reach = need / decay if decay > 0.0 else math.inf
+        if not reach < 2.0 ** 53:
             raise ConvergenceError(
-                f"pair correlation still deviates from its asymptote at "
-                f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {self.occupancy!r})",
-                best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
-                error_bound=1e-10 * math.exp(left),
-            )
-        return math.ceil(need / decay)
+                f"pair deviation does not decay in floating point "
+                f"(occupancy {self.occupancy!r}, decay {decay!r} per minimum gap)",
+                best_estimate=reach, error_bound=math.inf)
+        return math.ceil(reach)
 
     @cached_property
     def _erlang_logs(self) -> tuple[float, np.ndarray]:
@@ -242,6 +255,24 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     return out
 
 
+def _settled_reach(traffic: TrafficModel) -> int:
+    """deviation_reach where it lies within the 64 minimum gaps the pair
+    density resolves; otherwise raises ConvergenceError carrying the
+    envelope of the deviation left at the last band resolved. Checked
+    before the reach is formed, so a stream within rounding of a jam is
+    refused here too."""
+    need, decay = traffic._leading_pole
+    left = need - decay * (_ASYMPTOTE_CUTOFF_GAPS - 1.0)   # nats above 1e-10 at the last band
+    if left > 0.0:
+        raise ConvergenceError(
+            f"pair correlation still deviates from its asymptote at "
+            f"{_ASYMPTOTE_CUTOFF_GAPS:g} minimum gaps (occupancy {traffic.occupancy!r})",
+            best_estimate=_ASYMPTOTE_CUTOFF_GAPS,
+            error_bound=1e-10 * math.exp(left),
+        )
+    return traffic.deviation_reach
+
+
 def _separations(d, what: str) -> np.ndarray:
     arr = np.asarray(d, dtype=float)
     if not np.all((arr >= 0.0) & (arr < math.inf)):
@@ -256,14 +287,14 @@ def pair_correlation(d, traffic: TrafficModel):
     shifted Erlang renewal densities (higher orders evaluated in the log
     domain so they cannot overflow), times the intensity. Beyond 64
     minimum gaps the squared-intensity asymptote is returned, and
-    ConvergenceError (carrying deviation_reach's envelope of the deviation
-    left) is raised where it has not settled by then. A Poisson stream
+    ConvergenceError (carrying the envelope of the deviation left, see
+    _settled_reach) is raised where it has not settled by then. A Poisson stream
     (min_gap 0) is flat. Takes a scalar (returns a float) or an array of
     any shape; a NaN, infinite or negative entry raises ParameterError.
     """
     arr = _separations(d, "separation")
     if np.any(arr > _ASYMPTOTE_CUTOFF_GAPS * traffic.min_gap):
-        traffic.deviation_reach                 # raises where the far field has not settled
+        _settled_reach(traffic)                 # raises where the far field has not settled
     values = _pair_correlation_array(arr, traffic)
     return float(values) if values.ndim == 0 else values
 

@@ -8,14 +8,15 @@ throughout, and cuts it into consecutive windows, one realization each
 serves every lag of a curve (common random numbers). Fading is never
 drawn: it is unit-mean exponential and independent per vehicle and slot,
 so its average given the positions is known in closed form, and the
-estimators use that average (Rao-Blackwellisation). The window spans the
-guard zone and a guard-zone diameter on each side of it, whatever the
-sample count; what the vehicles beyond it carry is added back in closed
-form (analytic._losses; Cox, Renewal Theory, 1962). Every window of the
-stream has the stationary law, so the same correction, and the bound on
-the bias it leaves, applies to every realization. The lags served are
-[0, t_max], as analytic._lag_range gives them for the simulation route:
-estimate_curve refuses any other, and the window is sized for t_max.
+estimators use that average (Rao-Blackwellisation). The window reaches
+past the guard zone by the reach of the stream's pair deviation and a
+third of the guard radius, at both slots, whatever the sample count;
+what the vehicles beyond it carry is added back in closed form
+(analytic._losses; Cox, Renewal Theory, 1962). Every window of the stream
+has the stationary law, so the same correction, and the bound on the bias
+it leaves, applies to every realization. The lags served are [0, t_max],
+as analytic._lag_range gives them for the simulation route:
+estimate_curve refuses any other.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 # by name, so numpy.random loads with the package rather than on the first draw
 from numpy.random import Generator, Philox
 
-from .analytic import _lag_range, _losses, _require_lag
+from .analytic import _losses, _require_lag
 from .errors import DomainError, EstimationError, ParameterError
 from .model import (NetworkGeometry, TrafficModel, _gain_in_place, _pair_density_scale,
                     mean_interference)
@@ -45,6 +46,10 @@ __all__ = [
 
 MIN_SAMPLES = 1000
 N_BLOCKS = 20
+# Vehicles one block may hold: its positions and its gain buffer take 128 MiB
+# each. The default window grows with the deviation reach, so near a jam
+# (occupancy 0.999: 9600 km) a block would not fit in memory.
+_MAX_BLOCK_VEHICLES = 2 ** 24
 
 
 def _block_rng(seed: int, index: int) -> Generator:
@@ -86,19 +91,23 @@ class CorrelationEstimate:
 def default_window(traffic: TrafficModel, geom: NetworkGeometry,
                    t: float) -> tuple[float, float]:
     """Sampling window [-(W + u t), W] for lags up to t, with
-    W = guard_radius + speed * t_max = 3 guard_radius, t_max the largest
-    lag the simulation serves (analytic._lag_range).
+    W = guard_radius + deviation_reach * min_gap + guard_radius / 3.
 
-    Every vehicle outside it lies at least speed * t_max, a guard-zone
-    diameter, beyond the guard zone at both slots of every lag up to t,
-    where the gain is smooth over the pair deviation's reach; there the
-    closed-form losses of analytic._losses hold, and estimate_curve adds
-    them back. The window depends on the geometry alone, not on the
-    sample count: the residual bias is at most 2.2e-5 by _losses' bound
-    on every benchmark stream, and measured below 1e-7
-    (scripts/window_bias.py).
+    The pair deviation vanishes (below 1e-10 of the squared intensity)
+    beyond deviation_reach minimum gaps, so every correlated pair the
+    window cuts has its inside vehicle past the guard zone at both slots of
+    every lag up to t, where the gains are smooth; there the closed-form
+    losses of analytic._losses hold, and estimate_curve adds them back. The margin of a third of the guard radius keeps _losses' bound
+    under a tenth of the canonical curve's noise at a million samples: on
+    the canonical stream W is 236 m and the bound at most 1.7e-5 over
+    [0, t_max], while the residual measured against the exact route is
+    below 1.8e-6 (scripts/window_bias.py). A Poisson stream (reach 0) has
+    W = 4/3 guard_radius, its losses exact. The window depends on the
+    geometry and the stream alone, not on the sample count; it grows with
+    the reach toward a jam (2.3 km at occupancy 0.95).
     """
-    half = geom.guard_radius + geom.speed * _lag_range("simulation", traffic, geom)[1]
+    half = (geom.guard_radius + traffic.deviation_reach * traffic.min_gap
+            + geom.guard_radius / 3.0)
     return (-(half + geom.speed * t), half)
 
 
@@ -231,7 +240,9 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     slots of every lag; each estimate's bias_bound is the bound _losses
     gives for its lag. Each lag's estimate is the same whichever other
     lags share its window. Standard errors are a leave-one-block-out
-    jackknife over independent blocks.
+    jackknife over independent blocks. Raises DomainError, before
+    sampling, where a block would hold more than _MAX_BLOCK_VEHICLES
+    vehicles (the default window near a jam, or a huge sample count).
     """
     lags = [float(t) for t in t_grid]
     if not lags:
@@ -245,6 +256,12 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     _require_window(window)
     losses = [_losses(traffic, geom, window, t) for t in lags]
     base, rem = divmod(n_samples, N_BLOCKS)
+    rows = base + (1 if rem else 0)                     # the largest block's
+    block = traffic.intensity * (window[1] - window[0]) * rows
+    if not block <= _MAX_BLOCK_VEHICLES:
+        raise DomainError(f"a block of {rows} windows of {window[1] - window[0]!r} m would "
+                          f"hold about {block:.3g} vehicles, more than {_MAX_BLOCK_VEHICLES} "
+                          f"(occupancy {traffic.occupancy!r})")
     blocks = np.stack([
         _block_sums(traffic, geom, lags, base + (1 if k < rem else 0), window,
                     _block_rng(seed, k))

@@ -269,19 +269,21 @@ def lost_moments_defining(t: float, traffic: TrafficModel, geom: NetworkGeometry
     both inside it. Over the separation d = y - x the pairs lost are
     x > w_hi - max(d, 0) and x < w_lo + max(-d, 0); every lost position
     lies beyond the guard zone at both slots (the window must clear it by
-    64 minimum gaps, the reach of h resolved here), where the inner x
-    integral is _far_pair. The outer integral over d runs on (0, 64 c]
-    by scipy quad, with the first seven band edges k c as breakpoints:
-    h jumps at c, and the k-th Erlang term has k - 2 continuous
-    derivatives at k c, so past 7 c it is smooth enough for the adaptive
-    rule (all 63 edges as breakpoints give the same residuals). The pooled
-    variance adds the lost E[Q] of both slots to the lost var(S).
+    the deviation reach, past which |h| is below 1e-10 of intensity**2
+    and is left out), where the inner x integral is _far_pair. The outer
+    integral over d runs on (0, reach] by scipy quad, with the first seven
+    band edges k c as breakpoints: h jumps at c, and the k-th Erlang term
+    has k - 2 continuous derivatives at k c, so past 7 c it is smooth
+    enough for the adaptive rule. The reach is the one number taken from
+    the package (TrafficModel.deviation_reach); h is pair_deviation_defining,
+    summed over every band, so it is resolved past 64 minimum gaps too.
+    The pooled variance adds the lost E[Q] of both slots to the lost var(S).
     """
     lam, c = traffic.intensity, traffic.min_gap
     r0, eta = geom.guard_radius, geom.pathloss_exponent
     w_lo, w_hi = window
     shift = geom.speed * t
-    reach = 64.0 * c
+    reach = traffic.deviation_reach * c
     if not (w_hi - reach > r0 and -w_lo - shift - reach > r0):
         raise ValueError("window must clear the guard zone by the deviation reach")
 

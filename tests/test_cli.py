@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 import types
 
@@ -284,6 +285,21 @@ class TestRunCommand:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("evaluation failure: variance ")
+        assert not (out / "manifest.json").exists()
+
+    def test_vanishing_far_field_exits_3(self, tmp_path, capsys):
+        """The canonical config simulated at a guard radius of 1e300: the
+        window's far-field constants underflow, and their DomainError ends
+        the run with one stderr line naming the geometry, exit 3 and no
+        manifest, not a ZeroDivisionError traceback."""
+        text = open(os.path.join(REPO_ROOT, "configs", "default.cfg"), encoding="utf-8").read()
+        for key, value in (("r0", "1e300"), ("methods", "simulation"), ("n_samples", "1000")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.MULTILINE)
+        code, out = self.run_main(tmp_path, text)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("evaluation failure: interference variance ")
+        assert "guard radius 1e+300" in err[0]
         assert not (out / "manifest.json").exists()
 
     def test_seed_override_lands_in_manifest(self, tmp_path):

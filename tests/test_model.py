@@ -10,7 +10,7 @@ from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
                       ParameterError, TrafficModel, covariance,
                       integrate_semi_infinite, mean_interference,
                       normalized_pair_correlation, pair_correlation, pathloss, rho)
-from roadcorr.model import _pair_correlation_array
+from roadcorr.model import _pair_correlation_array, _settled_reach
 
 
 class TestTrafficModel:
@@ -232,6 +232,27 @@ class TestDeviationReach:
     def test_poisson_stream_has_no_deviation(self, traffic_ppp):
         assert traffic_ppp.deviation_reach == 0
 
+    def test_reach_is_not_capped(self):
+        """Past the 64 minimum gaps the package's density resolves, the
+        reach is still the envelope's count (the simulator's window reads
+        it there): on band reach the oracle's sum over every band sits
+        within 1e-10 relative of the squared intensity."""
+        streams = [TrafficModel.from_intensity(occ / 4.0, 4.0) for occ in (0.83, 0.9, 0.95)]
+        assert [stream.deviation_reach for stream in streams] == [65, 152, 527]
+        for stream in streams[1:]:
+            d = stream.min_gap * (stream.deviation_reach + np.linspace(0.0, 1.0, 41))
+            deviation = [oracles.pair_deviation_defining(float(x), stream) for x in d]
+            assert np.max(np.abs(deviation)) <= 1e-10 * stream.intensity ** 2
+
+    @pytest.mark.parametrize("occupancy", [1.0 - 1e-6, 1.0 - 1e-9])
+    def test_refuses_where_the_decay_is_lost(self, occupancy):
+        """Within about 1e-6 of a jam the envelope's decay per gap is lost
+        to rounding: the reach raises the typed error, never a division by
+        zero or a negative count."""
+        stream = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
+        with pytest.raises(ConvergenceError, match="does not decay"):
+            stream.deviation_reach
+
     @pytest.mark.parametrize("occupancy", [0.83, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_refuses_near_jam_with_a_finite_bound(self, occupancy, geom):
         """Up to a jammed road the reach takes no overflowing x * exp(x):
@@ -281,13 +302,14 @@ class TestDeviationReach:
             assert abs(roadcorr.model._wright_omega(z) - expected) <= 4 * 2.0 ** -52 * abs(expected)
 
     def test_reach_matches_scipy_omega(self, monkeypatch):
-        """deviation_reach by the Newton solve gives the reach it gives with
-        scipy's wrightomega, or both refuse with ConvergenceError."""
+        """The settled reach (_settled_reach, which the pair density and the
+        exact route read) by the Newton solve is the one scipy's
+        wrightomega gives, or both refuse with ConvergenceError."""
         from scipy.special import wrightomega
 
         def reach(occupancy):
             try:
-                return TrafficModel.from_intensity(occupancy / 4.0, 4.0).deviation_reach
+                return _settled_reach(TrafficModel.from_intensity(occupancy / 4.0, 4.0))
             except ConvergenceError:
                 return "refused"
 

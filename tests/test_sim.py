@@ -10,7 +10,7 @@ from scipy.stats import kstest
 import oracles
 from roadcorr.analytic import (_far_field, _losses, covariance, rho, rho_ppp,
                                same_vehicle_term, variance)
-from roadcorr.errors import DomainError, EstimationError, ParameterError
+from roadcorr.errors import ConvergenceError, DomainError, EstimationError, ParameterError
 from roadcorr.model import (
     _ASYMPTOTE_CUTOFF_GAPS,
     NetworkGeometry,
@@ -48,21 +48,21 @@ HISTOGRAM_PINS = {
 # estimate_curve(from_intensity(0.05, 4), conftest geometry, [0, 5, 30],
 # 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
 # from realizations cut from one stream per block, on the default window
-# (-750, 450), with the closed-form losses added; compared with ==, so any
+# (-536, 236), with the closed-form losses added; compared with ==, so any
 # change to the draws or the arithmetic shows. The exact route gives rho
 # 0.39388, 0.18754 and 0.01946.
 CURVE_PINS = {
-    0.0: (0.3944872419098701, 0.008514270332429593,
-          4.385638491548302e-13, 1.7300784325446528e-13),
-    5.0: (0.18205557981194354, 0.00939837717940619,
-          4.326450947284143e-13, 7.87654535735747e-14),
-    30.0: (0.021264080984958977, 0.007388850521096475,
-           4.3333006259051435e-13, 9.21436554414204e-15),
+    0.0: (0.393992428126677, 0.0077523600533353125,
+          4.310713231335001e-13, 1.6983883729714708e-13),
+    5.0: (0.18801847653011008, 0.007072954365048795,
+          4.3323523872689783e-13, 8.145622956458987e-14),
+    30.0: (0.016312271618544767, 0.009569067175807713,
+           4.323778088442151e-13, 7.0530642596980646e-15),
 }
 
 # The largest bias bound of _losses over the 31 lags of the canonical
-# curve on its default window (-750, 450).
-BOUND_PIN = 1.445328367759808e-05
+# curve on its default window (-536, 236).
+BOUND_PIN = 1.716741079504846e-05
 
 
 def _loop_windows(traffic, window, n_windows, rng):
@@ -161,44 +161,48 @@ class TestWindows:
     GRID = [float(t) for t in np.linspace(0.0, 30.0, 31)]
 
     def test_default_window_formula(self, geom):
-        """W = r0 + u t_max = 3 r0 on every stream and geometry, and the
+        """W = r0 + reach * c + r0 / 3 on every stream and geometry, and the
         window reaches u t further left for lags up to t."""
         for lam, c in [(0.05, 4.0), (0.05, 0.0), (0.2, 4.0), (0.02, 4.0)]:
             traffic = TrafficModel.from_intensity(lam, c)
+            half = 150.0 + traffic.deviation_reach * c + 50.0
             for t in (0.0, 5.0, 29.2, 30.0):
-                assert default_window(traffic, geom, t) == (-450.0 - 10.0 * t, 450.0)
+                assert default_window(traffic, geom, t) == (-half - 10.0 * t, half)
         other = NetworkGeometry(guard_radius=100.0, pathloss_exponent=4.0, speed=25.0)
-        assert default_window(TrafficModel.from_intensity(0.1, 2.0), other, 4.0) == (-400.0, 300.0)
+        # occupancy 0.2, reach 9: W = 100 + 18 + 100 / 3
+        half = 100.0 + 9 * 2.0 + 100.0 / 3.0
+        assert default_window(TrafficModel.from_intensity(0.1, 2.0), other, 4.0) == (
+            -half - 100.0, half)
 
     def test_truncation_bias_bound(self, traffic, geom):
-        """The bound is the edge allowance max(rho0 * 2 edge_var,
-        2 edge_cov) / E[Q_W], with edge_var and edge_cov the edge terms of
-        the four window edges seen from the two slots; widening the window
-        shrinks it toward zero."""
+        """The bound is the next-order allowance max(rho0 * next_var,
+        next_cov) / E[Q_W]: |M2| times the slope of the gain product at
+        each of the four window edges seen from the two slots,
+        eta (e1 e2)**-eta (1 / e1 + 1 / e2), pooled over the slots for the
+        variance. Widening the window shrinks it toward zero."""
         t = 5.0
         window = default_window(traffic, geom, t)
-        _, edge, rho0 = _far_field(traffic, geom)
-        slot_0 = np.array([450.0, 500.0])
-        slot_t = np.array([500.0, 450.0])
-        edge_var = 0.5 * edge * np.sum(slot_0 ** -6.0 + slot_t ** -6.0)
-        edge_cov = edge * np.sum((slot_0 * slot_t) ** -3.0)
+        assert window == (-286.0, 236.0)
+        _, _, rho0, spread = _far_field(traffic, geom)
+        slot_0 = np.array([236.0, 286.0])
+        slot_t = np.array([286.0, 236.0])
+        next_var = 0.5 * spread * 3.0 * np.sum(2.0 * slot_0 ** -7.0 + 2.0 * slot_t ** -7.0)
+        next_cov = spread * 3.0 * np.sum((slot_0 * slot_t) ** -3.0 * (1.0 / slot_0 + 1.0 / slot_t))
         lam = traffic.intensity
         kept_q = 2.0 * lam * 150.0 ** -5.0 / 5.0 - 0.5 * lam * np.sum(
             slot_0 ** -5.0 + slot_t ** -5.0) / 5.0
         bound = _losses(traffic, geom, window, t)[3]
-        assert math.isclose(bound, max(rho0 * 2.0 * edge_var, 2.0 * edge_cov) / kept_q,
-                            rel_tol=1e-13)
+        assert math.isclose(bound, max(rho0 * next_var, next_cov) / kept_q, rel_tol=1e-13)
         wider = _losses(traffic, geom, (-30000.0, 30000.0), t)[3]
         assert 0.0 < wider < 1e-4 * bound
 
     def test_window_pins(self, geom):
         # the canonical curve (perfbench's and the config's), check 2's
-        # t = 29.2 leg and the densest sweep stream; sized for the sample
-        # count, the windows were 1886, 2518 and 1650 m long
-        assert default_window(TrafficModel(0.05, 4.0), geom, 30.0) == (-750.0, 450.0)
-        assert default_window(TrafficModel(0.05, 4.0), geom, 29.2) == (-742.0, 450.0)
-        assert default_window(TrafficModel(0.2, 4.0), geom, 30.0) == (-750.0, 450.0)
-        window = (-750.0, 450.0)
+        # t = 29.2 leg and the densest sweep stream (reaches 9, 9 and 52)
+        assert default_window(TrafficModel(0.05, 4.0), geom, 30.0) == (-536.0, 236.0)
+        assert default_window(TrafficModel(0.05, 4.0), geom, 29.2) == (-528.0, 236.0)
+        assert default_window(TrafficModel(0.2, 4.0), geom, 30.0) == (-708.0, 408.0)
+        window = (-536.0, 236.0)
         assert math.isclose(max(_losses(TrafficModel(0.05, 4.0), geom, window, t)[3]
                                 for t in self.GRID), BOUND_PIN, rel_tol=1e-12)
 
@@ -268,7 +272,7 @@ class TestWindows:
         terms carry it, and the whole line's do not."""
         traffic = TrafficModel.from_intensity(lam, 4.0)
         half = 300.0
-        cv2, edge, _ = _far_field(traffic, geom)
+        cv2, edge, _, _ = _far_field(traffic, geom)
         lost_q = 2.0 * lam * half ** -5.0 / 5.0
         edges = 2.0 * edge * half ** -6.0
         var, se = _far_field_variance(traffic, half, 16000, SEED)
@@ -281,12 +285,15 @@ class TestWindows:
     @pytest.mark.parametrize("occupancy", [0.08, 0.2, 0.4, 0.8])
     def test_far_field_constants_are_moments_of_the_pair_density(self, occupancy, geom):
         """With h = rho2 - intensity**2, the integral of h over d > 0 is
-        intensity * (cv2 - 1) / 2 and that of d * h is -edge. h is taken
-        over all 64 minimum gaps the density resolves (it is 0 beyond): up
-        to the deviation reach alone, the tail of d * h left out is 3.9e-9
-        of edge at occupancy 0.8."""
+        intensity * (cv2 - 1) / 2, that of d * h is -edge and that of
+        d**2 * h is -spread. h is taken over all 64 minimum gaps the
+        density resolves (it is 0 beyond): up to the deviation reach alone,
+        the tail of d * h left out is 3.9e-9 of edge at occupancy 0.8. The
+        weight d**2 lifts the far bands' roundoff (about 1e-14 of the
+        density) to 2.7e-8 of spread at 0.8, so that moment is integrated
+        to 1e-8 and held to 1e-7."""
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
-        cv2, edge, _ = _far_field(traffic, geom)
+        cv2, edge, _, spread = _far_field(traffic, geom)
         lam = traffic.intensity
         bands = np.arange(int(_ASYMPTOTE_CUTOFF_GAPS) + 1) * traffic.min_gap
         spec = QuadratureSpec(rel_tol=1e-11)
@@ -298,6 +305,9 @@ class TestWindows:
                             rel_tol=1e-9)
         assert math.isclose(integrate_finite(lambda d: d * h(d), bands, spec), -edge,
                             rel_tol=1e-9)
+        assert math.isclose(integrate_finite(lambda d: d * d * h(d), bands,
+                                             QuadratureSpec(rel_tol=1e-8)),
+                            -spread, rel_tol=1e-7)
 
     def test_bound_is_a_tenth_of_the_noise(self, traffic, geom):
         """At the curve's default window the residual bound is a tenth of
@@ -317,9 +327,10 @@ class TestWindows:
         oracles.lost_moments_defining integrates (scipy quad and
         scipy.special only); adding _losses' closed forms back must leave
         |rho_W - rho| <= their bound at every lag. The tolerance is the
-        bound itself, fixed before measuring. Measured, the residual is
-        1e-11 to 1.4e-7, at most 0.004 of the bound, while the uncorrected
-        bias reaches 7e-4 at eta 3 (5e-3 at eta 2.05)."""
+        bound itself, fixed before measuring. Measured on the windows
+        r0 + reach c + r0 / 3, the residual is 3.4e-9 to 3.6e-6, at most
+        0.28 of the bound, while the uncorrected bias reaches 1.7e-2 at
+        eta 3 (2.9e-2 at eta 2.05)."""
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
         var = (same_vehicle_term(0.0, traffic, geom)
@@ -376,7 +387,7 @@ class TestSampling:
         sums, counts = zip(*(_window_sums(traffic, geom, window, 2000, SEED, k)
                              for k in range(40)))
         sums, counts = np.array(sums), np.array(counts)
-        cv2, edge, _ = _far_field(traffic, geom)
+        cv2, edge, _, _ = _far_field(traffic, geom)
         count_var = lam * 800.0 * cv2 + 2.0 * edge
         first, rest = counts[:, 0].mean(), counts[:, 1:].mean()
         assert abs(first - rest) <= 4.0 * math.sqrt(count_var / 40)
@@ -430,7 +441,7 @@ class TestAgainstFirstMoments:
     WIDE = (-8050.0, 8000.0)
 
     def test_mean_matches_analytic(self, traffic, geom):
-        """At the default window the vehicles outside it carry 10% of the
+        """At the default window the vehicles outside it carry 34% of the
         mean at this lag; the estimate adds that back."""
         est = estimate(traffic, geom, 5.0, 20000, SEED)
         se_mean = math.sqrt(est.variance * (1.0 + est.rho) / (2.0 * est.n))
@@ -579,6 +590,50 @@ class TestEstimate:
         sparse = TrafficModel.from_intensity(1e-9, 4.0)
         with pytest.raises(EstimationError):
             estimate(sparse, geom, 0.0, 1000, SEED)
+
+    # rho at occupancy 0.9 (t = 0) and 0.95 (t = 29.2) from the simulations
+    # at earlier re-anchors (40 000 and 60 000 samples on wider windows)
+    NEAR_JAM = {0.9: (0.0, 0.02179), 0.95: (29.2, -0.00288)}
+
+    @pytest.mark.parametrize("occupancy", [0.9, 0.95])
+    def test_simulation_serves_near_a_jam(self, occupancy, geom):
+        """Past the occupancy (about 0.83) where the pair density and the
+        exact route refuse, estimate_curve still serves: its window clears
+        the guard zone by the uncapped deviation reach at both slots
+        (808 m at 0.9, 2308 m at 0.95), and at 1000 samples every estimate
+        is finite and the recorded rho lies within 5 se_rho."""
+        traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
+        grid = [0.0, 5.0, 29.2]
+        w_lo, w_hi = default_window(traffic, geom, max(grid))
+        clearance = 150.0 + traffic.deviation_reach * traffic.min_gap
+        assert w_hi >= clearance and -w_lo - 292.0 >= clearance
+        curve = estimate_curve(traffic, geom, grid, 1000, SEED)
+        for est in curve:
+            assert all(math.isfinite(value) for value in (
+                est.mean, est.variance, est.covariance, est.rho, est.se_rho, est.bias_bound))
+        t, recorded = self.NEAR_JAM[occupancy]
+        est = curve[grid.index(t)]
+        assert abs(est.rho - recorded) <= 5.0 * est.se_rho
+        with pytest.raises(ConvergenceError, match="64 minimum gaps"):
+            pair_correlation(65.0 * traffic.min_gap, traffic)
+        with pytest.raises(ConvergenceError, match="64 minimum gaps"):
+            covariance(5.0, traffic, geom, "exact-quadrature")
+
+    def test_oversized_block_is_refused(self, geom):
+        """At occupancy 0.999 the reach is 1.2 million minimum gaps and the
+        default window 9600 km long: a block of 50 windows would hold about
+        1.2e8 vehicles, and estimate_curve refuses before drawing any."""
+        traffic = TrafficModel.from_intensity(0.999 / 4.0, 4.0)
+        with pytest.raises(DomainError, match="vehicles"):
+            estimate_curve(traffic, geom, [0.0, 5.0], 1000, SEED)
+
+    def test_underflowing_far_field_is_refused(self, traffic):
+        """At a guard radius of 1e300 both far-field moments underflow:
+        _far_field raises DomainError naming the geometry, not a
+        ZeroDivisionError."""
+        far = NetworkGeometry(guard_radius=1e300, pathloss_exponent=3.0, speed=10.0)
+        with pytest.raises(DomainError, match="guard radius 1e\\+300"):
+            _far_field(traffic, far)
 
     def test_estimate_validates_its_own_fields(self):
         with pytest.raises(ParameterError):
