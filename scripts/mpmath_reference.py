@@ -11,12 +11,19 @@ as a breakpoint, and is cut at the same number of minimum gaps as the
 exact-quadrature route (TrafficModel.deviation_reach), so the two differ
 only by the error of the numerics. Each point takes 15 to 20 s on one core.
 
+The kernel mode prints the gain tail, the integral of x**-eta (x + s)**-eta
+over x > 1, as 1 / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -sigma) at 30
+digits, for eta in KERNEL_ETAS and sigma in KERNEL_SIGMAS plus every cap of
+roadcorr's Gauss-Jacobi ladder (analytic._TAIL_CAPS), one line per eta.
+
 Usage:
   python scripts/mpmath_reference.py                 # the pinned points
   python scripts/mpmath_reference.py ETA LAM T [C]   # one point
+  python scripts/mpmath_reference.py kernel          # the gain-tail pins
 
 The pinned points use c 4, r0 150, eta 3, u 10; their values are frozen in
-tests/test_analytic.py as MPMATH_COVARIANCE.
+tests/test_analytic.py as MPMATH_COVARIANCE, and the gain-tail pins as
+GAIN_TAIL. The kernel mode takes about a second.
 """
 
 import sys
@@ -25,11 +32,14 @@ from pathlib import Path
 import mpmath as mp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from roadcorr.analytic import _TAIL_CAPS  # noqa: E402
 from roadcorr.model import TrafficModel  # noqa: E402
 
 mp.mp.dps = 25
 R0, U = 150, 10
 PINNED = ((3, 0.05, 5), (3, 0.05, 29.2), (3, 0.1, 5), (3, 0.2, 5))
+KERNEL_ETAS = (2.05, 2.5, 3.0, 4.0, 6.0)
+KERNEL_SIGMAS = (0.0, 1e-9, 0.5, 2.0, 2.7, 16.0, 34.0)
 
 
 def kernel(s, eta, r0):
@@ -70,7 +80,22 @@ def covariance(eta, lam, t, c=4.0):
     return lam * kernel(shift, eta, R0) + deviation
 
 
+def kernel_pins():
+    """The gain tail over x > 1 at every pinned (eta, sigma), at 30 digits;
+    each float is taken exactly as roadcorr receives it."""
+    sigmas = sorted(set(KERNEL_SIGMAS) | set(_TAIL_CAPS))
+    print("sigmas", *(repr(x) for x in sigmas))
+    with mp.workdps(40):
+        for eta in KERNEL_ETAS:
+            e = mp.mpf(eta)
+            tails = (mp.hyp2f1(2 * e - 1, e, 2 * e, -mp.mpf(x)) / (2 * e - 1) for x in sigmas)
+            print(repr(eta), *(mp.nstr(v, 30) for v in tails))
+
+
 def main(argv):
+    if argv == ["kernel"]:
+        kernel_pins()
+        return
     cases = [tuple(argv)] if argv else PINNED
     for case in cases:
         print(*case, mp.nstr(covariance(*case), 17))

@@ -12,29 +12,34 @@ the hardcore structure matters), and distant_pairs everything farther out
 evaluation routes are provided per term: exact quadrature against the full
 pair correlation, closed forms with the squared-intensity far field
 ("pcf-approx"), and the small-occupancy expansion ("expansion").
-The same-vehicle term is the intensity times the gain autocorrelation K,
-in closed form, and the exact route's pair terms are one convolution of
-the pair density against K, integrated in one adaptive pass out to the
-stream's deviation reach (TrafficModel.deviation_reach). The renewal
-far-field constants and the moments a finite window loses to the far field,
-which the simulator adds back, are closed forms here too (_losses). One
-rule, _lag_range, decides which lags each route serves, the simulation's
-included; every lag check and the CLI's valid column read it.
+The same-vehicle term is the intensity times the gain autocorrelation K.
+K's one-sided tail, a 2F1 in closed form, is evaluated by a Gauss-Jacobi
+rule picked per entry from a fixed ladder of cached rules (_gain_tail);
+the Poisson coefficient and the distant-pair closed form read the same
+tail. The exact route's pair terms are one convolution of the pair density
+against K, integrated in one adaptive pass out to the stream's deviation
+reach (TrafficModel.deviation_reach). The renewal far-field constants and
+the moments a finite window loses to the far field, which the simulator
+adds back, are closed forms here too (_losses). One rule, _lag_range,
+decides which lags each route serves, the simulation's included; every
+lag check and the CLI's valid column read it.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, ParameterError
 from .model import (NetworkGeometry, TrafficModel, _pair_correlation_array, _settled_reach,
                     mean_interference)
-from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, hyp2f1,
-                      integrate_finite)
+from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, _gauss_jacobi,
+                      hyp2f1, integrate_finite)
 from .specfun import integrate_semi_infinite  # unused: perfbench's tracer wraps it here
 
 __all__ = [
@@ -135,13 +140,88 @@ _PANEL_X = ((np.arange(3.0)[:, None] + 0.5 + 0.5 * _GK_X) / 3.0).ravel()
 _PANEL_W = np.tile(_GK_WK, 3) / 3.0
 
 
+# The gain tail's Gauss-Jacobi rule sizes, and the largest sigma each serves:
+# the sigma whose Bernstein ellipse rho, through the pole at u = -1 / sigma,
+# has rho**(-2 n) = _TAIL_EPS, that is sigma = 4 rho / (rho - 1)**2.
+_TAIL_RUNGS = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64)
+_TAIL_EPS = 1e-17
+_TAIL_CAPS = np.array([4.0 * rho / (rho - 1.0) ** 2
+                       for rho in (_TAIL_EPS ** (-0.5 / n) for n in _TAIL_RUNGS)])
+
+
+@functools.cache
+def _tail_rules(top: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of rungs 0 to top, one per row, zero-padded to the widest
+    and read-only: a padded node is 0 with weight 0, a term that adds +0.0
+    to a row's sum."""
+    nodes = np.zeros((top + 1, _TAIL_RUNGS[top]))
+    weights = np.zeros_like(nodes)
+    for row, n in enumerate(_TAIL_RUNGS[:top + 1]):
+        nodes[row, :n], weights[row, :n] = _gauss_jacobi(n, 2.0 * eta - 2.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _rule_mean(rung: int, sigma: float, eta: float) -> float:
+    """The rung's rule applied to (1 + sigma u)**-eta, summed in node order."""
+    nodes, weights = _gauss_jacobi(_TAIL_RUNGS[rung], 2.0 * eta - 2.0)
+    return float((np.power(1.0 + sigma * nodes, -eta) * weights).cumsum()[-1])
+
+
 def _gain_tail(a, s, eta: float):
     """The integral of x**-eta * (x + s)**-eta over x > a, for a > 0 and
     s >= 0: a**(1 - 2 eta) / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -s / a).
-    Takes scalars or arrays. The power is numpy's, so a scalar a rounds as
-    an entry of an array a would (float ** can differ in the last bit)."""
+
+    With x = a / u it is a**(1 - 2 eta) times the integral of u**(2 eta - 2)
+    * (1 + sigma u)**-eta over [0, 1], sigma = s / a, so the tail is that
+    prefactor over 2 eta - 1 times the sum of w_i (1 + sigma u_i)**-eta
+    over the Gauss-Jacobi rule (u_i, w_i) of the weight u**(2 eta - 2),
+    weights summing to 1 (specfun._gauss_jacobi, built once per size and
+    exponent). (1 + sigma u)**-eta is analytic on [0, 1] with one
+    singularity, at u = -1 / sigma, so an n-point rule's error falls as
+    rho**(-2 n), rho the Bernstein ellipse through that point (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 19). Each entry
+    takes the smallest rung of _TAIL_RUNGS whose cap (_TAIL_CAPS, the
+    sigma at which rho**(-2 n) = 1e-17) is at least its sigma: 1 node up to
+    1.3e-8 (so sigma = 0 gives the prefactor exactly), 16 up to 2.36, 64 up
+    to 42.4, which covers every sigma a route reaches (at most
+    2 + 64 c / r0 <= 34).
+    Against 30-digit values the tail is within 2e-15 relative for eta 2.05
+    to 6 and sigma up to 34. Each entry's sum runs in node order (padded
+    with +0.0 terms in an array), so an entry depends on its own sigma only
+    and a scalar equals the array entry bit for bit; the prefactor is
+    numpy's power for the same reason (float ** can differ in the last bit).
+
+    Takes scalars or arrays. Raises ConvergenceError past the top rung's
+    cap, carrying the top rung's value and, as its error estimate, its
+    distance from the rung below; for an array, at the first such entry.
+    """
     power = 2.0 * eta - 1.0
-    return np.power(a, -power) / power * hyp2f1(power, eta, 2.0 * eta, -s / a)
+    scale = np.power(a, -power) / power
+    sigma = s / a
+    if isinstance(sigma, float):
+        if not sigma <= _TAIL_CAPS[-1]:
+            raise _tail_refusal(sigma, eta, float(scale))
+        return scale * _rule_mean(bisect.bisect_left(_TAIL_CAPS, sigma), sigma, eta)
+    rungs = np.searchsorted(_TAIL_CAPS, sigma)
+    top = int(rungs.max(initial=0))
+    if top == len(_TAIL_RUNGS):
+        i = int(np.argmax(rungs == top))
+        raise _tail_refusal(float(sigma.flat[i]), eta,
+                            float(np.broadcast_to(scale, sigma.shape).flat[i]))
+    nodes, weights = _tail_rules(top, eta)
+    terms = np.power(1.0 + sigma[..., None] * nodes[rungs], -eta)
+    terms *= weights[rungs]
+    return scale * terms.cumsum(axis=-1)[..., -1]
+
+
+def _tail_refusal(sigma: float, eta: float, scale: float) -> ConvergenceError:
+    """The error for a gain tail whose sigma lies past the top rung's cap."""
+    coarse, fine = (scale * _rule_mean(rung, sigma, eta)
+                    for rung in (len(_TAIL_RUNGS) - 2, len(_TAIL_RUNGS) - 1))
+    return ConvergenceError(
+        f"gain tail at sigma = {sigma!r} lies past the {_TAIL_RUNGS[-1]}-point rule's "
+        f"reach, sigma <= {_TAIL_CAPS[-1]!r}", best_estimate=fine, error_bound=abs(fine - coarse))
 
 
 def _gain_kernel(s, eta: float):
@@ -167,6 +247,18 @@ def _gain_kernel(s, eta: float):
     return value if value.ndim else float(value)
 
 
+def _same_vehicle_scale(geom: NetworkGeometry) -> float:
+    """r0**(1 - 2 eta), the length scale of the same-vehicle term and the
+    variance. Raises DomainError where it overflows (as at a guard radius
+    of 0.0113 and an exponent of 92)."""
+    try:
+        return geom.guard_radius ** (1.0 - 2.0 * geom.pathloss_exponent)
+    except OverflowError:
+        raise DomainError(f"same-vehicle prefactor r0**(1 - 2 eta) overflows at guard radius "
+                          f"{geom.guard_radius!r} and exponent "
+                          f"{geom.pathloss_exponent!r}") from None
+
+
 def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
     """Covariance contribution of a single vehicle observed at both instants.
 
@@ -174,10 +266,8 @@ def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) ->
     hardcore structure does not enter a single-vehicle average.
     """
     _require_lag(t, "same-vehicle", traffic, geom, "same_vehicle_term")
-    eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    return (traffic.intensity * r0 ** (1.0 - 2.0 * eta)
-            * _gain_kernel(t * geom.speed / r0, eta))
+    return (traffic.intensity * _same_vehicle_scale(geom)
+            * _gain_kernel(t * geom.speed / geom.guard_radius, geom.pathloss_exponent))
 
 
 def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -189,11 +279,11 @@ def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry
     shift = t * geom.speed
     lead = lam * lam * r0 ** (2.0 - 2.0 * eta)
     lower, upper = [], []
-    for z in (-(gap2 + shift) / r0, (gap2 - shift) / r0):   # far, near
-        lower.append(hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, z))
-        upper.append(z * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta, z))
+    for sigma in ((gap2 + shift) / r0, (shift - gap2) / r0):   # far, near
+        lower.append(hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, -sigma))
+        upper.append(sigma * _gain_tail(1.0, sigma, eta))
     return float(lead / (eta - 1.0) ** 2 * (lower[0] - lower[1])
-                 + 2.0 * lead / ((2.0 * eta - 1.0) * (eta - 1.0)) * (upper[1] - upper[0]))
+                 + 2.0 * lead / (eta - 1.0) * (upper[0] - upper[1]))
 
 
 def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -276,10 +366,11 @@ def variance(traffic: TrafficModel, geom: NetworkGeometry, method: str = "approx
     """Interference variance (zero-lag).
 
     "approx" includes the hardcore thinning factor (1 - occupancy);
-    "ppp" is the Poisson-stream variance at the same intensity.
+    "ppp" is the Poisson-stream variance at the same intensity. Raises
+    DomainError where r0**(1 - 2 eta) overflows (_same_vehicle_scale).
     """
     eta = geom.pathloss_exponent
-    base = 4.0 * traffic.intensity * geom.guard_radius ** (1.0 - 2.0 * eta) / (2.0 * eta - 1.0)
+    base = 4.0 * traffic.intensity * _same_vehicle_scale(geom) / (2.0 * eta - 1.0)
     if method == "approx":
         return base * (1.0 - traffic.occupancy)
     if method == "ppp":
@@ -301,7 +392,8 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     it does not cancel at high occupancy; its distant excess is that total
     minus the same-vehicle and close-pair terms. The squared mean is
     cancelled symbolically, so the result does not suffer the
-    near-equal-difference loss.
+    near-equal-difference loss. Raises DomainError where that squared mean
+    is not finite (as at an intensity of 1e300).
     """
     if method not in COVARIANCE_METHODS:
         raise ParameterError(
@@ -310,6 +402,10 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     _require_lag(t, method, traffic, geom, f"covariance ({method})")
     mean = mean_interference(traffic, geom)
     mean_sq = mean * mean
+    if not math.isfinite(mean_sq):
+        raise DomainError(f"squared mean interference {mean_sq!r} is not finite at intensity "
+                          f"{traffic.intensity!r}, guard radius {geom.guard_radius!r} and "
+                          f"exponent {geom.pathloss_exponent!r}")
     base = same_vehicle_term(t, traffic, geom)
     if method == "expansion":
         occ = traffic.occupancy
@@ -334,13 +430,14 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
 def rho_ppp(t: float, geom: NetworkGeometry) -> float:
     """Correlation coefficient of a Poisson stream: intensity-free.
 
-    Equals 0.5 at zero lag (the independent-fading floor) and decays with
-    the lag; valid on [0, t_max].
+    Half the gain tail at the lag's shift over its zero-lag value
+    (_gain_tail), so it equals 0.5 exactly at zero lag (the
+    independent-fading floor) and decays with the lag; valid on [0, t_max].
     """
     _require_lag(t, "ppp", None, geom, "rho_ppp")
     eta = geom.pathloss_exponent
-    return 0.5 * hyp2f1(2.0 * eta - 1.0, eta, 2.0 * eta,
-                        -t * geom.speed / geom.guard_radius)
+    return 0.5 * float(_gain_tail(1.0, t * geom.speed / geom.guard_radius, eta)
+                       / _gain_tail(1.0, 0.0, eta))
 
 
 def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
@@ -474,7 +571,7 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
                                          + slot_t ** (1.0 - eta))) / (eta - 1.0)
     lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
-    # one scalar tail per side: hyp2f1 on a 2-element array costs five times as much
+    # one scalar tail per side: a 2-element array costs twice as much
     same = lam * float(_gain_tail(min(w_hi, w_hi + shift), shift, eta)
                        + _gain_tail(min(-w_lo, -w_lo - shift), shift, eta))
     edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))

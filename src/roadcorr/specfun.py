@@ -1,16 +1,18 @@
-"""Real-argument special functions and adaptive quadrature.
+"""Real-argument special functions and quadrature rules.
 
 One adaptive Gauss-Kronrod rule integrates every range: a finite one
 split at the caller's breakpoints, a semi-infinite one after mapping it
-onto (0, 1]. Everything here is deterministic: the same inputs always
-produce the same floating point outputs, so results can be frozen into
-regression tests. All of it needs numpy alone except
-upper_incomplete_gamma, which imports scipy.special on its first call, so
-importing this module does not load scipy.
+onto (0, 1]. Gauss-Jacobi rules for the weight u**beta on [0, 1] are
+built on first use and cached (_gauss_jacobi). Everything here is
+deterministic: the same inputs always produce the same floating point
+outputs, so results can be frozen into regression tests. All of it needs
+numpy alone except upper_incomplete_gamma, which imports scipy.special on
+its first call, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -160,6 +162,29 @@ def integrate_finite(
         heapq.heappush(heap, (-e2, seq + 2, m, b, k2, e2, depth + 1))
         seq += 2
     return math.fsum(entry[4] for entry in heap)
+
+
+@functools.cache
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule for the weight u**beta on [0, 1], beta > 0.
+
+    Returns (nodes, weights), the nodes ascending and the weights
+    normalised to sum to 1, both read-only. Golub and Welsch (Math. Comp.
+    23, 1969): the nodes are the eigenvalues of the Jacobi matrix of the
+    shifted Jacobi polynomials P_k^(0, beta)(2u - 1), and each weight is
+    the squared first component of its eigenvector. Built once per
+    (n, beta) per process.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + beta
+    diag = 0.5 * (1.0 + beta * beta / (s * (s + 2.0)))
+    j, sj = k[1:], s[1:]
+    off = j * (j + beta) / (sj * np.sqrt(sj * sj - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    weights /= weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def integrate_semi_infinite(

@@ -8,9 +8,11 @@ import pytest
 
 import oracles
 from roadcorr.analytic import (
+    _TAIL_CAPS,
     COVARIANCE_METHODS,
     CovarianceBreakdown,
     _gain_kernel,
+    _gain_tail,
     _lag_range,
     _lags_served,
     close_pairs_expansion,
@@ -26,7 +28,7 @@ from roadcorr.cli import KNOWN_METHODS
 from roadcorr.errors import ConvergenceError, DomainError, ParameterError
 from roadcorr.model import NetworkGeometry, TrafficModel, mean_interference
 from roadcorr.sim import estimate_curve
-from roadcorr.specfun import QuadratureSpec
+from roadcorr.specfun import QuadratureSpec, hyp2f1
 
 # Reference values for the canonical configuration (intensity 0.05 /m,
 # minimum gap 4 m, guard radius 150 m, exponent 3, speed 10 m/s),
@@ -85,6 +87,73 @@ MPMATH_COVARIANCE = {
     (0.05, 29.2): 1.0208045123604691e-14,
     (0.1, 5.0): 9.1666561126387813e-14,
     (0.2, 5.0): 2.0343138190900751e-14,
+}
+
+# The gain tail over x > 1, 2F1(2 eta - 1, eta; 2 eta; -sigma) / (2 eta - 1),
+# at 30 digits from mpmath (scripts/mpmath_reference.py kernel), at the
+# sigmas below: the pinned points and every cap of the rule ladder.
+GAIN_TAIL_SIGMAS = (
+    0.0, 1e-09, 1.2649110720673518e-08, 0.0002249618304315163, 0.030450752866514493,
+    0.165700878919066, 0.41517824059803266, 0.5, 1.210395865198624, 2.0,
+    2.3633942655498763, 2.7, 5.69215475867066, 10.365592205633533, 16.0,
+    23.728179340914103, 34.0, 42.439348219302445,
+)
+GAIN_TAIL = {
+    2.05: (
+        "0.322580645161290359549570018736", "0.322580644661290360162560182981",
+        "0.322580638836735097291242009442", "0.322468195260300306916835498677",
+        "0.307904752547745159104759301264", "0.253894212078847691289645067673",
+        "0.186598581808023178947051279032", "0.169935385167048574674844960561",
+        "0.0899751425890806661532533343192", "0.0536910473342978671242864588339",
+        "0.0441076364511301058066333807423", "0.037384739065398610101855832371",
+        "0.0130367686855789184727117846182", "0.00491372048518840562080937084195",
+        "0.00229791011990852933455396343522", "0.0011192024662919236442360196311",
+        "0.000569451119849974085407411637223", "0.00037273150491100968036106901561",
+    ),
+    2.5: (
+        "0.25", "0.249999999500000000729166634588",
+        "0.249999993675444756329907022839", "0.249887555975653025401987629708",
+        "0.235425208247001345672395419891", "0.183618019044580511303376374594",
+        "0.123583861257081162106537577073", "0.109603095097228718115034798256",
+        "0.0485794077919314181157091951248", "0.02516636756708248387872357722",
+        "0.0196031808469078869324365975625", "0.0158923388306198746051630677482",
+        "0.00419667748408311602073283573944", "0.00123184351749121791552503223785",
+        "0.000476239941213857148294389288313", "0.000194344500477930734532603025111",
+        "0.0000839617312586868622956625210649", "0.0000496559823144466234504479306576",
+    ),
+    3.0: (
+        "0.2", "0.199999999500000000857142824752",
+        "0.19999999367544477680609712558", "0.199887562448693316796824515412",
+        "0.185535493564799322361375902692", "0.136035113456515592711004957149",
+        "0.0830493596744608838390438399897", "0.0715229789897835620007403913773",
+        "0.0260453404609195177584101748965", "0.0115453596808261226921640374785",
+        "0.00848176056058675751428662478771", "0.00654792026658316937678066150277",
+        "0.00127451297581413034962262207295", "0.000284605488634964632209037578616",
+        "0.0000893906060010701436341516469256", "0.0000300775287017158952279016965478",
+        "0.0000108713845373151330169495497298", "0.00000575610819391608277270899536523",
+    ),
+    4.0: (
+        "0.142857142857142857142857142857", "0.142857142357142858253968220827",
+        "0.14285713653258767458387389946", "0.142744718150082422014668337133",
+        "0.128608190013669997200996661516", "0.0833402800322721753181993938928",
+        "0.0418778685423115503685747689977", "0.0340146011238734943111157692909",
+        "0.00837617830279549902769177863923", "0.00272454594499057676887564778024",
+        "0.00178214979522132627649432130993", "0.00124869609607951026919388612971",
+        "0.000132923269443681002177546779448", "0.0000172999342451751436289480588394",
+        "0.00000360656663633881195384432076107", "0.000000829284455050838417169399410734",
+        "0.000000210765945905260502311733974621", "0.0000000896835788016098012943433188608",
+    ),
+    6.0: (
+        "0.0909090909090909090909090909091", "0.0909090904090909107062936711529",
+        "0.0909090845845358072156835041348", "0.0907966916994595067810657180302",
+        "0.0770754660770673115259062648288", "0.0390210516199664875731006327293",
+        "0.0132930420514799567042659172472", "0.00960696105849316093986913019805",
+        "0.00108540248060347215612762277182", "0.000190847421392013361868173449983",
+        "0.0000991362175652703930443347466071", "0.0000573067367809615952880545026983",
+        "0.0000018449590377733356165013975299", "0.0000000824760189189630193071236369647",
+        "0.00000000763792410710070038133359532516", "8.26045027971767201917962118792e-10",
+        "1.04416673947719654439127628343e-10", "2.87896446706033804189968863549e-11",
+    ),
 }
 
 
@@ -197,6 +266,59 @@ class TestGainKernel:
             kernel = _gain_kernel(t * geom.speed / geom.guard_radius, 3.0)
             assert same_vehicle_term(t, traffic, geom) == (
                 traffic.intensity * geom.guard_radius ** -5.0 * kernel)
+
+
+class TestGainTail:
+    @pytest.mark.parametrize("eta", sorted(GAIN_TAIL))
+    def test_matches_30_digit_values(self, eta):
+        got = _gain_tail(1.0, np.array(GAIN_TAIL_SIGMAS), eta)
+        want = np.array([float(v) for v in GAIN_TAIL[eta]])
+        assert np.all(np.abs(got / want - 1.0) <= 2e-15)
+
+    def test_pins_cover_every_rung_cap(self):
+        assert set(_TAIL_CAPS.tolist()) <= set(GAIN_TAIL_SIGMAS)
+
+    def test_top_rung_covers_every_route(self):
+        """The exact route's largest sigma is 2 + 64 c / r0 with c <= r0 / 2."""
+        assert _TAIL_CAPS[-1] >= 2.0 + 64 * 0.5
+
+    def test_zero_sigma_is_the_prefactor(self):
+        """sigma = 0 takes the 1-node rule, whose one weight is 1, so the
+        tail is its prefactor exactly at every exponent (a wider rule's
+        normalised weights need not sum to exactly 1)."""
+        for eta in [*np.linspace(2.01, 12.0, 200).tolist(), 92.0]:
+            power = 2.0 * eta - 1.0
+            for a in (1.0, 0.37, 150.0):
+                assert _gain_tail(a, 0.0, eta) == np.power(a, -power) / power
+            assert np.array_equal(_gain_tail(150.0, np.zeros(3), eta),
+                                  np.full(3, np.power(150.0, -power) / power))
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 6.0])
+    def test_scalar_equals_array_entry(self, eta):
+        sigma = np.array(sorted({*GAIN_TAIL_SIGMAS, *np.linspace(0.0, 42.0, 57).tolist()}))
+        batch = _gain_tail(1.0, sigma, eta)
+        assert np.array_equal(batch, [_gain_tail(1.0, x, eta) for x in sigma.tolist()])
+        a = np.linspace(0.5, 300.0, sigma.size)
+        batch = _gain_tail(a, sigma * a, eta)
+        assert np.array_equal(batch, [_gain_tail(x, y, eta)
+                                      for x, y in zip(a.tolist(), (sigma * a).tolist())])
+
+    def test_entry_keeps_its_bytes_in_any_batch(self):
+        own = _gain_tail(1.0, np.array([0.5, 2.0]), 3.0)
+        for others in ([0.0], [1e-9, 34.0], np.linspace(0.0, 42.0, 40).tolist()):
+            mixed = _gain_tail(1.0, np.array([*others, 0.5, 2.0, *others]), 3.0)
+            assert mixed[len(others):len(others) + 2].tobytes() == own.tobytes()
+
+    def test_refuses_past_the_top_rung(self):
+        with pytest.raises(ConvergenceError, match="sigma = 50.0") as info:
+            _gain_tail(1.0, 50.0, 3.0)
+        want = hyp2f1(5.0, 3.0, 6.0, -50.0) / 5.0
+        assert math.isclose(info.value.best_estimate, want, rel_tol=1e-13)
+        assert 0.0 <= info.value.error_bound <= 1e-12 * want
+        with pytest.raises(ConvergenceError, match="sigma = 60.0") as info:
+            _gain_tail(2.0, np.array([[1.0, 3.0], [120.0, 200.0]]), 3.0)
+        assert math.isclose(info.value.best_estimate,
+                            2.0 ** -5 * hyp2f1(5.0, 3.0, 6.0, -60.0) / 5.0, rel_tol=1e-13)
 
 
 class TestSameVehicleTerm:
@@ -421,6 +543,18 @@ class TestCovariance:
         with pytest.raises(ParameterError):
             covariance(5.0, traffic, geom, "bogus")
 
+    def test_overflowing_squared_mean_raises_domain_error(self, geom):
+        """At an intensity of 1e300 the squared mean overflows: every method
+        raises one DomainError naming it before a breakdown is formed,
+        instead of the breakdown's inconsistency or an OverflowError."""
+        traffic = TrafficModel.from_intensity(1e300, 0.0)
+        want = r"^squared mean interference inf is not finite at intensity 1e\+300"
+        for method in COVARIANCE_METHODS:
+            with pytest.raises(DomainError, match=want):
+                covariance(5.0, traffic, geom, method)
+        with pytest.raises(DomainError, match=want):
+            rho(5.0, traffic, geom, "pcf-approx")
+
 
 class TestRho:
     def test_ppp_at_zero_lag_is_half(self, geom):
@@ -470,6 +604,22 @@ class TestRho:
             rho(5.0, traffic, geom, "pcf-approx")
         for method in ("ppp", "expansion"):
             assert math.isfinite(rho(5.0, traffic, geom, method))
+
+    def test_overflowing_same_vehicle_prefactor_raises_domain_error(self):
+        """At a guard radius of 0.0113 and an exponent of 92, r0**(1 - 2 eta)
+        and the squared mean overflow: every route that forms either raises
+        DomainError naming the geometry, not OverflowError; ppp and
+        expansion, which form neither, still evaluate."""
+        traffic = TrafficModel.from_intensity(0.05, 0.0)
+        geom = NetworkGeometry(guard_radius=0.0113, pathloss_exponent=92.0, speed=10.0)
+        for call in (partial(rho, 0.001, traffic, geom, "pcf-approx"),
+                     partial(covariance, 0.001, traffic, geom, "exact-quadrature"),
+                     partial(same_vehicle_term, 0.001, traffic, geom),
+                     partial(variance, traffic, geom)):
+            with pytest.raises(DomainError, match=r"guard radius 0\.0113 and exponent 92\.0$"):
+                call()
+        for method in ("ppp", "expansion"):
+            assert 0.0 < rho(0.001, traffic, geom, method) < 1e-25
 
 
 class TestLagRule:

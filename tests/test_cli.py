@@ -287,6 +287,24 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("evaluation failure: variance ")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("lines,methods,named", [
+        ("r0 = 0.0113\neta = 92\ntraffic = lambda=0.05 c=0\nt_hi = 0.002\nt_points = 3",
+         "ppp,expansion,pcf-approx", "squared mean interference inf"),
+        ("r0 = 0.0113\neta = 92\ntraffic = lambda=0.05 c=0\nt_hi = 0.002\nt_points = 3",
+         "simulation", "same-vehicle prefactor"),
+        ("traffic = lambda=1e300 c=0", "ppp,expansion,pcf-approx",
+         "squared mean interference inf"),
+    ], ids=["geometry", "geometry-simulation", "intensity"])
+    def test_overflow_exits_3(self, tmp_path, lines, methods, named, capsys):
+        """Where r0**(1 - 2 eta) or the squared mean overflows, its
+        DomainError ends the run with one stderr line naming it, exit 3 and
+        no manifest, not an OverflowError traceback."""
+        code, out = self.run_main(tmp_path, f"{lines}\nmethods = {methods}\nn_samples = 1000\n")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"evaluation failure: {named}")
+        assert not (out / "manifest.json").exists()
+
     def test_vanishing_far_field_exits_3(self, tmp_path, capsys):
         """The canonical config simulated at a guard radius of 1e300: the
         window's far-field constants underflow, and their DomainError ends

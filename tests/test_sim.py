@@ -56,8 +56,8 @@ CURVE_PINS = {
           4.310713231335001e-13, 1.6983883729714708e-13),
     5.0: (0.18801847653011008, 0.007072954365048795,
           4.3323523872689783e-13, 8.145622956458987e-14),
-    30.0: (0.016312271618544767, 0.009569067175807713,
-           4.323778088442151e-13, 7.0530642596980646e-15),
+    30.0: (0.01631227161854477, 0.009569067175807711,
+           4.323778088442151e-13, 7.053064259698067e-15),
 }
 
 # The largest bias bound of _losses over the 31 lags of the canonical
