@@ -13,7 +13,10 @@ Prints a digest for each of:
   window is empty, is covered;
 - edges/pcf: `roadcorr pcf` on the same four streams;
 - edges/run.json: edges/run with `--format json`, the one line that
-  covers the JSON writer.
+  covers the JSON writer;
+- method/<method>: the curve files of one method (`curve_<method>_*`)
+  across every run tree above, so a change that moves one method's
+  numbers shows which curves moved and which stayed byte-identical.
 
 The perfbench configs are built by perfbench/workloads.config_text, and the
 edges config by edges_config_text, at the seed given (perfbench's default
@@ -40,12 +43,18 @@ import workloads  # noqa: E402
 from roadcorr import NetworkGeometry, TrafficModel, analytic, cli  # noqa: E402
 
 
-def tree_digest(out_dir: Path) -> str:
+def files_digest(base: Path, pattern: str) -> str:
+    """sha256 over the files under base that match the glob pattern, each
+    one's path relative to base and its bytes, in path order."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-        digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+    for path in sorted(p for p in base.rglob(pattern) if p.is_file()):
+        digest.update(path.relative_to(base).as_posix().encode() + b"\0")
         digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def tree_digest(out_dir: Path) -> str:
+    return files_digest(out_dir, "*")
 
 
 def edges_config_text(seed: int) -> str:
@@ -93,6 +102,8 @@ def main(argv: list[str]) -> None:
                 ("edges", "pcf", "csv"), ("edges", "run", "json")):
             label = f"{workload}/{command}" + ("" if fmt == "csv" else f".{fmt}")
             print(label, cli_digest(workload, command, fmt, seed, Path(scratch)))
+        for method in cli.KNOWN_METHODS:
+            print(f"method/{method}", files_digest(Path(scratch), f"curve_{method}_*"))
     print("exact-dense/covariance", dense_digest())
 
 

@@ -5,18 +5,24 @@ Every estimate runs N_BLOCKS blocks, each on its own counter-based stream.
 A block draws one renewal stream from its equilibrium delay, stationary
 throughout, and cuts it into consecutive windows, one realization each
 (Asmussen & Glynn, Stochastic Simulation, 2007, ch. IV); that one draw
-serves every lag of a curve (common random numbers). Fading is never
-drawn: it is unit-mean exponential and independent per vehicle and slot,
-so its average given the positions is known in closed form, and the
-estimators use that average (Rao-Blackwellisation). The window reaches
-past the guard zone by the reach of the stream's pair deviation and a
-third of the guard radius, at both slots, whatever the sample count;
-what the vehicles beyond it carry is added back in closed form
-(analytic._losses; Cox, Renewal Theory, 1962). Every window of the stream
-has the stationary law, so the same correction, and the bound on the bias
-it leaves, applies to every realization. The lags served are [0, t_max],
-as analytic._lag_range gives them for the simulation route:
-estimate_curve refuses any other.
+serves every lag of a curve (common random numbers). The gains are
+evaluated once per mark of a difference basis of the lag grid
+(_shift_schedule; Leech, J. London Math. Soc. 31, 1956), and each lag is
+formed from a pair of marks a <= b with b - a the lag: the stream is
+stationary, so the passes at the shifts u a and u b are a lag sample of
+the window moved by u a. Ten passes serve the canonical 31 lags.
+
+Fading is never drawn: it is unit-mean exponential and independent per
+vehicle and slot, so its average given the positions is known in closed
+form, and the estimators use that average (Rao-Blackwellisation). The
+window reaches past the guard zone by the reach of the stream's pair
+deviation and a third of the guard radius, at both slots of every pair,
+whatever the sample count; what the vehicles beyond it carry is added
+back in closed form (analytic._losses; Cox, Renewal Theory, 1962). Every
+window of the stream has the stationary law, so the same correction, and
+the bound on the bias it leaves, applies to every realization. The lags
+served are [0, t_max], as analytic._lag_range gives them for the
+simulation route: estimate_curve refuses any other.
 """
 
 from __future__ import annotations
@@ -97,7 +103,12 @@ def default_window(traffic: TrafficModel, geom: NetworkGeometry,
     beyond deviation_reach minimum gaps, so every correlated pair the
     window cuts has its inside vehicle past the guard zone at both slots of
     every lag up to t, where the gains are smooth; there the closed-form
-    losses of analytic._losses hold, and estimate_curve adds them back. The margin of a third of the guard radius keeps _losses' bound
+    losses of analytic._losses hold, and estimate_curve adds them back.
+    Moved right by u a, the window still has both edges at least W from
+    the receiver at both slots of any lag t' with a + t' <= t, so the
+    same holds for every pair of marks of _shift_schedule.
+
+    The margin of a third of the guard radius keeps _losses' bound
     under a tenth of the canonical curve's noise at a million samples: on
     the canonical stream W is 236 m and the bound at most 1.7e-5 over
     [0, t_max], while the residual measured against the exact route is
@@ -161,29 +172,66 @@ def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_window
     return pos[:cuts[-1]], np.diff(cuts, prepend=0)
 
 
-def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
-                n_rows: int, window: tuple[float, float],
+def _shift_schedule(lags: Sequence[float]) -> tuple[list[float], list[tuple[int, int]]]:
+    """Marks in [0, max lag] whose differences hold every lag, and each
+    lag's pair of marks.
+
+    The stream is stationary, so gain passes at the shifts u a and u b,
+    a <= b, form a lag-(b - a) sample, seen from the window moved by u a:
+    one pass per mark serves every lag two marks span (a difference basis,
+    Leech, J. London Math. Soc. 31, 1956). The marks start as {0, max lag};
+    while a lag is uncovered, the greedy tries m - t and m + t, for every
+    mark m, that lie in [0, max lag], with t the largest uncovered lag, and
+    adds the one that covers the most uncovered lags, the smallest on a
+    tie. A lag t is covered when b - a == t exactly in floats; its pair is
+    the covering (a, b) with the smallest a, so lag 0, the largest lag and
+    a lone lag t take (0, t). The marks come back ascending, the pairs as
+    indices into them, in the order of the lags. There are never more
+    marks than one plus the distinct nonzero lags, the passes one lag at
+    a time would take: 10 on the canonical 31-lag grid.
+    """
+    top = max(lags)
+    marks = sorted({0.0, top})
+    uncovered = set(lags) - {b - a for i, a in enumerate(marks) for b in marks[i:]}
+    while uncovered:
+        t = max(uncovered)
+        candidates = sorted({c for m in marks for c in (m - t, m + t) if 0.0 <= c <= top}
+                            - set(marks))
+        best = max(candidates, key=lambda c: len(uncovered & {abs(c - m) for m in marks}))
+        uncovered -= {abs(best - m) for m in marks}
+        marks = sorted(marks + [best])
+    first: dict[float, tuple[int, int]] = {}
+    for i, a in enumerate(marks):
+        for j in range(i, len(marks)):
+            first.setdefault(marks[j] - a, (i, j))
+    return marks, [first[t] for t in lags]
+
+
+def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float],
+                pairs: list[tuple[int, int]], n_rows: int, window: tuple[float, float],
                 rng: Generator) -> np.ndarray:
-    """Additive moment sums of n_rows realizations, one row of sums per lag.
+    """Additive moment sums of n_rows realizations, one row of sums per pair
+    of marks (see _shift_schedule).
 
     Given the positions, unit-mean exponential fading independent per
-    vehicle and slot averages out: with S_t = sum g(x + u t) and
-    Q_t = sum g(x + u t)**2, E[I_0 I_t | X] = S_0 S_t (the two slots fade
-    independently, even at t = 0) and E[I_t**2 | X] = S_t**2 + Q_t. The
-    columns are n, sum d_0, sum d_t, sum d_0**2, sum d_t**2, sum d_0 d_t,
-    sum Q_0 and sum Q_t, where d_t = S_t - mean_interference keeps the
-    later subtractions from cancelling digits. One position draw serves
-    every lag, and lag 0 is evaluated once. The rows are consecutive
-    windows of one stream (_stream_windows); less their window's offset,
-    its positions are every row's vehicles laid end to end, and every gain
-    pass runs on them only. The block allocates one gain buffer and one
-    mask; each lag shifts the positions into the buffer and runs
-    pathloss's kernel (model._gain_in_place) on it in place, without
-    pathloss's NaN and inf checks, since the positions are finite. Row
-    sums are np.add.reduceat over the segments of the rows that hold a
-    vehicle; an empty row sums to 0. Q_t squares the gains in place and
-    sums them, a pairwise sum that stays off BLAS (whose threads spin in
-    np.vdot).
+    vehicle and slot averages out: with S_s = sum g(x + u s) and
+    Q_s = sum g(x + u s)**2, E[I_a I_b | X] = S_a S_b (the two slots fade
+    independently, even when a == b) and E[I_b**2 | X] = S_b**2 + Q_b. For
+    the pair (a, b) the columns are n, sum d_a, sum d_b, sum d_a**2,
+    sum d_b**2, sum d_a d_b, sum Q_a and sum Q_b, where
+    d_s = S_s - mean_interference keeps the later subtractions from
+    cancelling digits: the lag-(b - a) sums of the window moved by u a.
+    One position draw serves every pair, and each mark is evaluated once.
+    The rows are consecutive windows of one stream (_stream_windows); less
+    their window's offset, its positions are every row's vehicles laid end
+    to end, and every gain pass runs on them only. The block allocates one
+    gain buffer and one mask; each mark shifts the positions into the
+    buffer and runs pathloss's kernel (model._gain_in_place) on it in
+    place, without pathloss's NaN and inf checks, since the positions are
+    finite. Row sums are np.add.reduceat over the segments of the rows that
+    hold a vehicle; an empty row sums to 0. Q_s squares the gains in place
+    and sums them, a pairwise sum that stays off BLAS (whose threads spin
+    in np.vdot).
     """
     centre = mean_interference(traffic, geom)
     flat, counts = _stream_windows(traffic, window, n_rows, rng)
@@ -201,11 +249,11 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, lags: list[float],
         sums[rows] = np.add.reduceat(gains, starts)
         return sums - centre, float(np.square(gains, out=gains).sum())
 
-    d0, q0 = totals(0.0)
-    out = np.empty((len(lags), 8))
-    for j, t in enumerate(lags):
-        dt, qt = (d0, q0) if t == 0.0 else totals(geom.speed * t)
-        out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt, q0, qt)
+    passes = [totals(geom.speed * m) for m in marks]
+    out = np.empty((len(pairs), 8))
+    for j, (a, b) in enumerate(pairs):
+        (da, qa), (db, qb) = passes[a], passes[b]
+        out[j] = (n_rows, da.sum(), db.sum(), da @ da, db @ db, da @ db, qa, qb)
     return out
 
 
@@ -232,17 +280,23 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     counter-based stream keyed by (seed, block index), with seed in
     [0, 2**64). A block cuts its realizations from one stationary stream
     in the window of the largest lag (default_window unless given) and
-    evaluates every lag on them, so the curve's errors are correlated
-    across lags. Fading is integrated out exactly (see _block_sums). The
-    mean, variance and covariance lost outside the window are added back
+    runs one gain pass per mark of the grid's _shift_schedule on them;
+    each lag t is formed from its pair of marks (a, b), b - a = t, on the
+    window moved by u a. So the curve's errors are correlated across
+    lags. Fading is integrated out exactly (see _block_sums). The mean,
+    variance and covariance lost outside the moved window are added back
     in closed form (analytic._losses), to the totals and to every
     leave-one-out alike, so the window must cover the guard zone at both
-    slots of every lag; each estimate's bias_bound is the bound _losses
-    gives for its lag. Each lag's estimate is the same whichever other
-    lags share its window. Standard errors are a leave-one-block-out
-    jackknife over independent blocks. Raises DomainError, before
-    sampling, where a block would hold more than _MAX_BLOCK_VEHICLES
-    vehicles (the default window near a jam, or a huge sample count).
+    slots of the largest lag, and then does at both slots of every pair;
+    each estimate's bias_bound is the bound _losses gives for its lag on
+    its moved window. A lag whose pair is (0, t), as lag 0, the largest
+    lag and the single lag of estimate always are, is estimate(t) on the
+    same window bit for bit; any other lag is the estimate its two marks
+    give alone, whichever other marks the schedule holds. Standard errors
+    are a leave-one-block-out jackknife over independent blocks. Raises
+    DomainError, before sampling, where a block would hold more than
+    _MAX_BLOCK_VEHICLES vehicles (the default window near a jam, or a
+    huge sample count).
     """
     lags = [float(t) for t in t_grid]
     if not lags:
@@ -254,7 +308,10 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     if window is None:
         window = default_window(traffic, geom, max(lags))
     _require_window(window)
-    losses = [_losses(traffic, geom, window, t) for t in lags]
+    marks, pairs = _shift_schedule(lags)
+    w_lo, w_hi = window
+    shifts = [geom.speed * marks[a] for a, _ in pairs]
+    losses = [_losses(traffic, geom, (w_lo + s, w_hi + s), t) for s, t in zip(shifts, lags)]
     base, rem = divmod(n_samples, N_BLOCKS)
     rows = base + (1 if rem else 0)                     # the largest block's
     block = traffic.intensity * (window[1] - window[0]) * rows
@@ -263,7 +320,7 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
                           f"hold about {block:.3g} vehicles, more than {_MAX_BLOCK_VEHICLES} "
                           f"(occupancy {traffic.occupancy!r})")
     blocks = np.stack([
-        _block_sums(traffic, geom, lags, base + (1 if k < rem else 0), window,
+        _block_sums(traffic, geom, marks, pairs, base + (1 if k < rem else 0), window,
                     _block_rng(seed, k))
         for k in range(N_BLOCKS)])
     centre = mean_interference(traffic, geom)

@@ -25,6 +25,7 @@ from roadcorr.sim import (
     _block_rng,
     _block_sums,
     _equilibrium_delay,
+    _shift_schedule,
     _stream_windows,
     default_window,
     estimate,
@@ -90,10 +91,11 @@ def _loop_windows(traffic, window, n_windows, rng):
 
 
 def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
-    """_block_sums rebuilt on the oracle: the loop-cut windows, each less
-    its offset, laid end to end and row-summed by np.add.reduceat over the
-    rows that hold a vehicle (a row with none sums to 0), every lag
-    evaluated afresh on oracles.masked_gains."""
+    """_block_sums on the schedule of lags, rebuilt on the oracle: the
+    loop-cut windows, each less its offset, laid end to end and row-summed
+    by np.add.reduceat over the rows that hold a vehicle (a row with none
+    sums to 0), both shifts of every lag's pair of marks evaluated afresh
+    on oracles.masked_gains."""
     length = window[1] - window[0]
     windows, _ = _loop_windows(traffic, window, n_rows, rng)
     rows = [pos - length * k for k, pos in enumerate(windows)]
@@ -107,14 +109,14 @@ def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
         return sums
 
     centre = mean_interference(traffic, geom)
-    g0 = oracles.masked_gains(positions, geom)
-    d0 = row_sums(g0) - centre
+    marks, pairs = _shift_schedule(lags)
     out = np.empty((len(lags), 8))
-    for j, t in enumerate(lags):
-        gt = oracles.masked_gains(positions + geom.speed * t, geom)
-        dt = row_sums(gt) - centre
-        out[j] = (n_rows, d0.sum(), dt.sum(), d0 @ d0, dt @ dt, d0 @ dt,
-                  float(np.square(g0).sum()), float(np.square(gt).sum()))
+    for j, (a, b) in enumerate(pairs):
+        ga = oracles.masked_gains(positions + geom.speed * marks[a], geom)
+        gb = oracles.masked_gains(positions + geom.speed * marks[b], geom)
+        da, db = row_sums(ga) - centre, row_sums(gb) - centre
+        out[j] = (n_rows, da.sum(), db.sum(), da @ da, db @ db, da @ db,
+                  float(np.square(ga).sum()), float(np.square(gb).sum()))
     return out
 
 
@@ -457,7 +459,8 @@ class TestAgainstFirstMoments:
         raw = []
         for k in range(30):
             n, a0, at, _, _, a0t, _, _ = _block_sums(
-                traffic_ppp, geom, [t], 1200, self.WIDE, _block_rng(SEED, k))[0]
+                traffic_ppp, geom, *_shift_schedule([t]), 1200, self.WIDE,
+                _block_rng(SEED, k))[0]
             raw.append(a0t / n + m * (a0 + at) / n + m * m)
         raw = np.array(raw)
         want = same_vehicle_term(t, traffic_ppp, geom) + m * m
@@ -469,12 +472,13 @@ class TestBlockSums:
     @pytest.mark.parametrize("lam,c", [(0.02, 4.0), (0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
     def test_bit_equal_to_masked_reference(self, lam, c, geom):
         """The stream cut by searchsorted gives the loop-cut oracle's sums
-        bit for bit, on the default window and a wider one."""
+        bit for bit, on the default window and a wider one; the grid's
+        schedule serves 0.8 and 29.2 from marks other than 0."""
         traffic = TrafficModel.from_intensity(lam, c)
         grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
         for window in (default_window(traffic, geom, 30.0), (-1100.0, 800.0)):
             for k in range(2):
-                got = _block_sums(traffic, geom, grid, 500, window,
+                got = _block_sums(traffic, geom, *_shift_schedule(grid), 500, window,
                                   _block_rng(SEED, k))
                 want = _reference_block_sums(traffic, geom, grid, 500, window,
                                              _block_rng(SEED, k))
@@ -488,13 +492,15 @@ class TestBlockSums:
         grid = [0.0, 5.0, 30.0]
         counts = _stream_windows(traffic, window, 50, _block_rng(SEED, 4))[1]
         assert counts[-1] == 0 and np.any(counts[:-1] == 0) and np.any(counts > 0)
-        got = _block_sums(traffic, geom, grid, 50, window, _block_rng(SEED, 4))
+        got = _block_sums(traffic, geom, *_shift_schedule(grid), 50, window,
+                          _block_rng(SEED, 4))
         assert np.array_equal(got, _reference_block_sums(traffic, geom, grid, 50, window,
                                                          _block_rng(SEED, 4)))
         # a one-window block whose window is empty: every deviation is -mean, Q is 0
         assert _stream_windows(traffic, window, 1, _block_rng(SEED, 0))[1][0] == 0
         centre = mean_interference(traffic, geom)
-        one = _block_sums(traffic, geom, grid, 1, window, _block_rng(SEED, 0))
+        one = _block_sums(traffic, geom, *_shift_schedule(grid), 1, window,
+                          _block_rng(SEED, 0))
         assert np.array_equal(one, np.tile(
             [1.0, -centre, -centre, centre ** 2, centre ** 2, centre ** 2, 0.0, 0.0],
             (len(grid), 1)))
@@ -505,7 +511,8 @@ class TestBlockSums:
         traffic = TrafficModel.from_intensity(0.002, 4.0)
         window = (-300.0, 300.0)
         assert _loop_windows(traffic, window, 5, _block_rng(SEED, 12))[1] == 2
-        got = _block_sums(traffic, geom, [0.0, 5.0], 5, window, _block_rng(SEED, 12))
+        got = _block_sums(traffic, geom, *_shift_schedule([0.0, 5.0]), 5, window,
+                          _block_rng(SEED, 12))
         assert np.array_equal(got, _reference_block_sums(traffic, geom, [0.0, 5.0], 5, window,
                                                          _block_rng(SEED, 12)))
 
@@ -515,11 +522,11 @@ class TestBlockSums:
         its special path."""
         grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
         window = default_window(traffic, geom, 30.0)
-        _block_sums(traffic, geom, grid, 500, window, _block_rng(SEED, 0))
+        _block_sums(traffic, geom, *_shift_schedule(grid), 500, window, _block_rng(SEED, 0))
         in_window = int(_stream_windows(traffic, window, 500, _block_rng(SEED, 0))[1].sum())
         # the sampler's equilibrium delay takes one log per block, of a 0-d base
         gain_bases = [base for base in power_bases if base.ndim == 1]
-        assert len(gain_bases) == len(grid)  # one pass per lag, lag 0 once
+        assert len(gain_bases) == 10  # one pass per mark of the grid's schedule
         for base in gain_bases:
             assert base.size == in_window
             assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
@@ -530,27 +537,113 @@ class TestBlockSums:
             assert (est.rho, est.se_rho, est.variance, est.covariance) == CURVE_PINS[t]
 
 
+class TestShiftSchedule:
+    CANONICAL = [float(t) for t in np.linspace(0.0, 30.0, 31)]
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(SEED)
+        yield TestShiftSchedule.CANONICAL
+        for points in (2, 7, 151, 601):
+            yield [float(t) for t in np.linspace(0.0, 30.0, points)]
+        yield [0.1 * k for k in range(300)]
+        yield [5.0]
+        yield [0.0]
+        yield [29.2, 0.8, 5.0, 0.8, 15.0]
+        for size in (3, 12, 40):
+            yield [float(t) for t in rng.uniform(0.0, 30.0, size)]
+        yield [float(t) for t in rng.integers(0, 60, 25) / 2.0]
+
+    def test_every_lag_is_an_exact_difference(self):
+        """Each lag's pair (a, b) has a <= b and marks[b] - marks[a] == t in
+        floats, and no mark below marks[a] starts a pair that covers t."""
+        for grid in self.grids():
+            marks, pairs = _shift_schedule(grid)
+            assert len(pairs) == len(grid)
+            for t, (a, b) in zip(grid, pairs):
+                assert a <= b and marks[b] - marks[a] == t
+                assert not any(marks[j] - marks[i] == t
+                               for i in range(a) for j in range(i, len(marks)))
+
+    def test_marks_span_the_grid(self):
+        """Marks ascend, are distinct, lie in [0, max lag] and include both
+        ends; there are never more than one plus the distinct nonzero lags,
+        the passes one lag at a time would take, so at most the distinct
+        lags plus one."""
+        for grid in self.grids():
+            marks, _ = _shift_schedule(grid)
+            assert marks == sorted(set(marks))
+            assert marks[0] == 0.0 and marks[-1] == max(grid)
+            assert len(marks) <= 1 + len(set(grid) - {0.0}) <= len(set(grid)) + 1
+
+    def test_mark_counts(self):
+        marks, _ = _shift_schedule(self.CANONICAL)
+        assert marks == [0.0, 1.0, 4.0, 5.0, 10.0, 15.0, 20.0, 22.0, 28.0, 30.0]
+        marks, _ = _shift_schedule([float(t) for t in np.linspace(0.0, 30.0, 7)])
+        assert marks == [0.0, 5.0, 20.0, 30.0]
+        marks, _ = _shift_schedule([float(t) for t in np.linspace(0.0, 30.0, 601)])
+        assert len(marks) <= 90
+        assert _shift_schedule([5.0]) == ([0.0, 5.0], [(0, 1)])
+        assert _shift_schedule([0.0]) == ([0.0], [(0, 0)])
+
+    def test_unsorted_and_repeated_lags_keep_their_order(self):
+        grid = [29.2, 0.8, 5.0, 0.8, 15.0, 29.2, 0.0]
+        marks, pairs = _shift_schedule(grid)
+        assert [marks[b] - marks[a] for a, b in pairs] == grid
+        assert pairs[1] == pairs[3] and pairs[0] == pairs[5]
+        assert _shift_schedule(sorted(set(grid)))[0] == marks
+
+    def test_deterministic(self):
+        for grid in self.grids():
+            assert _shift_schedule(grid) == _shift_schedule(list(grid))
+
+
 class TestEstimate:
-    def test_curve_shares_one_draw_per_block(self, traffic, geom):
-        """With the window fixed, a lag's estimate does not depend on the
-        other lags of the grid: estimate(t) is the curve at t, bit for bit."""
-        grid = [0.0, 0.8, 5.0, 10.0, 15.0, 29.2, 30.0]
+    GRID = [0.0, 0.8, 5.0, 10.0, 15.0, 29.2, 30.0]
+
+    def test_lag_from_mark_zero_is_the_single_lag_estimate(self, traffic, geom):
+        """With the window fixed, a lag the schedule serves by the pair
+        (0, t) is the single-lag estimate(t), bit for bit: lag 0, the
+        largest lag and here 5 and 15."""
         window = default_window(traffic, geom, 30.0)
-        curve = estimate_curve(traffic, geom, grid, 2000, SEED, window=window)
-        assert len(curve) == len(grid)
-        for t, est in zip(grid, curve):
-            assert estimate(traffic, geom, t, 2000, SEED, window=window) == est
+        curve = estimate_curve(traffic, geom, self.GRID, 2000, SEED, window=window)
+        marks, pairs = _shift_schedule(self.GRID)
+        served = [t for t, (a, _) in zip(self.GRID, pairs) if marks[a] == 0.0]
+        assert served == [0.0, 5.0, 15.0, 30.0]
+        for t, est in zip(self.GRID, curve):
+            if t in served:
+                assert estimate(traffic, geom, t, 2000, SEED, window=window) == est
+
+    def test_lag_is_its_pair_of_marks_alone(self, traffic, geom, monkeypatch):
+        """Every other lag is the estimate its own two marks form alone: a
+        lag's estimate does not depend on the other marks of the schedule.
+        Here 0.8, 10 and 29.2 are served from marks other than 0."""
+        window = default_window(traffic, geom, 30.0)
+        curve = estimate_curve(traffic, geom, self.GRID, 2000, SEED, window=window)
+        marks, pairs = _shift_schedule(self.GRID)
+        moved = [j for j, (a, _) in enumerate(pairs) if marks[a] != 0.0]
+        assert [self.GRID[j] for j in moved] == [0.8, 10.0, 29.2]
+        for j in moved:
+            a, b = pairs[j]
+            monkeypatch.setattr("roadcorr.sim._shift_schedule",
+                                lambda lags: ([marks[a], marks[b]], [(0, 1)]))
+            assert estimate(traffic, geom, self.GRID[j], 2000, SEED, window=window) == curve[j]
 
     def test_bias_bound_is_the_losses_bound(self, traffic, geom):
         """Each estimate carries the bound _losses gives for its own lag on
-        the window it sampled: the default window of the largest lag, or
-        the caller's."""
-        grid = [0.0, 0.8, 5.0, 29.2]
+        the window it sampled, seen from its pair's first mark a: the
+        window (default_window of the largest lag, or the caller's) moved
+        by u a. Lags 5, 10 and 15 are served from marks other than 0."""
+        grid = [0.0, 0.8, 5.0, 10.0, 15.0, 29.2]
+        marks, pairs = _shift_schedule(grid)
+        assert [marks[a] for a, _ in pairs] == [0.0, 0.0, 14.2, 19.2, 14.2, 0.0]
         for window, sampled in ((None, default_window(traffic, geom, 29.2)),
                                 ((-1100.0, 800.0), (-1100.0, 800.0))):
             curve = estimate_curve(traffic, geom, grid, 1000, SEED, window=window)
+            shifts = [geom.speed * marks[a] for a, _ in pairs]
             assert [est.bias_bound for est in curve] == [
-                _losses(traffic, geom, sampled, t)[3] for t in grid]
+                _losses(traffic, geom, (sampled[0] + s, sampled[1] + s), t)[3]
+                for s, t in zip(shifts, grid)]
 
     def test_seed_changes_the_draw(self, traffic, geom):
         a = estimate(traffic, geom, 5.0, 2000, SEED)
