@@ -15,8 +15,10 @@ pair correlation, closed forms with the squared-intensity far field
 The same-vehicle term is the intensity times the gain autocorrelation K.
 K's one-sided tail, a 2F1 in closed form, is evaluated by a Gauss-Jacobi
 rule picked per entry from a fixed ladder of cached rules (_gain_tail);
-the Poisson coefficient and the distant-pair closed form read the same
-tail. The exact route's pair terms are one convolution of the pair density
+the Poisson coefficient and both terms of the distant-pair closed form
+read the same tail (the lower one, a 2F1 of its own, after one
+integration by parts), so no route sums a hypergeometric series. The
+exact route's pair terms are one convolution of the pair density
 against K, integrated in one adaptive pass out to the stream's deviation
 reach (TrafficModel.deviation_reach). The renewal far-field constants and
 the moments a finite window loses to the far field, which the simulator
@@ -39,8 +41,10 @@ from .errors import ConvergenceError, DomainError, ParameterError
 from .model import (NetworkGeometry, TrafficModel, _pair_correlation_array, _settled_reach,
                     mean_interference)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, _gauss_jacobi,
-                      hyp2f1, integrate_finite)
-from .specfun import integrate_semi_infinite  # unused: perfbench's tracer wraps it here
+                      integrate_finite)
+# Unused here: perfbench's tracer wraps both names in this module, and
+# tests/test_cli.py::test_benchmark_boundaries_resolve checks they stay bound.
+from .specfun import hyp2f1, integrate_semi_infinite
 
 __all__ = [
     "CovarianceBreakdown",
@@ -119,6 +123,8 @@ def _lag_range(route: str, traffic: TrafficModel | None,
 
 def _require_lag(t: float, route: str, traffic: TrafficModel | None,
                  geom: NetworkGeometry, what: str) -> None:
+    if np.ndim(t) != 0:
+        raise ParameterError(f"{what} takes one scalar lag, got {t!r}")
     lo, hi = _lag_range(route, traffic, geom)
     if not (math.isfinite(t) and lo <= t <= hi):
         raise DomainError(f"{what} requires lag in [{lo!r}, {hi!r}] s, got {t!r}")
@@ -271,19 +277,27 @@ def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) ->
 
 
 def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    """distant_pairs_exact minus the squared mean, without forming either."""
+    """distant_pairs_exact minus the squared mean, without forming either.
+
+    The excluded band's weight is a difference, between sigma = (2 c + u t)
+    / r0 and (u t - 2 c) / r0, of lead / (eta - 1)**2 * 2F1(2 eta - 2, eta;
+    2 eta - 1; -sigma) + 2 lead / (eta - 1) * sigma T(sigma), T the gain
+    tail _gain_tail(1, sigma). Integrating the derivative of
+    u**(2 eta - 2) (1 + sigma u)**(1 - eta) over [0, 1] gives that 2F1 as
+    (1 + sigma)**(1 - eta) - (eta - 1) sigma T(sigma).
+    """
     eta = geom.pathloss_exponent
     r0 = geom.guard_radius
     lam = traffic.intensity
     gap2 = 2.0 * traffic.min_gap
     shift = t * geom.speed
     lead = lam * lam * r0 ** (2.0 - 2.0 * eta)
-    lower, upper = [], []
+    power, upper = [], []
     for sigma in ((gap2 + shift) / r0, (shift - gap2) / r0):   # far, near
-        lower.append(hyp2f1(2.0 * eta - 2.0, eta, 2.0 * eta - 1.0, -sigma))
+        power.append((1.0 + sigma) ** (1.0 - eta))
         upper.append(sigma * _gain_tail(1.0, sigma, eta))
-    return float(lead / (eta - 1.0) ** 2 * (lower[0] - lower[1])
-                 + 2.0 * lead / (eta - 1.0) * (upper[0] - upper[1]))
+    return float(lead / (eta - 1.0) ** 2 * (power[0] - power[1])
+                 + lead / (eta - 1.0) * (upper[0] - upper[1]))
 
 
 def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:

@@ -58,8 +58,17 @@ N_BLOCKS = 20
 _MAX_BLOCK_VEHICLES = 2 ** 24
 
 
+def _integer(value, what: str) -> int:
+    """value as an int where operator.index takes it (an int or a numpy
+    integer); ParameterError for anything else, a float such as 1000.5 too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _block_rng(seed: int, index: int) -> Generator:
-    if not 0 <= operator.index(seed) < 2 ** 64:
+    if not 0 <= _integer(seed, "seed") < 2 ** 64:
         raise ParameterError(f"seed must lie in [0, 2**64), got {seed!r}")
     key = np.array([seed, index], dtype=np.uint64)
     return Generator(Philox(key=key))
@@ -298,12 +307,13 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     _MAX_BLOCK_VEHICLES vehicles (the default window near a jam, or a
     huge sample count).
     """
-    lags = [float(t) for t in t_grid]
-    if not lags:
+    grid = list(t_grid)
+    if not grid:
         raise ParameterError("t_grid must hold at least one lag")
-    for t in lags:
+    for t in grid:
         _require_lag(t, "simulation", traffic, geom, "estimate_curve")
-    if n_samples < MIN_SAMPLES:
+    lags = [float(t) for t in grid]
+    if _integer(n_samples, "n_samples") < MIN_SAMPLES:
         raise ParameterError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if window is None:
         window = default_window(traffic, geom, max(lags))
@@ -385,9 +395,9 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
     ordered pairs the window can hold at each separation; the standard
     error comes from the spread across realizations.
     """
-    if n_realizations < 2:
+    if _integer(n_realizations, "n_realizations") < 2:
         raise ParameterError("need at least two realizations")
-    if bins < 1:
+    if _integer(bins, "bins") < 1:
         raise ParameterError("need at least one bin")
     if bin_width is None:
         bin_width = traffic.min_gap / 8.0 if traffic.min_gap > 0.0 else 1.0 / traffic.intensity

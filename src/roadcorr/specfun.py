@@ -3,7 +3,9 @@
 One adaptive Gauss-Kronrod rule integrates every range: a finite one
 split at the caller's breakpoints, a semi-infinite one after mapping it
 onto (0, 1]. Gauss-Jacobi rules for the weight u**beta on [0, 1] are
-built on first use and cached (_gauss_jacobi). Everything here is
+built on first use and cached (_gauss_jacobi). hyp2f1 sums the Gauss
+series at one scalar argument; no route calls it, and it stays as the
+independent reference for the gain integrals. Everything here is
 deterministic: the same inputs always produce the same floating point
 outputs, so results can be frozen into regression tests. All of it needs
 numpy alone except upper_incomplete_gamma, which imports scipy.special on
@@ -205,140 +207,61 @@ def integrate_semi_infinite(
     return integrate_finite(lambda u: f(lo / u) * (lo / (u * u)), (0.0, 1.0), spec)
 
 
-# The most terms one series entry may take, and the cells of one step's
-# (term, entry) arrays on the array path.
+# The most terms the hypergeometric series may take.
 _SERIES_TERMS = 100_000
-_STEP_CELLS = 8192
 
 
-def _gauss_series(a: float, b: float, c: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the Gauss hypergeometric series at each entry of z, 0 <= z < 1.
-
-    The array path of the series arithmetic: term n + 1 is term n times
-    (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z, and each entry's sum is
-    its running total at its first term below 1e-16 of that total, or
-    after _SERIES_TERMS terms. A step lays a chunk of terms out as
-    (term, entry) from one row of ratios; cumprod and cumsum down the term
-    axis accumulate sequentially, so every product and sum is the one
-    _gauss_series_scalar forms, and no entry depends on the others or on
-    the chunk size. Chunks hold up to 128 terms, fewer while many entries
-    are open, so that a step's arrays stay within _STEP_CELLS cells.
-
-    Returns (sums, tails): tails is 0.0 where the series settled and the
-    magnitude of its last term where it did not.
-    """
-    sums = np.empty_like(z)
-    tails = np.zeros_like(z)
-    todo = np.arange(z.size)
-    term = total = 1.0
-    start = 0
-    while todo.size and start < _SERIES_TERMS:
-        chunk = min(max(16, min(128, _STEP_CELLS // todo.size)), _SERIES_TERMS - start)
-        n = np.arange(start, start + chunk, dtype=float)
-        terms = np.multiply.outer((a + n) * (b + n) / ((c + n) * (n + 1.0)), z)
-        terms[0] *= term
-        terms = terms.cumprod(axis=0)
-        totals = terms.copy()
-        totals[0] += total
-        totals.cumsum(axis=0, out=totals)
-        settled = np.abs(terms) <= 1e-16 * np.abs(totals)
-        first = settled.argmax(axis=0)              # 0 where none settled
-        entry = np.arange(todo.size)
-        sums[todo] = totals[first, entry]           # open entries are overwritten later
-        going = ~settled[first, entry]
-        todo, z, term, total = todo[going], z[going], terms[-1, going], totals[-1, going]
-        start += chunk
-    if todo.size:
-        sums[todo] = total
-        tails[todo] = np.abs(term)
-    return sums, tails
-
-
-def _gauss_series_scalar(a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """The scalar path of _gauss_series: the same terms and sums, in the
-    same order, as Python floats; returns (sum, tail) as it does."""
-    term = total = 1.0
-    for k in range(_SERIES_TERMS):
-        n = float(k)
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= 1e-16 * abs(total):
-            return total, 0.0
-    return total, abs(term)
-
-
-def _unsettled(z: float, a: float, b: float, c: float, x: float,
-               scale: float, total: float, tail: float) -> ConvergenceError:
-    """The error for a series at caller argument z that has not settled.
-
-    The series is the one in a with argument x, and scale (the Pfaff
-    prefactor, or 1) turns its partial sum total into the caller's
-    estimate. Past N = _SERIES_TERMS terms, far more than any parameter,
-    the ratio of successive terms moves monotonically towards x, so no
-    later ratio exceeds r = x * max(1, (a + N) * (b + N) / ((c + N) *
-    (N + 1))), and the terms left sum to at most tail * r / (1 - r).
-    """
-    n = float(_SERIES_TERMS)
-    r = x * max(1.0, (a + n) * (b + n) / ((c + n) * (n + 1.0)))
-    rest = tail * r / (1.0 - r) if r < 1.0 else math.inf
-    return ConvergenceError(f"hypergeometric series did not settle for z = {z!r}",
-                            best_estimate=scale * total, error_bound=scale * rest)
-
-
-def hyp2f1(a: float, b: float, c: float, z):
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for c > b > 0 and z < 1.
 
-    z is a scalar (a float is returned) or an array (an array of its shape
-    is returned). Nonnegative z is summed directly; negative z is first
-    mapped into [0, 1) with the Pfaff transformation
+    z is a scalar (a float, a numpy scalar or a 0-d array); anything else
+    raises ParameterError. No route calls it: the gain integrals are
+    Gauss-Jacobi sums (analytic._gain_tail). It stays as the independent
+    series the acceptance checks and the gain tail's tests compare with,
+    and perfbench's tracer counts its calls.
+
+    Nonnegative z is summed directly; negative z is first mapped into
+    [0, 1) with the Pfaff transformation
     2F1(a, b; c; z) = (1 - z)**(-b) * 2F1(c - a, b; c; z / (z - 1)),
-    which keeps the series argument small even for z near -2. One series
-    arithmetic has two paths: a scalar runs it as a Python-float loop
-    (_gauss_series_scalar), an array in at most two batched calls, one per
-    transformation (_gauss_series). They form the same products and sums
-    in the same order, and the prefactor is numpy's power in both, so each
-    entry of an array equals the scalar call bit for bit.
+    which keeps the series argument small even for z near -2. Term n + 1 is
+    term n times (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x, and the sum
+    is the running total at its first term below 1e-16 of that total. The
+    prefactor is numpy's power on an array, not float ** (which can differ
+    in the last bit), so the values keep the bits the tests freeze.
 
     Raises ConvergenceError, naming the caller's z and carrying the partial
     value and a bound on the terms left (both times the prefactor), where
-    the series has not settled after _SERIES_TERMS terms (from z of order
-    -1e4 on, depending on the parameters); for an array, at the first such
-    entry.
+    the series has not settled after N = _SERIES_TERMS terms (from z of
+    order -1e4 on, depending on the parameters). Past N terms, far more
+    than any parameter, the ratio of successive terms moves monotonically
+    towards x, so no later ratio exceeds r = x * max(1, (a + N) * (b + N) /
+    ((c + N) * (N + 1))), and the terms left sum to at most
+    |last term| * r / (1 - r).
     """
-    zs = np.asarray(z, dtype=float)
-    if zs.ndim == 0:
-        x = float(zs)
-        finite, beyond = math.isfinite(x), x >= 1.0
-    else:
-        finite, beyond = np.isfinite(zs).all(), (zs >= 1.0).any()
-    if not (finite and all(math.isfinite(v) for v in (a, b, c))):
+    if np.ndim(z) != 0:
+        raise ParameterError(f"z must be a scalar, got {z!r}")
+    x = float(z)
+    if not all(math.isfinite(v) for v in (a, b, c, x)):
         raise ParameterError(f"arguments must be finite, got {(a, b, c, z)!r}")
     if not c > b > 0.0:
         raise DomainError(f"parameters must satisfy c > b > 0, got b = {b!r}, c = {c!r}")
-    if beyond:
+    if x >= 1.0:
         raise DomainError(f"argument must satisfy z < 1, got z = {z!r}")
-    if zs.ndim == 0:
-        scale = 1.0
-        if x < 0.0:
-            a, x, scale = c - a, x / (x - 1.0), float(np.power(np.array([1.0 - x]), -b)[0])
-        total, tail = _gauss_series_scalar(a, b, c, x)
-        if tail:
-            raise _unsettled(float(zs), a, b, c, x, scale, total, tail)
-        return scale * total
-
-    flat = zs.reshape(-1)
-    pfaff = flat < 0.0
-    x = np.where(pfaff, flat / (flat - 1.0), flat)
-    scale = np.where(pfaff, np.power(1.0 - flat, -b), 1.0)
-    sums, tails = np.empty((2, flat.size))
-    for group, a_group in ((pfaff, c - a), (~pfaff, a)):
-        if group.any():
-            sums[group], tails[group] = _gauss_series(a_group, b, c, x[group])
-    if tails.any():
-        i = int(np.flatnonzero(tails)[0])
-        raise _unsettled(float(flat[i]), c - a if pfaff[i] else a, b, c, float(x[i]),
-                         float(scale[i]), float(sums[i]), float(tails[i]))
-    return (scale * sums).reshape(zs.shape)
+    scale = 1.0
+    if x < 0.0:
+        a, x, scale = c - a, x / (x - 1.0), float(np.power(np.array([1.0 - x]), -b)[0])
+    term = total = 1.0
+    for k in range(_SERIES_TERMS):
+        n = float(k)
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        total += term
+        if abs(term) <= 1e-16 * abs(total):
+            return scale * total
+    n = float(_SERIES_TERMS)
+    r = x * max(1.0, (a + n) * (b + n) / ((c + n) * (n + 1.0)))
+    rest = abs(term) * r / (1.0 - r) if r < 1.0 else math.inf
+    raise ConvergenceError(f"hypergeometric series did not settle for z = {float(z)!r}",
+                           best_estimate=scale * total, error_bound=scale * rest)
 
 
 def upper_incomplete_gamma(a: float, x: float) -> float:

@@ -68,14 +68,21 @@ def same_vehicle_defining(t: float, traffic: TrafficModel,
 
 def distant_pairs_defining(t: float, traffic: TrafficModel,
                            geom: NetworkGeometry) -> float:
-    """Distant-pair term from its defining double integral.
+    """Distant-pair term from its defining double integral: the squared
+    mean (the full-plane product integral) plus distant_excess_defining."""
+    return mean_interference(traffic, geom) ** 2 + distant_excess_defining(t, traffic, geom)
 
-    Pairs farther apart than two minimum gaps, weighted by the squared
-    intensity: the full-plane product integral is the squared mean, and the
-    excluded strip |x - y| < 2c maps to gain arguments that stay beyond the
-    guard radius for lags in the closed-form window, so the inner integral
-    has an elementary antiderivative. Both road halves fold onto one strip
-    because the pair integrand is symmetric under swapping the two points.
+
+def distant_excess_defining(t: float, traffic: TrafficModel,
+                            geom: NetworkGeometry) -> float:
+    """Distant-pair term minus the squared mean, without forming either.
+
+    Pairs closer than two minimum gaps are what the distant term leaves
+    out of the squared-intensity plane: the excluded strip |x - y| < 2c
+    maps to gain arguments that stay beyond the guard radius for lags in
+    the closed-form window, so the inner integral has an elementary
+    antiderivative. Both road halves fold onto one strip because the pair
+    integrand is symmetric under swapping the two points.
     """
     lam, c = traffic.intensity, traffic.min_gap
     r0, eta, u = geom.guard_radius, geom.pathloss_exponent, geom.speed
@@ -86,8 +93,7 @@ def distant_pairs_defining(t: float, traffic: TrafficModel,
         hi = x + shift + 2.0 * c
         return x ** -eta * (lo ** (1.0 - eta) - hi ** (1.0 - eta)) / (eta - 1.0)
 
-    excluded = quad_tail(strip, r0)
-    return mean_interference(traffic, geom) ** 2 - 2.0 * lam ** 2 * excluded
+    return -2.0 * lam ** 2 * quad_tail(strip, r0)
 
 
 def _gain_antiderivative_up(lo: float, r0: float, eta: float) -> float:

@@ -5,12 +5,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1 as scipy_hyp2f1
 
 import oracles
 from roadcorr.analytic import (
     _TAIL_CAPS,
     COVARIANCE_METHODS,
     CovarianceBreakdown,
+    _distant_excess_exact,
     _gain_kernel,
     _gain_tail,
     _lag_range,
@@ -372,6 +374,38 @@ class TestDistantPairs:
                                 oracles.distant_pairs_defining(t, tr, geom),
                                 rel_tol=1e-8)
 
+    @pytest.mark.parametrize("eta", [2.05, 2.5, 3.0, 4.0, 6.0])
+    def test_lower_term_is_the_gain_tail_by_parts(self, eta):
+        """2F1(2 eta - 2, eta; 2 eta - 1; -sigma) = (1 + sigma)**(1 - eta)
+        - (eta - 1) sigma T(sigma): the form _distant_excess_exact takes the
+        lower term in. Against hyp2f1's series within 4e-15 (each side is
+        within 2e-15 of 40-digit mpmath here); against scipy within 3e-14,
+        scipy's own distance from mpmath at eta 2.05 (2.4e-14 at sigma 2.6)."""
+        a, b, c = 2.0 * eta - 2.0, eta, 2.0 * eta - 1.0
+        for sigma in np.linspace(0.0, 3.0, 61).tolist():
+            by_parts = ((1.0 + sigma) ** (1.0 - eta)
+                        - (eta - 1.0) * sigma * _gain_tail(1.0, sigma, eta))
+            assert math.isclose(by_parts, hyp2f1(a, b, c, -sigma), rel_tol=4e-15), sigma
+            assert math.isclose(by_parts, scipy_hyp2f1(a, b, c, -sigma), rel_tol=3e-14), sigma
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 6.0])
+    @pytest.mark.parametrize("lam,c", [(0.02, 4.0), (0.05, 4.0), (0.2, 4.0), (0.01, 75.0)])
+    def test_excess_matches_defining_strip(self, eta, lam, c):
+        """distant_pairs_exact minus the squared mean, as the covariance
+        routes take it (_distant_excess_exact, which forms neither), against
+        the excluded strip's scipy integral, within 1e-13 of the same-vehicle
+        term, at t_lo (where sigma_near = 0), t_hi and interior lags;
+        c = 75 = r0 / 2 leaves the one lag t_lo = t_hi. Subtracting the
+        squared mean from distant_pairs_exact instead would lose up to
+        mean**2 / same-vehicle ulps, over 1e4 at eta 6 and t_hi."""
+        geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
+        tr = TrafficModel.from_intensity(lam, c)
+        lo, hi = _lag_range("pcf-approx", tr, geom)
+        for t in (lo, hi, *np.linspace(lo, hi, 6)[1:-1].tolist()):
+            got = _distant_excess_exact(t, tr, geom)
+            want = oracles.distant_excess_defining(t, tr, geom)
+            assert abs(got - want) <= 1e-13 * same_vehicle_term(t, tr, geom), t
+
     @pytest.mark.parametrize("t", [0.8, 5.0, 29.2])
     def test_below_independent_pair_level(self, t, traffic, geom):
         mean_sq = mean_interference(traffic, geom) ** 2
@@ -522,6 +556,24 @@ class TestCovariance:
         at_edge = covariance(t_lo, traffic, geom, "pcf-approx").covariance
         inside = covariance(t_lo + step, traffic, geom, "pcf-approx").covariance
         assert abs(at_edge - inside) <= 0.01 * abs(at_edge)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.2])
+    def test_exact_route_continuous_at_band_edge_lags(self, lam, geom):
+        """Where the lag's shift lands on a pair density band edge
+        (t = k c / u) or moves K's kink there (t = (2 r0 - k c) / u), two
+        breakpoints of the integral coincide. The covariance still sits on
+        the chord through t -/+ 1e-7 s within 1e-12 of the same-vehicle
+        term: a jump or a lost piece would show far above that, while the
+        curvature puts the chord about 1e-17 off and roundoff up to 4e-14."""
+        traffic = TrafficModel.from_intensity(lam, 4.0)
+        c, r0, u = traffic.min_gap, geom.guard_radius, geom.speed
+        step = 1e-7
+        for k in (1, 2, 3, 5, 8, 13, 21, 34):
+            for t in (k * c / u, (2.0 * r0 - k * c) / u):
+                below, at, above = (covariance(x, traffic, geom, "exact-quadrature").covariance
+                                    for x in (t - step, t, t + step))
+                chord = 0.5 * (below + above)
+                assert abs(at - chord) <= 1e-12 * same_vehicle_term(t, traffic, geom), (k, t)
 
     def test_domain_gates(self, traffic, geom):
         assert covariance(0.0, traffic, geom, "exact-quadrature").covariance > 0
@@ -683,6 +735,14 @@ class TestLagRule:
             with pytest.raises(DomainError, match="not finite"):
                 _lag_range(route, traffic, huge)
         assert _lag_range("ppp", traffic, huge) == (0.0, math.inf)
+
+    def test_non_scalar_lag_is_a_parameter_error(self, traffic, geom):
+        for route, fn in self.ROUTES.items():
+            for lags in (np.array([1.0, 2.0]), np.array([5.0]), [5.0]):
+                with pytest.raises(ParameterError, match="one scalar lag"):
+                    fn(lags, traffic, geom)
+        assert same_vehicle_term(np.array(5.0), traffic, geom) == same_vehicle_term(
+            5.0, traffic, geom)
 
     @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.005, 75.0), (0.005, 80.0)])
     def test_routes_evaluate_exactly_where_the_rule_says(self, lam, c, geom):

@@ -661,6 +661,20 @@ class TestEstimate:
         with pytest.raises(TypeError):
             estimate(traffic, geom, 5.0, 2000, SEED, 8)
 
+    @pytest.mark.parametrize("n_samples,seed", [(1000.5, SEED), (np.float64(2000.0), SEED),
+                                                (2000, 1.5), (2000, np.float64(SEED))])
+    def test_non_integer_count_or_seed_is_a_parameter_error(self, n_samples, seed,
+                                                            traffic, geom):
+        """Refused by name, not by a bare TypeError from inside the sampler."""
+        with pytest.raises(ParameterError, match="must be an integer"):
+            estimate(traffic, geom, 5.0, n_samples, seed)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            estimate_curve(traffic, geom, [0.8, 5.0], n_samples, seed)
+
+    def test_numpy_integer_count_and_seed_are_taken(self, traffic, geom):
+        assert (estimate(traffic, geom, 5.0, np.int64(1000), np.uint64(SEED))
+                == estimate(traffic, geom, 5.0, 1000, SEED))
+
     def test_lag_domain(self, traffic, geom):
         with pytest.raises(DomainError):
             estimate(traffic, geom, -0.1, 2000, SEED)
@@ -670,6 +684,10 @@ class TestEstimate:
             estimate_curve(traffic, geom, [5.0, 30.1], 2000, SEED)
         with pytest.raises(ParameterError):
             estimate_curve(traffic, geom, [], 2000, SEED)
+        with pytest.raises(ParameterError, match="one scalar lag"):
+            estimate(traffic, geom, np.array([1.0, 2.0]), 2000, SEED)
+        with pytest.raises(ParameterError, match="one scalar lag"):
+            estimate_curve(traffic, geom, [5.0, np.array([1.0, 2.0])], 2000, SEED)
 
     @pytest.mark.parametrize("window", [(0.0, math.inf), (100.0, 0.0),
                                         (math.nan, 10.0)])
@@ -777,6 +795,9 @@ class TestPairDistanceHistogram:
         for bad_seed in (-1, 2 ** 64):
             with pytest.raises(ParameterError):
                 pair_distance_histogram(traffic, window, 10, 16, bad_seed)
+        for n_realizations, bins, seed in ((10, 2.5, SEED), (10.5, 16, SEED), (10, 16, 1.5)):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                pair_distance_histogram(traffic, window, n_realizations, bins, seed)
         for bad_window in ((0.0, 50.0), (0.0, math.inf), (100.0, 0.0),
                            (math.nan, 10.0)):
             with pytest.raises(DomainError):

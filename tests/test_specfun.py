@@ -65,22 +65,6 @@ class TestHyp2F1:
                           - hyp2f1(a, b, c, z - step)) / (2.0 * step)
                 assert rel_err(finite, closed) < 1e-5
 
-    def test_array_matches_scalar_calls(self):
-        rng = np.random.default_rng(11)
-        z = rng.uniform(-3.7, 0.9, size=(6, 50))
-        z[0, :4] = (0.0, -2.0, 0.5, -1e-9)
-        for triple in oracles.hypergeometric_family(3.4) + [(1.0, 1.0, 2.0)]:
-            values = hyp2f1(*triple, z)
-            assert values.shape == z.shape
-            scalars = np.array([[hyp2f1(*triple, float(v)) for v in row] for row in z])
-            assert np.all(np.abs(values - scalars) <= 1e-15 * np.abs(scalars))
-
-    def test_array_arguments_are_checked(self):
-        with pytest.raises(DomainError):
-            hyp2f1(5.0, 3.0, 6.0, np.array([-1.0, 0.5, 1.0]))
-        with pytest.raises(ParameterError):
-            hyp2f1(5.0, 3.0, 6.0, np.array([-1.0, np.nan]))
-
     @pytest.mark.parametrize("args", [
         (5.0, 3.0, 3.0, 0.5),    # c == b
         (5.0, 3.0, 2.0, 0.5),    # c < b
@@ -93,19 +77,21 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             hyp2f1(*args)
 
+    @pytest.mark.parametrize("z", [[-1.0, 0.5], np.array([-1.0, 0.5]), np.array([0.5]),
+                                   np.empty(0), np.zeros((2, 2))])
+    def test_non_scalar_argument_is_refused(self, z):
+        with pytest.raises(ParameterError, match="z must be a scalar"):
+            hyp2f1(5.0, 3.0, 6.0, z)
 
     @pytest.mark.parametrize("eta", [2.05, 2.5, 3.0, 4.0, 6.0])
     def test_bits_match_the_frozen_series(self, eta):
-        """The scalar and the array path give the bytes of the
-        one-row-per-entry series they replaced, for every argument form."""
+        """A float, a numpy float and a 0-d array each give the bytes of
+        the one-row-per-entry series the function replaced."""
         rng = np.random.default_rng(23)
-        z = rng.uniform(-50.0, 0.9, size=(6, 50))
-        z[0, :4] = (0.0, -0.0, -1e-9, -2.0)
+        z = rng.uniform(-50.0, 0.9, size=12)
+        z[:4] = (0.0, -0.0, -1e-9, -2.0)
         for triple in oracles.hypergeometric_family(eta) + [(1.0, 1.0, 2.0)]:
-            frozen = oracles.frozen_hyp2f1(*triple, z)
-            assert hyp2f1(*triple, z).tobytes() == frozen.tobytes()
-            assert hyp2f1(*triple, np.empty(0)).shape == (0,)
-            for v in z[0, :12]:
+            for v in z:
                 expected = np.float64(oracles.frozen_hyp2f1(*triple, float(v))).tobytes()
                 for form in (float(v), np.float64(v), np.array(v)):
                     value = hyp2f1(*triple, form)
@@ -115,14 +101,10 @@ class TestHyp2F1:
     @pytest.mark.parametrize("z", [-1e6, 1.0 - 1e-7])
     def test_unsettled_series_names_the_callers_argument(self, z):
         """The error names the caller's z, not the Pfaff-mapped argument,
-        and its estimate carries the prefactor; the scalar and the array
-        path raise the same error, the array at its first unsettled entry."""
+        and its estimate carries the prefactor."""
         with pytest.raises(ConvergenceError) as scalar:
             hyp2f1(5.0, 3.0, 6.0, z)
-        with pytest.raises(ConvergenceError) as array:
-            hyp2f1(5.0, 3.0, 6.0, np.array([0.5, z, -2e6]))
         assert f"z = {z!r} " in str(scalar.value)
-        assert str(array.value) == str(scalar.value)
         if z < 0.0:
             # mpmath.hyp2f1(5, 3, 6, -10**6) at 30 digits: 2.49998500039696536673889e-18
             assert scalar.value.error_bound < 1e-6 * scalar.value.best_estimate
