@@ -16,7 +16,12 @@ Prints a digest for each of:
   covers the JSON writer;
 - method/<method>: the curve files of one method (`curve_<method>_*`)
   across every run tree above, so a change that moves one method's
-  numbers shows which curves moved and which stayed byte-identical.
+  numbers shows which curves moved and which stayed byte-identical;
+- canonical-run/values and canonical-run/scaled-values: the
+  t,value,stderr,method,valid columns of the canonical-run curves, with
+  the config as given and with every length times 2**40 (guard radius,
+  min gap, speed; intensity over 2**40). The routes compute in guard
+  radii, so the two lines must be equal.
 
 The perfbench configs are built by perfbench/workloads.config_text, and the
 edges config by edges_config_text, at the seed given (perfbench's default
@@ -30,7 +35,10 @@ Usage:
 Takes a few seconds on one core.
 """
 
+import csv
 import hashlib
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -70,15 +78,44 @@ def edges_config_text(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cli_digest(workload: str, command: str, fmt: str, seed: int, scratch: Path) -> str:
+def scaled_config_text(text: str, k: int) -> str:
+    """text with every length times 2**k: r0, u and each traffic line's c,
+    and each lambda over 2**k, all exact."""
+    for key in ("r0", "u"):
+        text = re.sub(rf"^{key} = (.*)$", lambda m: f"{key} = {math.ldexp(float(m[1]), k)!r}",
+                      text, flags=re.MULTILINE)
+    return re.sub(r"^traffic = lambda=(\S+) c=(\S+)$",
+                  lambda m: f"traffic = lambda={math.ldexp(float(m[1]), -k)!r} "
+                            f"c={math.ldexp(float(m[2]), k)!r}", text, flags=re.MULTILINE)
+
+
+def run_cli(workload: str, command: str, fmt: str, text: str, scratch: Path) -> Path:
     config = scratch / f"{workload}.cfg"
-    text = edges_config_text(seed) if workload == "edges" else workloads.config_text(workload, seed)
     config.write_text(text, encoding="utf-8")
     out_dir = scratch / workload / f"{command}.{fmt}"
     code = cli.main([command, "--config", str(config), "--out", str(out_dir), "--format", fmt])
     if code != 0:
         raise SystemExit(f"roadcorr {command} on {workload} exited with {code}")
-    return tree_digest(out_dir)
+    return out_dir
+
+
+def cli_digest(workload: str, command: str, fmt: str, seed: int, scratch: Path) -> str:
+    text = edges_config_text(seed) if workload == "edges" else workloads.config_text(workload, seed)
+    return tree_digest(run_cli(workload, command, fmt, text, scratch))
+
+
+def values_digest(out_dir: Path) -> str:
+    """sha256 over the t,value,stderr,method,valid columns of the curve
+    files under out_dir, in path order (file names, which carry lambda and
+    c, are left out)."""
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.glob("curve_*.csv")):
+        with path.open(encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                digest.update(",".join(row[key] for key in
+                                       ("t", "value", "stderr", "method", "valid")).encode())
+                digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def dense_digest() -> str:
@@ -104,6 +141,11 @@ def main(argv: list[str]) -> None:
             print(label, cli_digest(workload, command, fmt, seed, Path(scratch)))
         for method in cli.KNOWN_METHODS:
             print(f"method/{method}", files_digest(Path(scratch), f"curve_{method}_*"))
+        text = workloads.config_text("canonical-run", seed)
+        for label, k in (("values", 0), ("scaled-values", 40)):
+            out_dir = run_cli(f"scaled-{k}", "run", "csv", scaled_config_text(text, k),
+                              Path(scratch))
+            print(f"canonical-run/{label}", values_digest(out_dir))
     print("exact-dense/covariance", dense_digest())
 
 

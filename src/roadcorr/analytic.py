@@ -12,19 +12,19 @@ the hardcore structure matters), and distant_pairs everything farther out
 evaluation routes are provided per term: exact quadrature against the full
 pair correlation, closed forms with the squared-intensity far field
 ("pcf-approx"), and the small-occupancy expansion ("expansion").
-The same-vehicle term is the intensity times the gain autocorrelation K.
-K's one-sided tail, a 2F1 in closed form, is evaluated by a Gauss-Jacobi
-rule picked per entry from a fixed ladder of cached rules (_gain_tail);
-the Poisson coefficient and both terms of the distant-pair closed form
-read the same tail (the lower one, a 2F1 of its own, after one
-integration by parts), so no route sums a hypergeometric series. The
-exact route's pair terms are one convolution of the pair density
-against K, integrated in one adaptive pass out to the stream's deviation
-reach (TrafficModel.deviation_reach). The renewal far-field constants and
-the moments a finite window loses to the far field, which the simulator
-adds back, are closed forms here too (_losses). One rule, _lag_range,
-decides which lags each route serves, the simulation's included; every
-lag check and the CLI's valid column read it.
+The same-vehicle term is the intensity times the gain autocorrelation K,
+whose one-sided tail (a 2F1) is a Gauss-Jacobi sum from a ladder of cached
+rules (_gain_tail); the Poisson coefficient and both terms of the
+distant-pair closed form read the same tail, so no route sums a
+hypergeometric series. The exact route's pair terms are one convolution of
+the pair density against K, out to the stream's deviation reach. The
+far-field constants and the moments a finite window loses, which the
+simulator adds back, are closed forms too (_losses). One rule, _lag_range,
+in the caller's units, decides which lags each route serves; every lag
+check and the CLI's valid column read it. Every route computes on the
+pair restated in guard radii (model._in_guard_radii): intensity * r0,
+min_gap / r0, the exponent and the shift speed * t / r0. rho forms no
+dimensional quantity; a covariance takes its r0**(-2 eta) at the output.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .model import (NetworkGeometry, TrafficModel, _pair_correlation_array, _settled_reach,
-                    mean_interference)
+from .model import (NetworkGeometry, TrafficModel, _dimensional, _in_guard_radii, _mean,
+                    _pair_correlation_array, _settled_reach)
 from .specfun import (DEFAULT_QUADRATURE, QuadratureSpec, _GK_WK, _GK_X, _gauss_jacobi,
                       integrate_finite)
 # Unused here: perfbench's tracer wraps both names in this module, and
@@ -64,12 +64,9 @@ RHO_METHODS = ("ppp", "expansion", "pcf-approx")
 
 @dataclass(frozen=True)
 class CovarianceBreakdown:
-    """Interference covariance at one lag, split by contribution.
-
-    covariance always equals
-    same_vehicle + distant_pairs + close_pairs - mean_sq
-    up to floating point roundoff; the addends are retained for audit.
-    """
+    """Interference covariance at one lag, split by contribution: covariance
+    equals same_vehicle + distant_pairs + close_pairs - mean_sq up to
+    rounding; the addends are retained for audit."""
 
     same_vehicle: float
     distant_pairs: float
@@ -94,17 +91,16 @@ def _lag_range(route: str, traffic: TrafficModel | None,
     """The lags [lo, hi] at which a route is evaluated; every lag check reads it.
 
     t_lo = 2 min_gap / speed is the lag beyond which the nearest-neighbor
-    bands have fully cleared their zero-lag overlap, t_hi =
-    2 (guard_radius - min_gap) / speed the lag at which a neighbor band
-    first reaches the far guard boundary, and t_max = 2 guard_radius / speed
-    the lag at which a vehicle can cross the whole guard zone. The closed
-    pair forms ("expansion", "pcf-approx") hold on [t_lo, t_hi]; every
-    other route serves [0, t_max]: "ppp" from the geometry alone, so on any
-    stream, and "exact-quadrature", "simulation" and the same-vehicle term.
-    Except for "ppp", raises DomainError where the window is empty (min_gap
-    above half the guard radius) or t_max is not finite. Otherwise
-    0 <= t_lo <= t_hi <= t_max: rounding is monotone, so min_gap <=
-    guard_radius / 2 keeps guard_radius - min_gap >= min_gap.
+    bands have cleared their zero-lag overlap, t_hi = 2 (guard_radius -
+    min_gap) / speed the lag at which a neighbor band first reaches the far
+    guard boundary, and t_max = 2 guard_radius / speed the lag at which a
+    vehicle can cross the whole guard zone. The closed pair forms
+    ("expansion", "pcf-approx") hold on [t_lo, t_hi]; every other route
+    serves [0, t_max]: "ppp" on any stream, and "exact-quadrature",
+    "simulation" and the same-vehicle term. Except for "ppp", raises
+    DomainError where the window is empty (min_gap above half the guard
+    radius) or t_max is not finite. Otherwise 0 <= t_lo <= t_hi <= t_max:
+    rounding is monotone, so min_gap <= r0 / 2 keeps r0 - min_gap >= min_gap.
     """
     t_max = 2.0 * geom.guard_radius / geom.speed
     if route == "ppp":
@@ -123,8 +119,9 @@ def _lag_range(route: str, traffic: TrafficModel | None,
 
 def _require_lag(t: float, route: str, traffic: TrafficModel | None,
                  geom: NetworkGeometry, what: str) -> None:
-    if np.ndim(t) != 0:
-        raise ParameterError(f"{what} takes one scalar lag, got {t!r}")
+    lag = np.asarray(t)
+    if lag.ndim != 0 or lag.dtype.kind not in "biuf":
+        raise ParameterError(f"{what} takes one scalar lag, a real number, got {t!r}")
     lo, hi = _lag_range(route, traffic, geom)
     if not (math.isfinite(t) and lo <= t <= hi):
         raise DomainError(f"{what} requires lag in [{lo!r}, {hi!r}] s, got {t!r}")
@@ -178,25 +175,21 @@ def _gain_tail(a, s, eta: float):
     """The integral of x**-eta * (x + s)**-eta over x > a, for a > 0 and
     s >= 0: a**(1 - 2 eta) / (2 eta - 1) * 2F1(2 eta - 1, eta; 2 eta; -s / a).
 
-    With x = a / u it is a**(1 - 2 eta) times the integral of u**(2 eta - 2)
-    * (1 + sigma u)**-eta over [0, 1], sigma = s / a, so the tail is that
-    prefactor over 2 eta - 1 times the sum of w_i (1 + sigma u_i)**-eta
-    over the Gauss-Jacobi rule (u_i, w_i) of the weight u**(2 eta - 2),
-    weights summing to 1 (specfun._gauss_jacobi, built once per size and
-    exponent). (1 + sigma u)**-eta is analytic on [0, 1] with one
-    singularity, at u = -1 / sigma, so an n-point rule's error falls as
-    rho**(-2 n), rho the Bernstein ellipse through that point (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 19). Each entry
-    takes the smallest rung of _TAIL_RUNGS whose cap (_TAIL_CAPS, the
-    sigma at which rho**(-2 n) = 1e-17) is at least its sigma: 1 node up to
-    1.3e-8 (so sigma = 0 gives the prefactor exactly), 16 up to 2.36, 64 up
-    to 42.4, which covers every sigma a route reaches (at most
-    2 + 64 c / r0 <= 34).
-    Against 30-digit values the tail is within 2e-15 relative for eta 2.05
-    to 6 and sigma up to 34. Each entry's sum runs in node order (padded
-    with +0.0 terms in an array), so an entry depends on its own sigma only
-    and a scalar equals the array entry bit for bit; the prefactor is
-    numpy's power for the same reason (float ** can differ in the last bit).
+    With x = a / u and sigma = s / a it is that prefactor over 2 eta - 1
+    times the mean of (1 + sigma u)**-eta under the weight u**(2 eta - 2)
+    on [0, 1], taken by that weight's Gauss-Jacobi rule
+    (specfun._gauss_jacobi). The integrand's one singularity, at
+    u = -1 / sigma, makes an n-point rule's error fall as rho**(-2 n), rho
+    the Bernstein ellipse through it (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 19). Each entry takes the smallest rung of
+    _TAIL_RUNGS whose cap (_TAIL_CAPS, where rho**(-2 n) = 1e-17) is at
+    least its sigma: 1 node up to 1.3e-8 (sigma = 0 gives the prefactor
+    exactly), 16 up to 2.36, 64 up to 42.4, past every sigma a route
+    reaches (at most 2 + 64 c / r0 <= 34). Against 30-digit values the tail
+    is within 2e-15 relative for eta 2.05 to 6 and sigma up to 34. Each
+    entry's sum runs in node order (padded with +0.0 terms in an array),
+    and the prefactor is numpy's power (float ** can differ in the last
+    bit), so a scalar equals the array entry bit for bit.
 
     Takes scalars or arrays. Raises ConvergenceError past the top rung's
     cap, carrying the top rung's value and, as its error estimate, its
@@ -253,16 +246,9 @@ def _gain_kernel(s, eta: float):
     return value if value.ndim else float(value)
 
 
-def _same_vehicle_scale(geom: NetworkGeometry) -> float:
-    """r0**(1 - 2 eta), the length scale of the same-vehicle term and the
-    variance. Raises DomainError where it overflows (as at a guard radius
-    of 0.0113 and an exponent of 92)."""
-    try:
-        return geom.guard_radius ** (1.0 - 2.0 * geom.pathloss_exponent)
-    except OverflowError:
-        raise DomainError(f"same-vehicle prefactor r0**(1 - 2 eta) overflows at guard radius "
-                          f"{geom.guard_radius!r} and exponent "
-                          f"{geom.pathloss_exponent!r}") from None
+def _same_vehicle(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
+    """same_vehicle_term in guard radii: intensity * K(speed * t)."""
+    return traffic.intensity * _gain_kernel(t * geom.speed, geom.pathloss_exponent)
 
 
 def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -272,28 +258,26 @@ def same_vehicle_term(t: float, traffic: TrafficModel, geom: NetworkGeometry) ->
     hardcore structure does not enter a single-vehicle average.
     """
     _require_lag(t, "same-vehicle", traffic, geom, "same_vehicle_term")
-    return (traffic.intensity * _same_vehicle_scale(geom)
-            * _gain_kernel(t * geom.speed / geom.guard_radius, geom.pathloss_exponent))
+    return _dimensional(_same_vehicle(t, *_in_guard_radii(traffic, geom)), geom, 2)
 
 
 def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    """distant_pairs_exact minus the squared mean, without forming either.
+    """distant_pairs_exact minus the squared mean, in guard radii, without forming either.
 
-    The excluded band's weight is a difference, between sigma = (2 c + u t)
-    / r0 and (u t - 2 c) / r0, of lead / (eta - 1)**2 * 2F1(2 eta - 2, eta;
+    The excluded band's weight is a difference, between sigma = 2 c + u t
+    and u t - 2 c, of lead / (eta - 1)**2 * 2F1(2 eta - 2, eta;
     2 eta - 1; -sigma) + 2 lead / (eta - 1) * sigma T(sigma), T the gain
     tail _gain_tail(1, sigma). Integrating the derivative of
     u**(2 eta - 2) (1 + sigma u)**(1 - eta) over [0, 1] gives that 2F1 as
     (1 + sigma)**(1 - eta) - (eta - 1) sigma T(sigma).
     """
     eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
     lam = traffic.intensity
     gap2 = 2.0 * traffic.min_gap
     shift = t * geom.speed
-    lead = lam * lam * r0 ** (2.0 - 2.0 * eta)
+    lead = lam * lam
     power, upper = [], []
-    for sigma in ((gap2 + shift) / r0, (shift - gap2) / r0):   # far, near
+    for sigma in (gap2 + shift, shift - gap2):   # far, near
         power.append((1.0 + sigma) ** (1.0 - eta))
         upper.append(sigma * _gain_tail(1.0, sigma, eta))
     return float(lead / (eta - 1.0) ** 2 * (power[0] - power[1])
@@ -309,23 +293,23 @@ def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) 
     which is what the pcf-approx covariance route uses.
     """
     _require_lag(t, "pcf-approx", traffic, geom, "distant_pairs_exact")
-    mean = mean_interference(traffic, geom)
-    return mean * mean + _distant_excess_exact(t, traffic, geom)
+    unit = _in_guard_radii(traffic, geom)
+    mean = _mean(*unit)
+    return _dimensional(mean * mean + _distant_excess_exact(t, *unit), geom, 2)
 
 
 def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Pair contribution from neighbor separations below two minimum gaps.
 
-    Quadrature of the first-neighbor band against the exact pair
-    correlation (only first neighbors can sit closer than two minimum
-    gaps), over reference vehicles on both sides of the receiver. The
-    exact-quadrature route uses the same integral on [0, t_max]; here the
-    lag is held to [t_lo, t_hi], the window of the distant-pair closed form
-    it is paired with.
+    Quadrature of the first-neighbor band (only first neighbors sit closer
+    than two minimum gaps) against the exact pair correlation, over
+    reference vehicles on both sides of the receiver: the exact route's
+    integral, held to [t_lo, t_hi] like the distant-pair closed form.
     """
     _require_lag(t, "pcf-approx", traffic, geom, "close_pairs_numeric")
-    return _exact_pair_integral(t, traffic, geom, spec, "close")
+    return _dimensional(_exact_pair_integral(t, *_in_guard_radii(traffic, geom), spec, "close"),
+                        geom, 2)
 
 
 def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -334,34 +318,32 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
     Equals occupancy * (2 + occupancy) times the same-vehicle term.
     """
     _require_lag(t, "expansion", traffic, geom, "close_pairs_expansion")
-    occ = traffic.occupancy
-    return occ * (2.0 + occ) * same_vehicle_term(t, traffic, geom)
+    unit = _in_guard_radii(traffic, geom)
+    occ = unit[0].occupancy
+    return _dimensional(occ * (2.0 + occ) * _same_vehicle(t, *unit), geom, 2)
 
 
 def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                          spec: QuadratureSpec, part: str) -> float:
-    """Two-sided pair integral against the exact pair correlation.
+    """Two-sided pair integral against the exact pair correlation, in guard radii.
 
     The stream is stationary, so the pair double integral of gain(x) *
     gain(y + shift) collapses onto the separation d = y - x (the
     second-order Campbell formula): the integral of w(d) * K(d + shift),
-    K the gain autocorrelation. w is even, so d > 0 carries K(d + shift) +
+    K the gain autocorrelation; w is even, so d > 0 carries K(d + shift) +
     K(d - shift). part "close" weights the first-neighbor band (one to two
     minimum gaps) by the pair density, part "deviation" every band within
-    the deviation reach (refused past 64 minimum gaps, _settled_reach) by
-    the density minus the squared intensity.
-    Lengths are in guard radii. The band edges (where the density jumps or
-    kinks) and K's kinks are breakpoints, so every piece is smooth. Bands
-    of no width (min_gap 0 or vanishing against r0, or reach 0) give 0.
+    the deviation reach (_settled_reach) by the density minus the squared
+    intensity. Band edges and K's kinks are breakpoints, so every piece is
+    smooth. Bands of no width (min_gap 0 in guard radii, or reach 0) give 0.
     """
     eta = geom.pathloss_exponent
-    r0 = geom.guard_radius
-    shift = t * geom.speed / r0
+    shift = t * geom.speed
     if part == "close":
         first, last, offset = 1, 2, 0.0
     else:
         first, last, offset = 0, _settled_reach(traffic), traffic.intensity ** 2
-    edges = np.arange(first, last + 1) * traffic.min_gap / r0
+    edges = np.arange(first, last + 1) * traffic.min_gap
     if not edges[-1] > edges[0]:
         return 0.0
     kinks = np.array([shift, abs(shift - 2.0), shift + 2.0])
@@ -371,56 +353,50 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
 
     def integrand(d: np.ndarray) -> np.ndarray:
         gains = _gain_kernel(np.add.outer(d, (shift, -shift)), eta).sum(axis=1)
-        return (_pair_correlation_array(r0 * d, traffic) - offset) * gains
+        return (_pair_correlation_array(d, traffic) - offset) * gains
 
-    return r0 ** (2.0 - 2.0 * eta) * integrate_finite(integrand, points, spec)
+    return integrate_finite(integrand, points, spec)
+
+
+def _variance(traffic: TrafficModel, geom: NetworkGeometry) -> float:
+    """The Poisson-stream variance in guard radii, 4 intensity / (2 eta - 1)."""
+    return 4.0 * traffic.intensity / (2.0 * geom.pathloss_exponent - 1.0)
+
+
+def _normal(value: float, what: str, traffic: TrafficModel, geom: NetworkGeometry) -> float:
+    """value, a divisor in guard radii; DomainError where it is below the
+    smallest normal float: a subnormal one has lost its digits."""
+    if not value >= sys.float_info.min:
+        raise DomainError(f"{what} {value!r} in guard radii is below the smallest normal float "
+                          f"at intensity * guard radius {traffic.intensity!r}, occupancy "
+                          f"{traffic.occupancy!r} and exponent {geom.pathloss_exponent!r}")
+    return value
 
 
 def variance(traffic: TrafficModel, geom: NetworkGeometry, method: str = "approx") -> float:
     """Interference variance (zero-lag).
 
     "approx" includes the hardcore thinning factor (1 - occupancy);
-    "ppp" is the Poisson-stream variance at the same intensity. Raises
-    DomainError where r0**(1 - 2 eta) overflows (_same_vehicle_scale).
+    "ppp" is the Poisson-stream variance at the same intensity.
     """
-    eta = geom.pathloss_exponent
-    base = 4.0 * traffic.intensity * _same_vehicle_scale(geom) / (2.0 * eta - 1.0)
-    if method == "approx":
-        return base * (1.0 - traffic.occupancy)
-    if method == "ppp":
-        return base
-    raise ParameterError(f"unknown variance method {method!r}; expected 'approx' or 'ppp'")
+    if method not in ("approx", "ppp"):
+        raise ParameterError(f"unknown variance method {method!r}; expected 'approx' or 'ppp'")
+    base = _dimensional(_variance(*_in_guard_radii(traffic, geom)), geom, 2)
+    return (1.0 - traffic.occupancy) * base if method == "approx" else base
 
 
-def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
-               method: str = "pcf-approx",
-               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CovarianceBreakdown:
-    """Interference covariance at lag t, with its contribution breakdown.
-
-    Methods: "exact-quadrature" integrates the pair terms against the exact
-    pair correlation (valid on [0, t_max]); "pcf-approx" uses the closed
-    distant-pair form plus the same first-neighbor band integral;
-    "expansion" uses the second-order occupancy expansion of both (each
-    valid on [t_lo, t_hi]), whose total is the one product
-    (1 - occupancy)**2 times the same-vehicle term, formed as such so that
-    it does not cancel at high occupancy; its distant excess is that total
-    minus the same-vehicle and close-pair terms. The squared mean is
-    cancelled symbolically, so the result does not suffer the
-    near-equal-difference loss. Raises DomainError where that squared mean
-    is not finite (as at an intensity of 1e300).
-    """
-    if method not in COVARIANCE_METHODS:
-        raise ParameterError(
-            f"unknown covariance method {method!r}; expected one of {COVARIANCE_METHODS}"
-        )
-    _require_lag(t, method, traffic, geom, f"covariance ({method})")
-    mean = mean_interference(traffic, geom)
+def _breakdown(t: float, traffic: TrafficModel, geom: NetworkGeometry, method: str,
+               spec: QuadratureSpec) -> tuple[float, float, float, float, float]:
+    """covariance's (same_vehicle, distant_pairs, close_pairs, mean_sq,
+    covariance) in guard radii. Raises DomainError where the squared mean
+    is not finite (an intensity * r0 above about 1e154)."""
+    mean = _mean(traffic, geom)
     mean_sq = mean * mean
     if not math.isfinite(mean_sq):
-        raise DomainError(f"squared mean interference {mean_sq!r} is not finite at intensity "
-                          f"{traffic.intensity!r}, guard radius {geom.guard_radius!r} and "
-                          f"exponent {geom.pathloss_exponent!r}")
-    base = same_vehicle_term(t, traffic, geom)
+        raise DomainError(f"squared mean interference {mean_sq!r} in guard radii is not finite "
+                          f"at intensity * guard radius {traffic.intensity!r} and exponent "
+                          f"{geom.pathloss_exponent!r}")
+    base = _same_vehicle(t, traffic, geom)
     if method == "expansion":
         occ = traffic.occupancy
         close = occ * (2.0 + occ) * base
@@ -431,14 +407,30 @@ def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
         excess = (_exact_pair_integral(t, traffic, geom, spec, "deviation") - close
                   if method == "exact-quadrature" else _distant_excess_exact(t, traffic, geom))
         total = base + excess + close
-    return CovarianceBreakdown(
-        same_vehicle=base,
-        distant_pairs=mean_sq + excess,
-        close_pairs=close,
-        mean_sq=mean_sq,
-        covariance=total,
-        method=method,
-    )
+    return base, mean_sq + excess, close, mean_sq, total
+
+
+def covariance(t: float, traffic: TrafficModel, geom: NetworkGeometry,
+               method: str = "pcf-approx",
+               spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CovarianceBreakdown:
+    """Interference covariance at lag t, with its contribution breakdown.
+
+    Methods: "exact-quadrature" integrates the pair terms against the exact
+    pair correlation (valid on [0, t_max]); "pcf-approx" uses the closed
+    distant-pair form plus the same first-neighbor band integral;
+    "expansion" the second-order occupancy expansion of both (each valid
+    on [t_lo, t_hi]), its total formed as (1 - occupancy)**2 times the
+    same-vehicle term so it does not cancel at high occupancy, its distant
+    excess the rest. The squared mean cancels symbolically. Raises
+    DomainError where it is not finite in guard radii (_breakdown), or
+    where a field times r0**(-2 eta) is not (model._dimensional).
+    """
+    if method not in COVARIANCE_METHODS:
+        raise ParameterError(f"unknown covariance method {method!r}; "
+                             f"expected one of {COVARIANCE_METHODS}")
+    _require_lag(t, method, traffic, geom, f"covariance ({method})")
+    fields = _breakdown(t, *_in_guard_radii(traffic, geom), method, spec)
+    return CovarianceBreakdown(*(_dimensional(value, geom, 2) for value in fields), method)
 
 
 def rho_ppp(t: float, geom: NetworkGeometry) -> float:
@@ -450,7 +442,7 @@ def rho_ppp(t: float, geom: NetworkGeometry) -> float:
     """
     _require_lag(t, "ppp", None, geom, "rho_ppp")
     eta = geom.pathloss_exponent
-    return 0.5 * float(_gain_tail(1.0, t * geom.speed / geom.guard_radius, eta)
+    return 0.5 * float(_gain_tail(1.0, t * _in_guard_radii(None, geom)[1].speed, eta)
                        / _gain_tail(1.0, 0.0, eta))
 
 
@@ -459,33 +451,31 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Temporal correlation coefficient of the interference at lag t.
 
-    "ppp" ignores the hardcore structure entirely; "expansion" scales the
-    Poisson coefficient by (1 - occupancy); "pcf-approx" divides the
-    pcf-approx covariance by the thinned variance. The latter two are valid
-    on [t_lo, t_hi]. "pcf-approx" raises DomainError where that variance
-    falls below the smallest normal float (as at a guard radius of 1e300,
-    an exponent of 500 or an intensity of 5e-324): a subnormal divisor has
-    already lost its digits, and a zero one has none.
+    "ppp" ignores the hardcore structure; "expansion" scales the Poisson
+    coefficient by (1 - occupancy); "pcf-approx" divides the pcf-approx
+    covariance by the thinned variance, both in guard radii. The latter
+    two are valid on [t_lo, t_hi]. Each reads only the dimensionless
+    inputs. "pcf-approx" raises DomainError where the squared mean is not
+    finite (_breakdown), or the variance falls below the smallest normal
+    float (intensity * r0 below about 1e-307): a subnormal divisor has
+    lost its digits, and a zero one has none.
     """
     if method == "ppp":
         return rho_ppp(t, geom)
     if method == "expansion":
         _require_lag(t, "expansion", traffic, geom, "rho (expansion)")
-        return (1.0 - traffic.occupancy) * rho_ppp(t, geom)
+        return (1.0 - _in_guard_radii(traffic, geom)[0].occupancy) * rho_ppp(t, geom)
     if method == "pcf-approx":
-        breakdown = covariance(t, traffic, geom, "pcf-approx", spec)
-        var = variance(traffic, geom, "approx")
-        if not var >= sys.float_info.min:
-            raise DomainError(f"variance {var!r} is below the smallest normal float "
-                              f"at guard radius {geom.guard_radius!r}, exponent "
-                              f"{geom.pathloss_exponent!r} and intensity {traffic.intensity!r}")
-        return breakdown.covariance / var
+        _require_lag(t, "pcf-approx", traffic, geom, "rho (pcf-approx)")
+        unit = _in_guard_radii(traffic, geom)
+        cov = _breakdown(t, *unit, "pcf-approx", spec)[-1]
+        return cov / _normal((1.0 - unit[0].occupancy) * _variance(*unit), "variance", *unit)
     raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
 
 
 def _far_field(traffic: TrafficModel,
                geom: NetworkGeometry) -> tuple[float, float, float, float]:
-    """Far-field constants of the stream: (cv2, edge, rho0, spread).
+    """Far-field constants of the stream, in guard radii: (cv2, edge, rho0, spread).
 
     Over lengths long against the mean spacing, a renewal stream's pair
     deviation h = rho2 - intensity**2 acts as a point mass of total
@@ -503,30 +493,26 @@ def _far_field(traffic: TrafficModel,
         M1 = -p**2 * (1 + 2m + 3m**2) / 12,    M2 = -c * p**2 * m**2 * (1 + 3m) / 12,
 
     both never positive; edge is |M1| and spread is |M2|, the next order's
-    constant (_losses). rho0 is the zero-lag coefficient this gives:
-    var(S) = cv2 * E[Q] + |M1| * 2 g(r0)**2 over var(S) + E[Q], with the
-    guard zone's two edges. Raises DomainError where that divisor falls
-    below the smallest normal float (a guard radius of 1e300 or an
-    exponent of 500): both moments have underflowed.
+    constant (_losses). rho0 is the zero-lag coefficient this gives,
+    var(S) / (var(S) + E[Q]) with var(S) = cv2 * E[Q] + 2 |M1| (the guard
+    zone's two edges, where g = 1). Raises DomainError where that divisor
+    is below the smallest normal float (_normal): both moments underflowed.
     """
     occ = traffic.occupancy
     m = 1.0 - occ
     cv2 = m * m
     edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
     spread = traffic.min_gap * occ * occ * cv2 * (1.0 + 3.0 * m) / 12.0
-    mean_q = 0.5 * variance(traffic, geom, "ppp")
-    var_s = cv2 * mean_q + 2.0 * edge * geom.guard_radius ** (-2.0 * geom.pathloss_exponent)
-    if not var_s + mean_q >= sys.float_info.min:
-        raise DomainError(f"interference variance {var_s + mean_q!r} is below the smallest "
-                          f"normal float at guard radius {geom.guard_radius!r}, exponent "
-                          f"{geom.pathloss_exponent!r} and intensity {traffic.intensity!r}")
-    return cv2, edge, var_s / (var_s + mean_q), spread
+    mean_q = 0.5 * _variance(traffic, geom)
+    var_s = cv2 * mean_q + 2.0 * edge
+    rho0 = var_s / _normal(var_s + mean_q, "interference variance", traffic, geom)
+    return cv2, edge, rho0, spread
 
 
 def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
             t: float) -> tuple[float, float, float, float]:
     """Moments lost at lag t to the window, to leading order, and a bound
-    on the bias of rho they leave.
+    on the bias of rho they leave, in guard radii.
 
     The window [w_lo, w_hi], finite with w_lo < w_hi, holds the slot-0
     positions, and must cover the guard zone at both slots. Returns
@@ -573,9 +559,9 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     """
     w_lo, w_hi = window
     shift = geom.speed * t
-    r0 = geom.guard_radius
-    if not (w_hi > r0 and -w_lo - shift > r0):
-        raise DomainError(f"window {window!r} must cover the guard zone at both slots of lag {t!r}")
+    if not (w_hi > 1.0 and -w_lo - shift > 1.0):
+        raise DomainError(f"window {window!r} in guard radii must cover the guard zone at both "
+                          f"slots of lag {t!r}")
     lam = traffic.intensity
     eta = geom.pathloss_exponent
     power = 2.0 * eta - 1.0
@@ -593,6 +579,6 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     next_cov = spread * eta * float(np.sum((slot_0 * slot_t) ** -eta
                                            * (1.0 / slot_0 + 1.0 / slot_t)))
     next_var = spread * eta * float(np.sum(slot_0 ** -(power + 2.0) + slot_t ** -(power + 2.0)))
-    kept_q = 0.5 * variance(traffic, geom, "ppp") - lost_q
+    kept_q = 0.5 * _variance(traffic, geom) - lost_q
     return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
             max(rho0 * next_var, next_cov) / kept_q)

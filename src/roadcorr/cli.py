@@ -238,13 +238,11 @@ def _artifact_name(kind: str, traffic: TrafficModel, method: str | None, fmt: st
 
 def _curve(config: RunConfig, traffic: TrafficModel, method: str,
            geom: NetworkGeometry) -> _Artifact:
-    """One method's rho curve over the lag grid. Its manifest fields are the
-    indices of its invalid points and, for a simulated curve with a
-    simulated lag, the largest bound on the truncation bias of rho over
-    those lags.
-
-    The lags the method serves (analytic._lags_served) are evaluated and
-    the others are invalid; an error at a served lag propagates."""
+    """One method's rho curve over the lag grid: the lags the method serves
+    (analytic._lags_served) are evaluated, the others invalid, and an error
+    at a served lag propagates. Its manifest fields are the indices of its
+    invalid points and, for a simulated curve with a simulated lag, the
+    largest bound on the truncation bias of rho over those lags."""
     lam, c = traffic.intensity, traffic.min_gap
     grid = [float(t) for t in config.t_grid()]
     inside = analytic._lags_served(method, traffic, geom, grid)

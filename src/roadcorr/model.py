@@ -2,18 +2,21 @@
 
 Vehicle positions form a renewal process whose gaps are a hard minimum
 spacing plus an exponential overshoot; TrafficModel holds what that gap law
-implies (gap rate, occupancy, deviation reach, Erlang normalisers), the
-costly parts derived once per stream. The receiver sits at the origin and
-ignores transmitters closer than a guard radius; beyond it, power decays as
-a pure power law.
+implies (gap rate, occupancy, deviation reach), the costly parts derived
+once per stream. The receiver sits at the origin and ignores transmitters
+closer than a guard radius; beyond it, power decays as a pure power law.
+Every route computes in guard radii (_in_guard_radii); a dimensional moment
+takes its power of r0 in one place (_dimensional).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +34,10 @@ __all__ = [
 # Beyond this many minimum gaps the pair correlation is taken to sit on its
 # squared-intensity asymptote.
 _ASYMPTOTE_CUTOFF_GAPS = 64.0
+# log(n!) - n log n + n for the Erlang bands' n = j - 1 = 1 .. 63, as a column,
+# from the correctly rounded ratio of the integers n! and n**n.
+_ERLANG_OFFSETS = np.array([math.log(math.factorial(n) / n ** n) + n
+                            for n in range(1, int(_ASYMPTOTE_CUTOFF_GAPS))])[:, None]
 # Newton steps allowed to _wright_omega; it takes at most five from 0 to a jam.
 _OMEGA_STEPS = 32
 
@@ -53,6 +60,11 @@ def _wright_omega(z: complex) -> complex:
                            best_estimate=w, error_bound=abs(step))
 
 
+def _finite(value) -> bool:
+    """Whether value is one finite real number (not a string, None or complex)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class TrafficModel:
     """Stationary vehicle stream on the line.
@@ -67,9 +79,9 @@ class TrafficModel:
     min_gap: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.intensity) and self.intensity > 0):
+        if not (_finite(self.intensity) and self.intensity > 0):
             raise ParameterError(f"intensity must be positive, got {self.intensity!r}")
-        if not (math.isfinite(self.min_gap) and self.min_gap >= 0):
+        if not (_finite(self.min_gap) and self.min_gap >= 0):
             raise ParameterError(f"min_gap must be nonnegative, got {self.min_gap!r}")
         if self.occupancy >= 1.0:
             raise ParameterError(f"intensity * min_gap must stay below 1 (jammed road), "
@@ -136,12 +148,6 @@ class TrafficModel:
                 best_estimate=reach, error_bound=math.inf)
         return math.ceil(reach)
 
-    @cached_property
-    def _erlang_logs(self) -> tuple[float, np.ndarray]:
-        """log(gap_rate) and the column of lgamma(j) for the Erlang bands j = 2 .. 64."""
-        bands = range(2, int(_ASYMPTOTE_CUTOFF_GAPS) + 1)
-        return math.log(self.gap_rate), np.array([math.lgamma(j) for j in bands])[:, None]
-
 
 @dataclass(frozen=True)
 class NetworkGeometry:
@@ -157,14 +163,46 @@ class NetworkGeometry:
     speed: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.guard_radius) and self.guard_radius > 0):
+        if not (_finite(self.guard_radius) and self.guard_radius > 0):
             raise ParameterError(f"guard_radius must be positive, got {self.guard_radius!r}")
-        if not (math.isfinite(self.pathloss_exponent) and self.pathloss_exponent > 2):
-            raise ParameterError(
-                f"pathloss_exponent must exceed 2, got {self.pathloss_exponent!r}"
-            )
-        if not (math.isfinite(self.speed) and self.speed > 0):
+        if not (_finite(self.pathloss_exponent) and self.pathloss_exponent > 2):
+            raise ParameterError(f"pathloss_exponent must exceed 2, got {self.pathloss_exponent!r}")
+        if not (_finite(self.speed) and self.speed > 0):
             raise ParameterError(f"speed must be positive, got {self.speed!r}")
+
+
+@lru_cache(maxsize=64)
+def _in_guard_radii(traffic: TrafficModel | None,
+                    geom: NetworkGeometry) -> tuple[TrafficModel | None, NetworkGeometry]:
+    """traffic (or None) and geom in guard radii: intensity * r0, min_gap /
+    r0, guard radius 1 and speed / r0. Cached, so the restated stream's
+    deviation_reach is solved once per curve. Raises DomainError where a
+    restated input leaves its domain (as intensity * r0 overflowing)."""
+    r0 = geom.guard_radius
+    try:
+        unit = NetworkGeometry(1.0, geom.pathloss_exponent, geom.speed / r0)
+        if traffic is not None:
+            traffic = TrafficModel(traffic.intensity * r0, traffic.min_gap / r0)
+    except ParameterError as exc:
+        raise DomainError(f"in guard radii, {exc}") from None
+    return traffic, unit
+
+
+def _dimensional(value: float, geom: NetworkGeometry, order: int) -> float:
+    """value, a moment in guard radii, times r0**(-order * eta): order 1 for
+    the mean, 2 for the covariances. Raises DomainError where the prefactor
+    is not a normal float or the product is not finite."""
+    eta = geom.pathloss_exponent
+    try:
+        prefactor = geom.guard_radius ** (-order * eta)
+    except OverflowError:
+        prefactor = math.inf
+    out = prefactor * value
+    if not (sys.float_info.min <= prefactor < math.inf and math.isfinite(out)):
+        raise DomainError(f"dimensional prefactor r0**(-{order} eta) = {prefactor!r} times "
+                          f"{value!r} is not a finite normal float at guard radius "
+                          f"{geom.guard_radius!r} and exponent {eta!r}")
+    return out
 
 
 def _gain_in_place(dist: np.ndarray, geom: NetworkGeometry, silent: np.ndarray) -> None:
@@ -189,23 +227,20 @@ def pathloss(r, geom: NetworkGeometry):
     """Power-law gain |r| ** -exponent outside the guard zone, 0 inside.
 
     The boundary |r| == guard_radius counts as inside (gain 0), and
-    |r| = inf gives 0. A NaN distance raises ParameterError. Accepts a
-    scalar or a numpy array and returns the matching shape in a fresh
-    buffer; the argument is never modified.
+    |r| = inf gives 0. A NaN or non-real distance raises ParameterError.
+    Accepts a scalar or a numpy array and returns the matching shape in a
+    fresh buffer; the argument is never modified.
 
-    The power is taken as exp(-exponent * log|r|), about twice as fast as
-    numpy's vectorised pow on a simulator block and one pass for any
-    exponent. Its relative error against pow is at most about
-    (|exponent * ln|r|| + 2) ulp: log's half ulp, carried through the
-    product, is scaled by the size of the exponent. Infinite distances are
-    first set to 0, which makes them silent; silent entries (|r| at or
-    inside the guard radius) are then clamped to the guard radius while
-    the logarithm and exponential run and are zeroed after them, so log
-    sees only finite, normal, positive values. That arithmetic is
-    _gain_in_place, which the simulator runs on its own buffers.
+    The power is exp(-exponent * log|r|) (_gain_in_place), about twice as
+    fast as numpy's pow on a simulator block, within about
+    (|exponent * ln|r|| + 2) ulp of it: log's half ulp, scaled by the
+    exponent. Infinite distances are set to 0, so silent.
     """
-    arr = np.asarray(r, dtype=float)
-    gains = np.abs(arr, out=np.empty_like(arr))
+    arr = np.asarray(r)
+    if arr.dtype.kind not in "biuf":
+        raise ParameterError(f"pathloss distance must be real, got {r!r}")
+    arr = arr.astype(float)
+    gains = np.abs(arr, out=arr)
     if np.isnan(gains).any():
         raise ParameterError("pathloss distance must not be NaN")
     np.copyto(gains, 0.0, where=gains == np.inf)
@@ -219,11 +254,13 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     """Vectorized core of pair_correlation; d must be nonnegative.
 
     Band 1 is rate * exp(-rate * (d - c)); band j >= 2, on d > j c, is
-    the Erlang(j, rate) density at rem = d - j c, exp(j log rate +
-    (j - 1) log rem - rate rem - lgamma j). Bands 2 .. k_max are formed
-    as one (band, entry) array, with a term of 0.0 where a band has not
-    started, and added to band 1 a row at a time in band order: the sum
-    pair_correlation forms for each d alone.
+    the Erlang(j, rate) density at d - j c, rate * y**n e**-y / n! with
+    n = j - 1 and y = rate * (d - j c), in the saddle-point form
+    exp(n log1p(delta / n) - delta - C_n), delta = y - n, C_n =
+    _ERLANG_OFFSETS (Loader, 2000): its rounding scales with delta, not
+    with log n! (about 200 at n = 60), so it holds in any unit of length.
+    Bands 2 .. k_max form one (band, entry) array, 0.0 where a band has not
+    started, added to band 1 a row at a time: the sum for each d alone.
     """
     d = np.asarray(d, dtype=float)
     lam = traffic.intensity
@@ -238,29 +275,28 @@ def _pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
     dm = d[mid]
     rate = traffic.gap_rate
     k_max = int(math.floor(float(np.max(dm)) / c))
-    total = rate * np.exp(-rate * (dm - c))
+    total = np.exp(-rate * (dm - c))
     if k_max >= 2:
-        j = np.arange(2.0, k_max + 1.0)[:, None]
-        rem = dm - j * c
-        inside = rem > 0.0
-        # 1.0 stands in where band j has not started: its log is 0, and its
-        # term (zeroed below) is at most the Erlang density's peak, so finite.
-        rem = np.where(inside, rem, 1.0)
-        log_rate, lgammas = traffic._erlang_logs
-        log_terms = j * log_rate + (j - 1.0) * np.log(rem) - rate * rem - lgammas[:k_max - 1]
-        terms = np.where(inside, np.exp(log_terms), 0.0)
+        n = np.arange(1.0, k_max)[:, None]
+        y = rate * (dm - (n + 1.0) * c)
+        inside = y > 0.0
+        # 1.0 stands in where band j has not started: its term (zeroed below)
+        # is at most 1, so finite.
+        delta = np.where(inside, y, 1.0) - n
+        with np.errstate(divide="ignore"):      # y / n below 1e-16: log1p(-1), a term of 0
+            terms = np.exp(n * np.log1p(delta / n) - delta - _ERLANG_OFFSETS[:k_max - 1])
+        terms = np.where(inside, terms, 0.0)
         for row in terms:
             total += row
-    out[mid] = lam * total
+    out[mid] = lam * rate * total
     return out
 
 
 def _settled_reach(traffic: TrafficModel) -> int:
     """deviation_reach where it lies within the 64 minimum gaps the pair
-    density resolves; otherwise raises ConvergenceError carrying the
-    envelope of the deviation left at the last band resolved. Checked
-    before the reach is formed, so a stream within rounding of a jam is
-    refused here too."""
+    density resolves; otherwise (a stream within rounding of a jam too)
+    raises ConvergenceError carrying the envelope of the deviation left at
+    the last band resolved."""
     need, decay = traffic._leading_pole
     left = need - decay * (_ASYMPTOTE_CUTOFF_GAPS - 1.0)   # nats above 1e-10 at the last band
     if left > 0.0:
@@ -274,23 +310,23 @@ def _settled_reach(traffic: TrafficModel) -> int:
 
 
 def _separations(d, what: str) -> np.ndarray:
-    arr = np.asarray(d, dtype=float)
-    if not np.all((arr >= 0.0) & (arr < math.inf)):
+    arr = np.asarray(d)
+    if arr.dtype.kind not in "biuf" or not np.all((arr >= 0.0) & (arr < math.inf)):
         raise ParameterError(f"{what} must be finite and nonnegative, got {d!r}")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 def pair_correlation(d, traffic: TrafficModel):
     """Second-order product density of the vehicle stream at separation d.
 
     Zero below the minimum spacing; on (k, k+1] minimum gaps it sums the k
-    shifted Erlang renewal densities (higher orders evaluated in the log
-    domain so they cannot overflow), times the intensity. Beyond 64
-    minimum gaps the squared-intensity asymptote is returned, and
-    ConvergenceError (carrying the envelope of the deviation left, see
-    _settled_reach) is raised where it has not settled by then. A Poisson stream
-    (min_gap 0) is flat. Takes a scalar (returns a float) or an array of
-    any shape; a NaN, infinite or negative entry raises ParameterError.
+    shifted Erlang renewal densities (_pair_correlation_array), times the
+    intensity. Beyond 64 minimum gaps the squared-intensity asymptote is
+    returned, and ConvergenceError (carrying the envelope of the deviation
+    left, see _settled_reach) is raised where it has not settled by then.
+    A Poisson stream (min_gap 0) is flat. Takes a scalar (returns a float)
+    or an array of any shape; a NaN, infinite, negative or non-real entry
+    raises ParameterError.
     """
     arr = _separations(d, "separation")
     if np.any(arr > _ASYMPTOTE_CUTOFF_GAPS * traffic.min_gap):
@@ -325,11 +361,16 @@ def normalized_pair_correlation(d_over_c, traffic: TrafficModel):
     return pair_correlation(arr * traffic.min_gap, traffic) / scale
 
 
+def _mean(traffic: TrafficModel, geom: NetworkGeometry) -> float:
+    """mean_interference in guard radii: 2 intensity / (exponent - 1)."""
+    return 2.0 * traffic.intensity / (geom.pathloss_exponent - 1.0)
+
+
 def mean_interference(traffic: TrafficModel, geom: NetworkGeometry) -> float:
     """Mean received interference power (unit transmit power, unit-mean fading).
 
     Depends on the stream only through its intensity:
-    2 * intensity * guard_radius ** (1 - exponent) / (exponent - 1).
+    2 * intensity * guard_radius ** (1 - exponent) / (exponent - 1). Raises
+    DomainError where it is not a finite float (_dimensional).
     """
-    eta = geom.pathloss_exponent
-    return 2.0 * traffic.intensity * geom.guard_radius ** (1.0 - eta) / (eta - 1.0)
+    return _dimensional(_mean(*_in_guard_radii(traffic, geom)), geom, 1)

@@ -2,27 +2,23 @@
 estimation of interference moments and the lag-t correlation coefficient.
 
 Every estimate runs N_BLOCKS blocks, each on its own counter-based stream.
-A block draws one renewal stream from its equilibrium delay, stationary
-throughout, and cuts it into consecutive windows, one realization each
-(Asmussen & Glynn, Stochastic Simulation, 2007, ch. IV); that one draw
-serves every lag of a curve (common random numbers). The gains are
-evaluated once per mark of a difference basis of the lag grid
-(_shift_schedule; Leech, J. London Math. Soc. 31, 1956), and each lag is
-formed from a pair of marks a <= b with b - a the lag: the stream is
-stationary, so the passes at the shifts u a and u b are a lag sample of
-the window moved by u a. Ten passes serve the canonical 31 lags.
+A block draws one renewal stream from its equilibrium delay and cuts it
+into consecutive windows, one realization each (Asmussen & Glynn,
+Stochastic Simulation, 2007, ch. IV); that one draw serves every lag of a
+curve. The gains are evaluated once per mark of a difference basis of the
+lag grid (_shift_schedule), and each lag is formed from a pair of marks
+a <= b with b - a the lag: the stream is stationary, so the passes at the
+shifts u a and u b are a lag sample of the window moved by u a.
 
-Fading is never drawn: it is unit-mean exponential and independent per
-vehicle and slot, so its average given the positions is known in closed
-form, and the estimators use that average (Rao-Blackwellisation). The
-window reaches past the guard zone by the reach of the stream's pair
-deviation and a third of the guard radius, at both slots of every pair,
-whatever the sample count; what the vehicles beyond it carry is added
-back in closed form (analytic._losses; Cox, Renewal Theory, 1962). Every
-window of the stream has the stationary law, so the same correction, and
-the bound on the bias it leaves, applies to every realization. The lags
-served are [0, t_max], as analytic._lag_range gives them for the
-simulation route: estimate_curve refuses any other.
+Fading is never drawn: given the positions its average is known in
+closed form, and the estimators use it (Rao-Blackwellisation). The window
+reaches past the guard zone by the pair deviation's reach and a third of
+the guard radius, at both slots of every pair; what the vehicles beyond
+it carry is added back in closed form (analytic._losses), with a bound on
+the bias left. The lags served are [0, t_max] (analytic._lag_range). The
+sampler runs in guard radii (model._in_guard_radii), so rho, se_rho and
+the bias bound read only the dimensionless inputs; the moments take their
+power of r0 at the output (model._dimensional).
 """
 
 from __future__ import annotations
@@ -38,8 +34,8 @@ from numpy.random import Generator, Philox
 
 from .analytic import _losses, _require_lag
 from .errors import DomainError, EstimationError, ParameterError
-from .model import (NetworkGeometry, TrafficModel, _gain_in_place, _pair_density_scale,
-                    mean_interference)
+from .model import (NetworkGeometry, TrafficModel, _dimensional, _gain_in_place,
+                    _in_guard_radii, _mean, _pair_density_scale, mean_interference)
 
 __all__ = [
     "CorrelationEstimate",
@@ -81,7 +77,9 @@ class CorrelationEstimate:
     variance pools both slots; rho is covariance over that pooled variance,
     which keeps it within [-1, 1]; se_rho and se_variance are jackknife
     standard errors over the sampling blocks; bias_bound bounds the bias
-    of rho left by the window's correction (analytic._losses).
+    of rho left by the window's correction (analytic._losses). As a ratio
+    of estimates, rho also carries an O(1 / n) bias, 3.5e-4 at 20 000
+    samples and 1.1e-4 at 80 000 on the canonical stream (README, Outputs).
     """
 
     n: int
@@ -108,23 +106,18 @@ def default_window(traffic: TrafficModel, geom: NetworkGeometry,
     """Sampling window [-(W + u t), W] for lags up to t, with
     W = guard_radius + deviation_reach * min_gap + guard_radius / 3.
 
-    The pair deviation vanishes (below 1e-10 of the squared intensity)
-    beyond deviation_reach minimum gaps, so every correlated pair the
-    window cuts has its inside vehicle past the guard zone at both slots of
-    every lag up to t, where the gains are smooth; there the closed-form
-    losses of analytic._losses hold, and estimate_curve adds them back.
-    Moved right by u a, the window still has both edges at least W from
-    the receiver at both slots of any lag t' with a + t' <= t, so the
-    same holds for every pair of marks of _shift_schedule.
-
-    The margin of a third of the guard radius keeps _losses' bound
-    under a tenth of the canonical curve's noise at a million samples: on
-    the canonical stream W is 236 m and the bound at most 1.7e-5 over
-    [0, t_max], while the residual measured against the exact route is
-    below 1.8e-6 (scripts/window_bias.py). A Poisson stream (reach 0) has
-    W = 4/3 guard_radius, its losses exact. The window depends on the
-    geometry and the stream alone, not on the sample count; it grows with
-    the reach toward a jam (2.3 km at occupancy 0.95).
+    The pair deviation is below 1e-10 of the squared intensity beyond
+    deviation_reach minimum gaps, so every correlated pair the window cuts
+    has its inside vehicle past the guard zone at both slots of every lag
+    up to t, where _losses' closed forms hold; moved right by u a, the
+    window keeps both edges at least W from the receiver for any lag t'
+    with a + t' <= t, so this holds for every pair of marks too. The third
+    of a guard radius keeps _losses' bound under a tenth of the canonical
+    curve's noise at a million samples: there W is 236 m and the bound at
+    most 1.7e-5, while the residual against the exact route is below
+    1.8e-6 (scripts/window_bias.py). A Poisson stream has W = 4/3
+    guard_radius and exact losses. The window does not depend on the sample
+    count; it grows with the reach toward a jam (2.3 km at occupancy 0.95).
     """
     half = (geom.guard_radius + traffic.deviation_reach * traffic.min_gap
             + geom.guard_radius / 3.0)
@@ -156,12 +149,11 @@ def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_window
 
     The stream starts at w_lo from the equilibrium delay and is cut at the
     edges w_hi + k L, L = w_hi - w_lo: window k holds (w_hi + (k - 1) L,
-    w_hi + k L], and its vehicles less k L are realization k. Consecutive
-    windows are weakly dependent. Each chunk of gaps is drawn into the
-    stream's own buffer, scaled, offset by the minimum gap and summed in
-    place; a chunk that stops short of the last edge is followed by
-    another. Returns the positions up to the last edge, ascending and
-    unshifted, and each window's vehicle count.
+    w_hi + k L], and its vehicles less k L are realization k (consecutive
+    windows are weakly dependent). Gaps are drawn in chunks into the
+    stream's own buffer and summed in place until the last edge. Returns
+    the positions up to it, ascending and unshifted, and each window's
+    vehicle count.
     """
     w_lo, w_hi = window
     edges = w_hi + (w_hi - w_lo) * np.arange(n_windows)
@@ -183,21 +175,18 @@ def _stream_windows(traffic: TrafficModel, window: tuple[float, float], n_window
 
 def _shift_schedule(lags: Sequence[float]) -> tuple[list[float], list[tuple[int, int]]]:
     """Marks in [0, max lag] whose differences hold every lag, and each
-    lag's pair of marks.
+    lag's pair of marks: a difference basis (Leech, J. London Math. Soc.
+    31, 1956), one gain pass per mark.
 
-    The stream is stationary, so gain passes at the shifts u a and u b,
-    a <= b, form a lag-(b - a) sample, seen from the window moved by u a:
-    one pass per mark serves every lag two marks span (a difference basis,
-    Leech, J. London Math. Soc. 31, 1956). The marks start as {0, max lag};
-    while a lag is uncovered, the greedy tries m - t and m + t, for every
-    mark m, that lie in [0, max lag], with t the largest uncovered lag, and
-    adds the one that covers the most uncovered lags, the smallest on a
-    tie. A lag t is covered when b - a == t exactly in floats; its pair is
-    the covering (a, b) with the smallest a, so lag 0, the largest lag and
-    a lone lag t take (0, t). The marks come back ascending, the pairs as
-    indices into them, in the order of the lags. There are never more
-    marks than one plus the distinct nonzero lags, the passes one lag at
-    a time would take: 10 on the canonical 31-lag grid.
+    The marks start as {0, max lag}; while a lag is uncovered, the greedy
+    tries m - t and m + t in [0, max lag], for every mark m and t the
+    largest uncovered lag, and adds the one that covers the most uncovered
+    lags, the smallest on a tie. A lag t is covered when b - a == t exactly
+    in floats; its pair is the covering (a, b) with the smallest a, so lag
+    0, the largest lag and a lone lag t take (0, t). The marks come back
+    ascending, the pairs as indices into them, in the order of the lags.
+    There are never more marks than one plus the distinct nonzero lags:
+    10 on the canonical 31-lag grid.
     """
     top = max(lags)
     marks = sorted({0.0, top})
@@ -220,27 +209,22 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float]
                 pairs: list[tuple[int, int]], n_rows: int, window: tuple[float, float],
                 rng: Generator) -> np.ndarray:
     """Additive moment sums of n_rows realizations, one row of sums per pair
-    of marks (see _shift_schedule).
+    of marks (see _shift_schedule), in the caller's unit of length.
 
-    Given the positions, unit-mean exponential fading independent per
-    vehicle and slot averages out: with S_s = sum g(x + u s) and
-    Q_s = sum g(x + u s)**2, E[I_a I_b | X] = S_a S_b (the two slots fade
+    Given the positions, fading averages out: with S_s = sum g(x + u s) and
+    Q_s = sum g(x + u s)**2, E[I_a I_b | X] = S_a S_b (the slots fade
     independently, even when a == b) and E[I_b**2 | X] = S_b**2 + Q_b. For
     the pair (a, b) the columns are n, sum d_a, sum d_b, sum d_a**2,
-    sum d_b**2, sum d_a d_b, sum Q_a and sum Q_b, where
-    d_s = S_s - mean_interference keeps the later subtractions from
-    cancelling digits: the lag-(b - a) sums of the window moved by u a.
-    One position draw serves every pair, and each mark is evaluated once.
-    The rows are consecutive windows of one stream (_stream_windows); less
-    their window's offset, its positions are every row's vehicles laid end
-    to end, and every gain pass runs on them only. The block allocates one
-    gain buffer and one mask; each mark shifts the positions into the
-    buffer and runs pathloss's kernel (model._gain_in_place) on it in
-    place, without pathloss's NaN and inf checks, since the positions are
-    finite. Row sums are np.add.reduceat over the segments of the rows that
-    hold a vehicle; an empty row sums to 0. Q_s squares the gains in place
-    and sums them, a pairwise sum that stays off BLAS (whose threads spin
-    in np.vdot).
+    sum d_b**2, sum d_a d_b, sum Q_a and sum Q_b, d_s = S_s -
+    mean_interference (which keeps the later subtractions from cancelling
+    digits): the lag-(b - a) sums of the window moved by u a. One position
+    draw serves every pair: the rows are consecutive windows of one stream
+    (_stream_windows), laid end to end less their offsets. Each mark
+    shifts them into one gain buffer and runs model._gain_in_place there,
+    without pathloss's NaN and inf checks, since the positions are finite.
+    Row sums are np.add.reduceat over the rows that hold a vehicle (an
+    empty row sums to 0); Q_s squares the gains in place and sums them,
+    off BLAS (whose threads spin in np.vdot).
     """
     centre = mean_interference(traffic, geom)
     flat, counts = _stream_windows(traffic, window, n_rows, rng)
@@ -285,29 +269,28 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
                    window: tuple[float, float] | None = None) -> list[CorrelationEstimate]:
     """Monte Carlo moments and correlation coefficient at every lag of t_grid.
 
-    Work is split into N_BLOCKS blocks, each driven by its own
-    counter-based stream keyed by (seed, block index), with seed in
-    [0, 2**64). A block cuts its realizations from one stationary stream
-    in the window of the largest lag (default_window unless given) and
-    runs one gain pass per mark of the grid's _shift_schedule on them;
-    each lag t is formed from its pair of marks (a, b), b - a = t, on the
-    window moved by u a. So the curve's errors are correlated across
-    lags. Fading is integrated out exactly (see _block_sums). The mean,
-    variance and covariance lost outside the moved window are added back
-    in closed form (analytic._losses), to the totals and to every
-    leave-one-out alike, so the window must cover the guard zone at both
-    slots of the largest lag, and then does at both slots of every pair;
-    each estimate's bias_bound is the bound _losses gives for its lag on
-    its moved window. A lag whose pair is (0, t), as lag 0, the largest
-    lag and the single lag of estimate always are, is estimate(t) on the
-    same window bit for bit; any other lag is the estimate its two marks
-    give alone, whichever other marks the schedule holds. Standard errors
-    are a leave-one-block-out jackknife over independent blocks. Raises
-    DomainError, before sampling, where a block would hold more than
-    _MAX_BLOCK_VEHICLES vehicles (the default window near a jam, or a
-    huge sample count).
+    Work is split into N_BLOCKS blocks, each on its own counter-based
+    stream keyed by (seed, block index), seed in [0, 2**64). A block cuts
+    its realizations from one stationary stream in the window of the
+    largest lag (default_window unless given) and runs one gain pass per
+    mark of the grid's _shift_schedule; each lag t is formed from its pair
+    of marks (a, b), b - a = t, on the window moved by u a, so the curve's
+    errors are correlated across lags. The moments lost outside the moved
+    window are added back in closed form (analytic._losses), to the totals
+    and every leave-one-out alike, so the window must cover the guard zone
+    at both slots of the largest lag; each bias_bound is _losses' bound for
+    its lag on its moved window. A lag whose pair is (0, t), as lag 0, the
+    largest lag and estimate's single lag, is estimate(t) on the same
+    window bit for bit; any other is what its two marks give alone.
+    Standard errors are a leave-one-block-out jackknife. Raises
+    DomainError, before sampling, where the moments' prefactor r0**(-2 eta)
+    is not a normal float or a block would hold more than
+    _MAX_BLOCK_VEHICLES vehicles (near a jam, or a huge sample count).
     """
-    grid = list(t_grid)
+    try:
+        grid = list(t_grid)
+    except TypeError:
+        raise ParameterError(f"t_grid must be a sequence of lags, got {t_grid!r}") from None
     if not grid:
         raise ParameterError("t_grid must hold at least one lag")
     for t in grid:
@@ -318,22 +301,25 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     if window is None:
         window = default_window(traffic, geom, max(lags))
     _require_window(window)
+    _dimensional(1.0, geom, 2)      # before sampling; r0**(-eta) is then a normal float too
+    unit_traffic, unit_geom = _in_guard_radii(traffic, geom)
+    w_lo, w_hi = (edge / geom.guard_radius for edge in window)      # in guard radii too
     marks, pairs = _shift_schedule(lags)
-    w_lo, w_hi = window
-    shifts = [geom.speed * marks[a] for a, _ in pairs]
-    losses = [_losses(traffic, geom, (w_lo + s, w_hi + s), t) for s, t in zip(shifts, lags)]
+    shifts = [unit_geom.speed * marks[a] for a, _ in pairs]
+    losses = [_losses(unit_traffic, unit_geom, (w_lo + s, w_hi + s), t)
+              for s, t in zip(shifts, lags)]
     base, rem = divmod(n_samples, N_BLOCKS)
     rows = base + (1 if rem else 0)                     # the largest block's
-    block = traffic.intensity * (window[1] - window[0]) * rows
+    block = unit_traffic.intensity * (w_hi - w_lo) * rows
     if not block <= _MAX_BLOCK_VEHICLES:
         raise DomainError(f"a block of {rows} windows of {window[1] - window[0]!r} m would "
                           f"hold about {block:.3g} vehicles, more than {_MAX_BLOCK_VEHICLES} "
                           f"(occupancy {traffic.occupancy!r})")
     blocks = np.stack([
-        _block_sums(traffic, geom, marks, pairs, base + (1 if k < rem else 0), window,
-                    _block_rng(seed, k))
+        _block_sums(unit_traffic, unit_geom, marks, pairs, base + (1 if k < rem else 0),
+                    (w_lo, w_hi), _block_rng(seed, k))
         for k in range(N_BLOCKS)])
-    centre = mean_interference(traffic, geom)
+    centre = _mean(unit_traffic, unit_geom)
     scale = (N_BLOCKS - 1) / N_BLOCKS
     out = []
     for j, (lost_mean, lost_var, lost_cov, bias_bound) in enumerate(losses):
@@ -344,12 +330,13 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
         loo_rho = loo_cov / loo_var
         out.append(CorrelationEstimate(
             n=n_samples,
-            mean=centre + float(mean_dev) + lost_mean,
-            variance=float(variance),
-            covariance=float(covariance),
+            mean=_dimensional(centre + float(mean_dev) + lost_mean, geom, 1),
+            variance=_dimensional(float(variance), geom, 2),
+            covariance=_dimensional(float(covariance), geom, 2),
             rho=float(covariance / variance),
             se_rho=math.sqrt(scale * float(np.sum((loo_rho - loo_rho.mean()) ** 2))),
-            se_variance=math.sqrt(scale * float(np.sum((loo_var - loo_var.mean()) ** 2))),
+            se_variance=_dimensional(
+                math.sqrt(scale * float(np.sum((loo_var - loo_var.mean()) ** 2))), geom, 2),
             bias_bound=bias_bound,
         ))
     return out
@@ -431,15 +418,7 @@ def pair_distance_histogram(traffic: TrafficModel, window: tuple[float, float],
     counts = 2.0 * counts.reshape(n_realizations, bins)
     length = w_hi - w_lo
     measure = 2.0 * bin_width * (length - 0.5 * (edges[:-1] + edges[1:]))
-    mean_counts = counts.mean(axis=0)
-    se_counts = counts.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    density = mean_counts / measure
-    se = se_counts / measure
-    return PairDistanceHistogram(
-        bin_edges=edges,
-        density=density,
-        se=se,
-        normalized=density / scale,
-        normalized_se=se / scale,
-        n_realizations=n_realizations,
-    )
+    density = counts.mean(axis=0) / measure
+    se = counts.std(axis=0, ddof=1) / math.sqrt(n_realizations) / measure
+    return PairDistanceHistogram(edges, density, se, density / scale, se / scale,
+                                 n_realizations)

@@ -215,28 +215,24 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for c > b > 0 and z < 1.
 
     z is a scalar (a float, a numpy scalar or a 0-d array); anything else
-    raises ParameterError. No route calls it: the gain integrals are
-    Gauss-Jacobi sums (analytic._gain_tail). It stays as the independent
-    series the acceptance checks and the gain tail's tests compare with,
-    and perfbench's tracer counts its calls.
+    raises ParameterError. No route calls it (analytic._gain_tail sums
+    Gauss-Jacobi rules): it is the independent series the acceptance
+    checks and the gain tail's tests compare with.
 
-    Nonnegative z is summed directly; negative z is first mapped into
-    [0, 1) with the Pfaff transformation
-    2F1(a, b; c; z) = (1 - z)**(-b) * 2F1(c - a, b; c; z / (z - 1)),
-    which keeps the series argument small even for z near -2. Term n + 1 is
-    term n times (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x, and the sum
-    is the running total at its first term below 1e-16 of that total. The
-    prefactor is numpy's power on an array, not float ** (which can differ
-    in the last bit), so the values keep the bits the tests freeze.
+    Negative z is first mapped into [0, 1) by the Pfaff transformation
+    2F1(a, b; c; z) = (1 - z)**(-b) * 2F1(c - a, b; c; z / (z - 1)). Term
+    n + 1 is term n times (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x,
+    and the sum is the running total at its first term below 1e-16 of it.
+    The prefactor is numpy's power, not float ** (which can differ in the
+    last bit), so the values keep the bits the tests freeze.
 
     Raises ConvergenceError, naming the caller's z and carrying the partial
     value and a bound on the terms left (both times the prefactor), where
     the series has not settled after N = _SERIES_TERMS terms (from z of
-    order -1e4 on, depending on the parameters). Past N terms, far more
-    than any parameter, the ratio of successive terms moves monotonically
-    towards x, so no later ratio exceeds r = x * max(1, (a + N) * (b + N) /
-    ((c + N) * (N + 1))), and the terms left sum to at most
-    |last term| * r / (1 - r).
+    order -1e4 on). Past N terms, far more than any parameter, the ratio of
+    successive terms moves monotonically towards x, so no later ratio
+    exceeds r = x * max(1, (a + N) * (b + N) / ((c + N) * (N + 1))), and
+    the terms left sum to at most |last term| * r / (1 - r).
     """
     if np.ndim(z) != 0:
         raise ParameterError(f"z must be a scalar, got {z!r}")

@@ -372,7 +372,9 @@ _ASYMPTOTE_CUTOFF_GAPS = 64.0
 
 
 def frozen_pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.ndarray:
-    """Vectorized core of pair_correlation; d must be nonnegative."""
+    """pair_correlation by a per-band masked loop, each Erlang term in the
+    saddle-point form exp(n log1p(delta / n) - delta - C_n), C_n = log(n! /
+    n**n) + n from the integers; d must be nonnegative."""
     d = np.asarray(d, dtype=float)
     lam = traffic.intensity
     c = traffic.min_gap
@@ -386,14 +388,17 @@ def frozen_pair_correlation_array(d: np.ndarray, traffic: TrafficModel) -> np.nd
     dm = d[mid]
     rate = traffic.gap_rate
     k_max = int(math.floor(float(np.max(dm)) / c))
-    total = rate * np.exp(-rate * (dm - c))
+    total = np.exp(-rate * (dm - c))
     for j in range(2, k_max + 1):
-        rem = dm - j * c
-        sel = rem > 0.0
+        n = j - 1.0
+        y = rate * (dm - j * c)
+        sel = y > 0.0
         if not np.any(sel):
             continue
-        log_term = (j * math.log(rate) + (j - 1.0) * np.log(rem[sel])
-                    - rate * rem[sel] - math.lgamma(j))
+        delta = y[sel] - n
+        with np.errstate(divide="ignore"):
+            log_term = (n * np.log1p(delta / n) - delta
+                        - (math.log(math.factorial(j - 1) / (j - 1) ** (j - 1)) + n))
         total[sel] += np.exp(log_term)
-    out[mid] = lam * total
+    out[mid] = lam * rate * total
     return out

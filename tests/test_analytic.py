@@ -28,7 +28,8 @@ from roadcorr.analytic import (
 )
 from roadcorr.cli import KNOWN_METHODS
 from roadcorr.errors import ConvergenceError, DomainError, ParameterError
-from roadcorr.model import NetworkGeometry, TrafficModel, mean_interference
+from roadcorr.model import (NetworkGeometry, TrafficModel, _dimensional, _in_guard_radii,
+                            mean_interference)
 from roadcorr.sim import estimate_curve
 from roadcorr.specfun import QuadratureSpec, hyp2f1
 
@@ -234,14 +235,14 @@ class TestFrozenValues:
         assert abs(got - MPMATH_COVARIANCE[intensity, t]) <= 1e-14 * scale
 
     def test_tight_solve_below_roundoff_raises(self):
-        # At eta 6 the deviation part nearly cancels, so a 1e-13 relative
+        # At eta 6 the deviation part nearly cancels, so a 1e-14 relative
         # target sits below its roundoff; the default spec still converges.
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=6.0,
                                speed=10.0)
         stream = TrafficModel.from_intensity(0.15, 4.0)
         got = covariance(29.2, stream, geom, "exact-quadrature")
         assert math.isclose(got.covariance, 4.8152358124944e-29, rel_tol=1e-12)
-        tight = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+        tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
         with pytest.raises(ConvergenceError, match="roundoff") as info:
             covariance(29.2, stream, geom, "exact-quadrature", tight)
         assert math.isfinite(info.value.best_estimate)
@@ -402,7 +403,7 @@ class TestDistantPairs:
         tr = TrafficModel.from_intensity(lam, c)
         lo, hi = _lag_range("pcf-approx", tr, geom)
         for t in (lo, hi, *np.linspace(lo, hi, 6)[1:-1].tolist()):
-            got = _distant_excess_exact(t, tr, geom)
+            got = _dimensional(_distant_excess_exact(t, *_in_guard_radii(tr, geom)), geom, 2)
             want = oracles.distant_excess_defining(t, tr, geom)
             assert abs(got - want) <= 1e-13 * same_vehicle_term(t, tr, geom), t
 
@@ -596,11 +597,14 @@ class TestCovariance:
             covariance(5.0, traffic, geom, "bogus")
 
     def test_overflowing_squared_mean_raises_domain_error(self, geom):
-        """At an intensity of 1e300 the squared mean overflows: every method
-        raises one DomainError naming it before a breakdown is formed,
-        instead of the breakdown's inconsistency or an OverflowError."""
+        """At an intensity of 1e300 (1.5e302 vehicles per guard radius) the
+        squared mean overflows in guard radii: every method raises one
+        DomainError naming it and the dimensionless intensity before a
+        breakdown is formed, instead of the breakdown's inconsistency or an
+        OverflowError."""
         traffic = TrafficModel.from_intensity(1e300, 0.0)
-        want = r"^squared mean interference inf is not finite at intensity 1e\+300"
+        want = (r"^squared mean interference inf in guard radii is not finite at "
+                r"intensity \* guard radius 1\.5000000000000001e\+302 and exponent 3\.0$")
         for method in COVARIANCE_METHODS:
             with pytest.raises(DomainError, match=want):
                 covariance(5.0, traffic, geom, method)
@@ -642,36 +646,53 @@ class TestRho:
         with pytest.raises(ParameterError):
             rho(5.0, traffic, geom, "monte-carlo")
 
+    REFUSALS = {
+        1e300: r"^squared mean interference inf in guard radii is not finite at intensity "
+               r"\* guard radius 5e\+298 and exponent 3\.0$",
+        5e-324: r"^variance 5\.93e-322 in guard radii is below the smallest normal float at "
+                r"intensity \* guard radius 7\.4e-322, occupancy 0\.0 and exponent 3\.0$",
+    }
+
     @pytest.mark.parametrize("lam,c,r0,eta", [(0.05, 4.0, 1e300, 3.0), (0.05, 4.0, 150.0, 500.0),
                                               (5e-324, 0.0, 150.0, 3.0), (1e-299, 0.0, 150.0, 3.0)])
     def test_pcf_refuses_a_vanishing_variance(self, lam, c, r0, eta):
-        """Where the thinned variance underflows to zero, or to a subnormal
-        (1.05e-310 at intensity 1e-299), pcf-approx raises DomainError
-        naming it, not ZeroDivisionError or a digitless quotient; ppp and
-        expansion, which never form it, still evaluate."""
+        """pcf-approx computes in guard radii, so only the dimensionless
+        inputs can make it refuse: 5e298 vehicles per guard radius (r0 =
+        1e300) overflow the squared mean, and 7.4e-322 (intensity 5e-324)
+        leave a subnormal variance, each a DomainError naming it, not
+        ZeroDivisionError or a digitless quotient. An exponent of 500 at
+        r0 = 150 and an intensity of 1e-299 (1.5e-297 per guard radius)
+        evaluate. ppp and expansion, which form neither moment, evaluate
+        throughout."""
         traffic = TrafficModel.from_intensity(lam, c)
         geom = NetworkGeometry(guard_radius=r0, pathloss_exponent=eta, speed=10.0)
-        with pytest.raises(DomainError, match=r"^variance .* below the smallest normal float "
-                                              r"at guard radius .*, exponent .* and intensity"):
-            rho(5.0, traffic, geom, "pcf-approx")
+        refusal = self.REFUSALS.get(r0 if r0 != 150.0 else lam)
+        if refusal:
+            with pytest.raises(DomainError, match=refusal):
+                rho(5.0, traffic, geom, "pcf-approx")
+        else:
+            assert abs(rho(5.0, traffic, geom, "pcf-approx")) < 0.5
         for method in ("ppp", "expansion"):
             assert math.isfinite(rho(5.0, traffic, geom, method))
 
     def test_overflowing_same_vehicle_prefactor_raises_domain_error(self):
-        """At a guard radius of 0.0113 and an exponent of 92, r0**(1 - 2 eta)
-        and the squared mean overflow: every route that forms either raises
-        DomainError naming the geometry, not OverflowError; ppp and
-        expansion, which form neither, still evaluate."""
+        """At a guard radius of 0.0113 and an exponent of 92 the prefactor
+        r0**(-2 eta) overflows: every dimensional output raises the one
+        DomainError naming it and the geometry, not OverflowError; every rho,
+        which forms no dimensional quantity, evaluates, pcf-approx on this
+        Poisson stream to the ppp value."""
         traffic = TrafficModel.from_intensity(0.05, 0.0)
         geom = NetworkGeometry(guard_radius=0.0113, pathloss_exponent=92.0, speed=10.0)
-        for call in (partial(rho, 0.001, traffic, geom, "pcf-approx"),
-                     partial(covariance, 0.001, traffic, geom, "exact-quadrature"),
+        for call in (partial(covariance, 0.001, traffic, geom, "exact-quadrature"),
                      partial(same_vehicle_term, 0.001, traffic, geom),
                      partial(variance, traffic, geom)):
-            with pytest.raises(DomainError, match=r"guard radius 0\.0113 and exponent 92\.0$"):
+            with pytest.raises(DomainError, match=r"^dimensional prefactor r0\*\*\(-2 eta\) = inf "
+                                                  r".* at guard radius 0\.0113 and exponent 92\.0$"):
                 call()
         for method in ("ppp", "expansion"):
             assert 0.0 < rho(0.001, traffic, geom, method) < 1e-25
+        assert math.isclose(rho(0.001, traffic, geom, "pcf-approx"),
+                            rho(0.001, traffic, geom, "ppp"), rel_tol=1e-12)
 
 
 class TestLagRule:
@@ -738,9 +759,12 @@ class TestLagRule:
 
     def test_non_scalar_lag_is_a_parameter_error(self, traffic, geom):
         for route, fn in self.ROUTES.items():
-            for lags in (np.array([1.0, 2.0]), np.array([5.0]), [5.0]):
+            for lags in (np.array([1.0, 2.0]), np.array([5.0]), [5.0], None, "5", 1 + 2j):
                 with pytest.raises(ParameterError, match="one scalar lag"):
                     fn(lags, traffic, geom)
+        for lag in (None, "5", 1 + 2j):
+            with pytest.raises(ParameterError, match="one scalar lag"):
+                rho_ppp(lag, geom)
         assert same_vehicle_term(np.array(5.0), traffic, geom) == same_vehicle_term(
             5.0, traffic, geom)
 

@@ -275,50 +275,115 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("evaluation failure: degenerate sample")
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("line", ["r0 = 1e300", "eta = 500",
-                                      "traffic = lambda=5e-324 c=0"])
-    def test_vanishing_variance_exits_3(self, tmp_path, line, capsys):
-        """Where pcf-approx's variance underflows, its DomainError ends the
-        run with one stderr line naming the variance, exit 3 and no
-        manifest, not a ZeroDivisionError traceback."""
-        code, out = self.run_main(tmp_path, f"{line}\nmethods = ppp,expansion,pcf-approx\n")
-        assert code == 3
+    def assert_outcome(self, code, out, capsys, named):
+        """Exit 0 with every written value finite where named is None;
+        otherwise exit 3, one stderr line starting with named after the
+        evaluation-failure prefix, and no manifest."""
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("evaluation failure: variance ")
-        assert not (out / "manifest.json").exists()
+        if named is None:
+            assert code == 0 and err == []
+            for path in out.glob("curve_*.csv"):
+                assert all(math.isfinite(float(row["value"]))
+                           for row in read_csv(path) if row["valid"] == "true")
+        else:
+            assert code == 3
+            assert len(err) == 1 and err[0].startswith(f"evaluation failure: {named}")
+            assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("line,named", [
+        pytest.param("r0 = 1e300", "squared mean interference inf in guard radii",
+                     id="r0 = 1e300"),
+        pytest.param("eta = 500", None, id="eta = 500"),
+        pytest.param("traffic = lambda=5e-324 c=0", "variance 5.93e-322 in guard radii",
+                     id="traffic = lambda=5e-324 c=0")])
+    def test_vanishing_variance_exits_3(self, tmp_path, line, named, capsys):
+        """The routes compute in guard radii, so only an extreme
+        dimensionless input ends the run: 5e298 vehicles per guard radius
+        (r0 = 1e300) overflow the squared mean and 7.4e-322 (intensity
+        5e-324) leave a subnormal variance, each a DomainError with one
+        stderr line naming it, exit 3 and no manifest, not a
+        ZeroDivisionError traceback. An exponent of 500 at r0 = 150 runs."""
+        code, out = self.run_main(tmp_path, f"{line}\nmethods = ppp,expansion,pcf-approx\n")
+        self.assert_outcome(code, out, capsys, named)
 
     @pytest.mark.parametrize("lines,methods,named", [
         ("r0 = 0.0113\neta = 92\ntraffic = lambda=0.05 c=0\nt_hi = 0.002\nt_points = 3",
-         "ppp,expansion,pcf-approx", "squared mean interference inf"),
+         "ppp,expansion,pcf-approx", None),
         ("r0 = 0.0113\neta = 92\ntraffic = lambda=0.05 c=0\nt_hi = 0.002\nt_points = 3",
-         "simulation", "same-vehicle prefactor"),
+         "simulation", "dimensional prefactor r0**(-2 eta) = inf"),
         ("traffic = lambda=1e300 c=0", "ppp,expansion,pcf-approx",
-         "squared mean interference inf"),
+         "squared mean interference inf in guard radii"),
     ], ids=["geometry", "geometry-simulation", "intensity"])
     def test_overflow_exits_3(self, tmp_path, lines, methods, named, capsys):
-        """Where r0**(1 - 2 eta) or the squared mean overflows, its
-        DomainError ends the run with one stderr line naming it, exit 3 and
-        no manifest, not an OverflowError traceback."""
+        """r0 = 0.0113 at eta 92, where r0**(-2 eta) overflows, leaves the
+        correlation curves alone: they form no dimensional quantity. Its
+        simulation, whose estimates carry the variance and covariance, is
+        refused by the prefactor before sampling. At an intensity of 1e300
+        the squared mean overflows in guard radii. A failure is one stderr
+        line naming it, exit 3 and no manifest, not an OverflowError
+        traceback."""
         code, out = self.run_main(tmp_path, f"{lines}\nmethods = {methods}\nn_samples = 1000\n")
-        assert code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"evaluation failure: {named}")
-        assert not (out / "manifest.json").exists()
+        self.assert_outcome(code, out, capsys, named)
 
     def test_vanishing_far_field_exits_3(self, tmp_path, capsys):
         """The canonical config simulated at a guard radius of 1e300: the
-        window's far-field constants underflow, and their DomainError ends
-        the run with one stderr line naming the geometry, exit 3 and no
+        estimate's prefactor r0**(-2 eta) underflows to 0, and its DomainError
+        ends the run before sampling with one stderr line, exit 3 and no
         manifest, not a ZeroDivisionError traceback."""
         text = open(os.path.join(REPO_ROOT, "configs", "default.cfg"), encoding="utf-8").read()
         for key, value in (("r0", "1e300"), ("methods", "simulation"), ("n_samples", "1000")):
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.MULTILINE)
         code, out = self.run_main(tmp_path, text)
-        assert code == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("evaluation failure: interference variance ")
-        assert "guard radius 1e+300" in err[0]
-        assert not (out / "manifest.json").exists()
+        self.assert_outcome(code, out, capsys, "dimensional prefactor r0**(-2 eta) = 0.0 times")
+
+    def scaled_run(self, tmp_path, k, methods=None):
+        """roadcorr run on configs/default.cfg at 1000 samples with every
+        length times 2**k: the exit code, each curve's t, value, stderr,
+        method and valid columns in file order, and the manifest's
+        truncation_bias_bound values."""
+        text = open(os.path.join(REPO_ROOT, "configs", "default.cfg"), encoding="utf-8").read()
+        settings = {"r0": math.ldexp(150.0, k), "u": math.ldexp(10.0, k), "n_samples": 1000,
+                    "traffic": f"lambda={math.ldexp(0.05, -k)!r} c={math.ldexp(4.0, k)!r}"}
+        if methods:
+            settings["methods"] = methods
+        for key, value in settings.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.MULTILINE)
+        run_dir = tmp_path / f"{k}-{methods}"
+        run_dir.mkdir()
+        code, out = self.run_main(run_dir, text)
+        columns = [[(row["t"], row["value"], row["stderr"], row["method"], row["valid"])
+                    for row in read_csv(path)] for path in sorted(out.glob("curve_*.csv"))]
+        bounds = ([entry.get("truncation_bias_bound") for entry in
+                   json.loads((out / "manifest.json").read_text())["files"].values()]
+                  if code == 0 else None)
+        return code, columns, bounds
+
+    def test_power_of_two_rescaling_keeps_every_value(self, tmp_path, capsys):
+        """Every length times 2**40 or 2**-40 writes the bits of 2**0, the
+        simulated curve and its bias bound included; at 2**600 and 2**-600
+        the analytic curves still do, and the simulation stops with one
+        stderr line naming the prefactor its moments cannot carry."""
+        want = self.scaled_run(tmp_path, 0)
+        assert want[0] == 0 and len(want[1]) == 4 and any(want[2])
+        for k in (40, -40):
+            assert self.scaled_run(tmp_path, k) == want
+        analytic = "ppp,expansion,pcf-approx"
+        want = self.scaled_run(tmp_path, 0, analytic)[1]
+        capsys.readouterr()
+        for k in (600, -600):
+            assert self.scaled_run(tmp_path, k, analytic)[1] == want
+            code, _, _ = self.scaled_run(tmp_path, k, "simulation")
+            err = capsys.readouterr().err.splitlines()
+            assert code == 3 and len(err) == 1
+            assert err[0].startswith("evaluation failure: dimensional prefactor r0**(-")
+
+    def test_tiny_guard_radius_runs(self, tmp_path, capsys):
+        """At r0 = 1e-160, where r0**(1 - eta) overflows, the analytic
+        curves form no dimensional quantity: exit 0, finite values."""
+        code, out = self.run_main(tmp_path, "r0 = 1e-160\ntraffic = lambda=0.05 c=0\n"
+                                            "methods = ppp,expansion,pcf-approx\n")
+        self.assert_outcome(code, out, capsys, None)
+        assert len(list(out.glob("curve_*.csv"))) == 3
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         code, out = self.run_main(

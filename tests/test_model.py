@@ -26,6 +26,7 @@ class TestTrafficModel:
         (0.0, 4.0), (-0.05, 4.0), (0.05, -1.0),
         (0.05, 20.0), (0.25, 4.0),  # occupancy at or above 1
         (float("nan"), 4.0), (0.05, float("inf")),
+        ("a", 1), (None, 1), (0.05, "4"), (0.05, 4j),  # not real numbers
     ])
     def test_rejects_bad_parameters(self, lam, c):
         with pytest.raises(ParameterError):
@@ -44,6 +45,7 @@ class TestNetworkGeometry:
         {"guard_radius": 0.0}, {"guard_radius": -5.0},
         {"pathloss_exponent": 2.0}, {"pathloss_exponent": 1.5},
         {"speed": 0.0}, {"speed": float("nan")},
+        {"guard_radius": "150"}, {"pathloss_exponent": 3j}, {"speed": None},  # not real
     ])
     def test_rejects_bad_parameters(self, kwargs):
         base = dict(guard_radius=150.0, pathloss_exponent=3.0, speed=10.0)
@@ -79,6 +81,9 @@ class TestPathloss:
             pathloss(math.nan, geom)
         with pytest.raises(ParameterError, match="NaN"):
             pathloss(np.array([300.0, math.nan, 100.0]), geom)
+        for bad in (None, "300", 3j, [300.0, None]):
+            with pytest.raises(ParameterError, match=r"must be real, got"):
+                pathloss(bad, geom)
 
     def test_infinite_distance_has_no_gain(self, geom):
         assert pathloss(math.inf, geom) == 0.0
@@ -187,6 +192,9 @@ class TestPairCorrelation:
             pair_correlation(-1.0, traffic)
         with pytest.raises(ParameterError):
             pair_correlation(float("nan"), traffic)
+        for bad in ("x", None, 1j, ["x"]):
+            with pytest.raises(ParameterError, match="finite and nonnegative"):
+                pair_correlation(bad, traffic)
 
     def test_vectorized_matches_scalar(self, traffic):
         d = np.concatenate([np.linspace(0.0, 40.0, 201), [256.0, 1000.0]])
@@ -281,6 +289,7 @@ class TestDeviationReach:
             return omega(z)
 
         monkeypatch.setattr(roadcorr.model, "_wright_omega", counted)
+        roadcorr.model._in_guard_radii.cache_clear()   # a stream seen before is solved already
         stream = TrafficModel.from_intensity(0.1, 4.0)
         for t in np.linspace(0.0, 30.0, 31):
             covariance(float(t), stream, geom, "exact-quadrature")

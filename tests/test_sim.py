@@ -15,6 +15,8 @@ from roadcorr.model import (
     _ASYMPTOTE_CUTOFF_GAPS,
     NetworkGeometry,
     TrafficModel,
+    _dimensional,
+    _in_guard_radii,
     _pair_correlation_array,
     mean_interference,
     pair_correlation,
@@ -50,20 +52,38 @@ HISTOGRAM_PINS = {
 # 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
 # from realizations cut from one stream per block, on the default window
 # (-536, 236), with the closed-form losses added; compared with ==, so any
-# change to the draws or the arithmetic shows. The exact route gives rho
-# 0.39388, 0.18754 and 0.01946.
+# change to the draws or the arithmetic shows. Re-derived when the sampler
+# moved to guard-radius units (rho moved by at most 1.1e-12 relative, at
+# lag 30). The exact route gives rho 0.39388, 0.18754 and 0.01946.
 CURVE_PINS = {
-    0.0: (0.393992428126677, 0.0077523600533353125,
-          4.310713231335001e-13, 1.6983883729714708e-13),
-    5.0: (0.18801847653011008, 0.007072954365048795,
-          4.3323523872689783e-13, 8.145622956458987e-14),
-    30.0: (0.01631227161854477, 0.009569067175807711,
-           4.323778088442151e-13, 7.053064259698067e-15),
+    0.0: (0.3939924281266721, 0.007752360053334975,
+          4.3107132313347857e-13, 1.698388372971365e-13),
+    5.0: (0.18801847653009948, 0.007072954365051658,
+          4.332352387268985e-13, 8.145622956458541e-14),
+    30.0: (0.016312271618525775, 0.009569067175804913,
+           4.3237780884419983e-13, 7.053064259689605e-15),
 }
 
 # The largest bias bound of _losses over the 31 lags of the canonical
 # curve on its default window (-536, 236).
 BOUND_PIN = 1.716741079504846e-05
+
+
+def _far_field_in_metres(traffic, geom):
+    """analytic._far_field on the stream and geometry in guard radii, with
+    spread (a length) back in metres."""
+    cv2, edge, rho0, spread = _far_field(*_in_guard_radii(traffic, geom))
+    return cv2, edge, rho0, spread * geom.guard_radius
+
+
+def _losses_in_metres(traffic, geom, window, t):
+    """analytic._losses on the stream, geometry and window in guard radii,
+    with the lost moments back in metres (model._dimensional)."""
+    r0 = geom.guard_radius
+    mean, var, cov, bound = _losses(*_in_guard_radii(traffic, geom),
+                                    (window[0] / r0, window[1] / r0), t)
+    return (_dimensional(mean, geom, 1), _dimensional(var, geom, 2),
+            _dimensional(cov, geom, 2), bound)
 
 
 def _loop_windows(traffic, window, n_windows, rng):
@@ -185,7 +205,7 @@ class TestWindows:
         t = 5.0
         window = default_window(traffic, geom, t)
         assert window == (-286.0, 236.0)
-        _, _, rho0, spread = _far_field(traffic, geom)
+        _, _, rho0, spread = _far_field_in_metres(traffic, geom)
         slot_0 = np.array([236.0, 286.0])
         slot_t = np.array([286.0, 236.0])
         next_var = 0.5 * spread * 3.0 * np.sum(2.0 * slot_0 ** -7.0 + 2.0 * slot_t ** -7.0)
@@ -193,9 +213,9 @@ class TestWindows:
         lam = traffic.intensity
         kept_q = 2.0 * lam * 150.0 ** -5.0 / 5.0 - 0.5 * lam * np.sum(
             slot_0 ** -5.0 + slot_t ** -5.0) / 5.0
-        bound = _losses(traffic, geom, window, t)[3]
+        bound = _losses_in_metres(traffic, geom, window, t)[3]
         assert math.isclose(bound, max(rho0 * next_var, next_cov) / kept_q, rel_tol=1e-13)
-        wider = _losses(traffic, geom, (-30000.0, 30000.0), t)[3]
+        wider = _losses_in_metres(traffic, geom, (-30000.0, 30000.0), t)[3]
         assert 0.0 < wider < 1e-4 * bound
 
     def test_window_pins(self, geom):
@@ -205,7 +225,7 @@ class TestWindows:
         assert default_window(TrafficModel(0.05, 4.0), geom, 29.2) == (-528.0, 236.0)
         assert default_window(TrafficModel(0.2, 4.0), geom, 30.0) == (-708.0, 408.0)
         window = (-536.0, 236.0)
-        assert math.isclose(max(_losses(TrafficModel(0.05, 4.0), geom, window, t)[3]
+        assert math.isclose(max(_losses_in_metres(TrafficModel(0.05, 4.0), geom, window, t)[3]
                                 for t in self.GRID), BOUND_PIN, rel_tol=1e-12)
 
     @pytest.mark.parametrize("lam,c", [(0.05, 0.0), (0.05, 4.0), (0.2, 4.0)])
@@ -214,7 +234,7 @@ class TestWindows:
         losses are exact and it is 0."""
         traffic = TrafficModel.from_intensity(lam, c)
         for t in (0.0, 5.0, 30.0):
-            bounds = [_losses(traffic, geom, (-(half + 300.0), half), t)[3]
+            bounds = [_losses_in_metres(traffic, geom, (-(half + 300.0), half), t)[3]
                       for half in (500.0, 600.0, 800.0, 1200.0, 2000.0, 5000.0)]
             if c == 0.0:
                 assert bounds == [0.0] * len(bounds)
@@ -226,9 +246,9 @@ class TestWindows:
         every lag cannot be corrected: the bound, estimate and
         estimate_curve raise DomainError before sampling."""
         with pytest.raises(DomainError, match="guard zone"):
-            _losses(traffic, geom, (-1000.0, 100.0), 0.0)[3]
+            _losses_in_metres(traffic, geom, (-1000.0, 100.0), 0.0)[3]
         with pytest.raises(DomainError, match="guard zone"):
-            _losses(traffic, geom, (-400.0, 1000.0), 30.0)[3]
+            _losses_in_metres(traffic, geom, (-400.0, 1000.0), 30.0)[3]
         with pytest.raises(DomainError, match="window must be finite"):
             estimate(traffic, geom, 0.0, 1000, SEED, window=(-math.inf, 1000.0))
         silent = NetworkGeometry(guard_radius=10000.0, pathloss_exponent=3.0, speed=10.0)
@@ -254,7 +274,7 @@ class TestWindows:
             left = quad(f, -math.inf, w_lo, epsabs=0.0, epsrel=1e-12)[0]
             return lam * (right + left)
 
-        lost_mean, lost_var, lost_cov, bound = _losses(traffic_ppp, geom, (w_lo, w_hi), t)
+        lost_mean, lost_var, lost_cov, bound = _losses_in_metres(traffic_ppp, geom, (w_lo, w_hi), t)
         mean = 0.5 * (lost(lambda x: abs(x) ** -3.0) + lost(lambda x: abs(x + shift) ** -3.0))
         same = lost(lambda x: abs(x) ** -3.0 * abs(x + shift) ** -3.0)
         q = 0.5 * (lost(lambda x: x ** -6.0) + lost(lambda x: (x + shift) ** -6.0))
@@ -274,14 +294,14 @@ class TestWindows:
         terms carry it, and the whole line's do not."""
         traffic = TrafficModel.from_intensity(lam, 4.0)
         half = 300.0
-        cv2, edge, _, _ = _far_field(traffic, geom)
+        cv2, edge, _, _ = _far_field_in_metres(traffic, geom)
         lost_q = 2.0 * lam * half ** -5.0 / 5.0
         edges = 2.0 * edge * half ** -6.0
         var, se = _far_field_variance(traffic, half, 16000, SEED)
         assert abs(var - (cv2 * lost_q + edges)) <= 4.0 * se
         if lam == 0.2:
             assert var - cv2 * lost_q > 8.0 * se
-        lost_var = _losses(traffic, geom, (-half, half), 0.0)[1]
+        lost_var = _losses_in_metres(traffic, geom, (-half, half), 0.0)[1]
         assert math.isclose(lost_var, (1.0 + cv2) * lost_q - edges, rel_tol=1e-13)
 
     @pytest.mark.parametrize("occupancy", [0.08, 0.2, 0.4, 0.8])
@@ -295,7 +315,7 @@ class TestWindows:
         density) to 2.7e-8 of spread at 0.8, so that moment is integrated
         to 1e-8 and held to 1e-7."""
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
-        cv2, edge, _, spread = _far_field(traffic, geom)
+        cv2, edge, _, spread = _far_field_in_metres(traffic, geom)
         lam = traffic.intensity
         bands = np.arange(int(_ASYMPTOTE_CUTOFF_GAPS) + 1) * traffic.min_gap
         spec = QuadratureSpec(rel_tol=1e-11)
@@ -318,7 +338,7 @@ class TestWindows:
         grid = [0.0, 5.0, 15.0, 30.0]
         curve = estimate_curve(traffic, geom, grid, 2000, SEED)
         window = default_window(traffic, geom, 30.0)
-        worst = max(_losses(traffic, geom, window, t)[3] for t in grid)
+        worst = max(_losses_in_metres(traffic, geom, window, t)[3] for t in grid)
         assert worst <= 0.1 * min(est.se_rho for est in curve) * math.sqrt(2000 / 10 ** 6)
 
     @pytest.mark.parametrize("eta,occupancy", [(3.0, 0.08), (3.0, 0.2), (3.0, 0.4),
@@ -341,7 +361,7 @@ class TestWindows:
             window = default_window(traffic, geom, t)
             cov = covariance(t, traffic, geom, "exact-quadrature").covariance
             lost_var, lost_cov = oracles.lost_moments_defining(t, traffic, geom, window)
-            _, add_var, add_cov, bound = _losses(traffic, geom, window, t)
+            _, add_var, add_cov, bound = _losses_in_metres(traffic, geom, window, t)
             corrected = (cov - lost_cov + add_cov) / (var - lost_var + add_var)
             assert abs(corrected - cov / var) <= bound
 
@@ -389,7 +409,7 @@ class TestSampling:
         sums, counts = zip(*(_window_sums(traffic, geom, window, 2000, SEED, k)
                              for k in range(40)))
         sums, counts = np.array(sums), np.array(counts)
-        cv2, edge, _, _ = _far_field(traffic, geom)
+        cv2, edge, _, _ = _far_field_in_metres(traffic, geom)
         count_var = lam * 800.0 * cv2 + 2.0 * edge
         first, rest = counts[:, 0].mean(), counts[:, 1:].mean()
         assert abs(first - rest) <= 4.0 * math.sqrt(count_var / 40)
@@ -633,17 +653,19 @@ class TestEstimate:
         """Each estimate carries the bound _losses gives for its own lag on
         the window it sampled, seen from its pair's first mark a: the
         window (default_window of the largest lag, or the caller's) moved
-        by u a. Lags 5, 10 and 15 are served from marks other than 0."""
+        by u a, all in guard radii. Lags 5, 10 and 15 are served from marks
+        other than 0."""
         grid = [0.0, 0.8, 5.0, 10.0, 15.0, 29.2]
         marks, pairs = _shift_schedule(grid)
         assert [marks[a] for a, _ in pairs] == [0.0, 0.0, 14.2, 19.2, 14.2, 0.0]
+        unit = _in_guard_radii(traffic, geom)
         for window, sampled in ((None, default_window(traffic, geom, 29.2)),
                                 ((-1100.0, 800.0), (-1100.0, 800.0))):
             curve = estimate_curve(traffic, geom, grid, 1000, SEED, window=window)
-            shifts = [geom.speed * marks[a] for a, _ in pairs]
+            w_lo, w_hi = (edge / geom.guard_radius for edge in sampled)
+            shifts = [unit[1].speed * marks[a] for a, _ in pairs]
             assert [est.bias_bound for est in curve] == [
-                _losses(traffic, geom, (sampled[0] + s, sampled[1] + s), t)[3]
-                for s, t in zip(shifts, grid)]
+                _losses(*unit, (w_lo + s, w_hi + s), t)[3] for s, t in zip(shifts, grid)]
 
     def test_seed_changes_the_draw(self, traffic, geom):
         a = estimate(traffic, geom, 5.0, 2000, SEED)
@@ -688,6 +710,11 @@ class TestEstimate:
             estimate(traffic, geom, np.array([1.0, 2.0]), 2000, SEED)
         with pytest.raises(ParameterError, match="one scalar lag"):
             estimate_curve(traffic, geom, [5.0, np.array([1.0, 2.0])], 2000, SEED)
+        for lag in (None, "5", 1 + 2j):
+            with pytest.raises(ParameterError, match="one scalar lag"):
+                estimate(traffic, geom, lag, 2000, SEED)
+        with pytest.raises(ParameterError, match="t_grid must be a sequence of lags"):
+            estimate_curve(traffic, geom, None, 2000, SEED)
 
     @pytest.mark.parametrize("window", [(0.0, math.inf), (100.0, 0.0),
                                         (math.nan, 10.0)])
@@ -738,13 +765,20 @@ class TestEstimate:
         with pytest.raises(DomainError, match="vehicles"):
             estimate_curve(traffic, geom, [0.0, 5.0], 1000, SEED)
 
-    def test_underflowing_far_field_is_refused(self, traffic):
-        """At a guard radius of 1e300 both far-field moments underflow:
-        _far_field raises DomainError naming the geometry, not a
+    def test_underflowing_far_field_is_refused(self, traffic, geom):
+        """The far field is stated in guard radii, so a guard radius of
+        1e300 (5e298 vehicles per guard radius) gives the constants of
+        r0 = 150; at 7.4e-322 vehicles per guard radius (an intensity of
+        5e-324) both far-field moments underflow, and _far_field raises
+        DomainError naming the dimensionless inputs, not a
         ZeroDivisionError."""
         far = NetworkGeometry(guard_radius=1e300, pathloss_exponent=3.0, speed=10.0)
-        with pytest.raises(DomainError, match="guard radius 1e\\+300"):
-            _far_field(traffic, far)
+        assert _far_field(*_in_guard_radii(traffic, far))[:2] \
+            == _far_field(*_in_guard_radii(traffic, geom))[:2]
+        sparse = TrafficModel.from_intensity(5e-324, 0.0)
+        with pytest.raises(DomainError, match=r"in guard radii is below the smallest normal float "
+                                              r"at intensity \* guard radius 7\.4e-322"):
+            _far_field(*_in_guard_radii(sparse, geom))
 
     def test_estimate_validates_its_own_fields(self):
         with pytest.raises(ParameterError):
