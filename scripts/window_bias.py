@@ -9,12 +9,15 @@ closed-form losses, and the bias the corrected window leaves.
    term.
 2. Residual. For each benchmark stream (perfbench's canonical-run and
    occupancy-sweep traffic and lags) this prints its deviation reach and
-   the curve's default window, r0 + reach * c + r0 / 3 on each side of
-   the guard zone, and then for each lag, deterministically, the bias of
-   rho in the window before the correction, the residual after
-   analytic._losses' closed forms are added back, and their bias bound.
-   The windowed moments are the exact route's less the losses
-   tests/oracles.py integrates by scipy quadrature, out to the reach.
+   the curve's default window, W = r0 + (reach + 1) * c on each side of
+   the guard zone (r0 + 1 / lambda on the Poisson stream), and then for
+   each lag, deterministically, the bias of rho in the window before the
+   correction, the residual after analytic._losses' closed forms (to
+   second order in the renewal expansion) are added back, and their bias
+   bound, twice the third-order term. The windowed moments are the exact
+   route's less the losses tests/oracles.py integrates by scipy
+   quadrature, out to the reach; the window clears the guard zone by the
+   reach and one minimum gap, as the oracle requires.
 
 Usage:
   python scripts/window_bias.py
@@ -33,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import oracles  # noqa: E402
 from roadcorr import NetworkGeometry, TrafficModel, pathloss  # noqa: E402
-from roadcorr import analytic, sim  # noqa: E402
+from roadcorr import analytic, model, sim  # noqa: E402
 
 GEOM = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0, speed=10.0)
 STREAMS = [((0.05, 4.0), 31)] + [
@@ -57,7 +60,7 @@ def far_field(traffic, half, n_rows, seed):
     var = sums.var(ddof=1)
     se = math.sqrt((np.mean((sums - sums.mean()) ** 4) - var * var) / sums.size)
     poisson = 2.0 * traffic.intensity * half ** -5.0 / 5.0
-    cv2, edge, _, _ = analytic._far_field(traffic, far)
+    cv2, edge, _, _, _ = analytic._far_field(*model._in_guard_radii(traffic, far))
     return var / poisson, se / poisson, cv2 + 2.0 * edge * half ** -6.0 / poisson
 
 
@@ -67,7 +70,10 @@ def residuals(traffic, t, window):
            + analytic.covariance(0.0, traffic, GEOM, "exact-quadrature").covariance)
     cov = analytic.covariance(t, traffic, GEOM, "exact-quadrature").covariance
     lost_var, lost_cov = oracles.lost_moments_defining(t, traffic, GEOM, window)
-    _, add_var, add_cov, bound = analytic._losses(traffic, GEOM, window, t)
+    r0 = GEOM.guard_radius
+    _, add_var, add_cov, bound = analytic._losses(*model._in_guard_radii(traffic, GEOM),
+                                                  (window[0] / r0, window[1] / r0), t)
+    add_var, add_cov = (model._dimensional(x, GEOM, 2) for x in (add_var, add_cov))
     raw = (cov - lost_cov) / (var - lost_var) - cov / var
     corrected = (cov - lost_cov + add_cov) / (var - lost_var + add_var) - cov / var
     return raw, corrected, bound
@@ -78,10 +84,11 @@ def main():
     for lam in (0.05, 0.1, 0.2):
         traffic = TrafficModel(lam, 4.0)
         for half in (300.0, 600.0, 1000.0):
-            ratio, se, model = far_field(traffic, half, 16000, 77)
+            ratio, se, expected = far_field(traffic, half, 16000, 77)
             print(f"  {traffic.occupancy:.1f} {half:6.0f}  {ratio:.4f} +- {se:.4f}  "
-                  f"{(1.0 - traffic.occupancy) ** 2:.4f}  {model:.4f}  {(ratio - model) / se:+.2f}")
-    print("residual: lambda c reach window, then t  raw bias  corrected  bound")
+                  f"{(1.0 - traffic.occupancy) ** 2:.4f}  {expected:.4f}  "
+                  f"{(ratio - expected) / se:+.2f}")
+    print("residual: lambda c reach window, then t  raw bias  corrected  bound (2 x third order)")
     for (lam, c), points in STREAMS:
         traffic = TrafficModel(lam, c)
         window = sim.default_window(traffic, GEOM, 30.0)

@@ -474,8 +474,9 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
 
 
 def _far_field(traffic: TrafficModel,
-               geom: NetworkGeometry) -> tuple[float, float, float, float]:
-    """Far-field constants of the stream, in guard radii: (cv2, edge, rho0, spread).
+               geom: NetworkGeometry) -> tuple[float, float, float, float, float]:
+    """Far-field constants of the stream, in guard radii: (cv2, edge, rho0,
+    spread, third).
 
     Over lengths long against the mean spacing, a renewal stream's pair
     deviation h = rho2 - intensity**2 acts as a point mass of total
@@ -487,31 +488,36 @@ def _far_field(traffic: TrafficModel,
     Mn is the n-th moment of h over d > 0. They follow from the Laplace
     transform of the renewal density, U(s) = F(s) / (1 - F(s)) with
     F(s) = rate e**(-s c) / (rate + s): with U(s) - intensity / s =
-    a0 + a1 s + a2 s**2 + ..., M1 = -intensity * a1 and
-    M2 = 2 intensity * a2, which with p the occupancy and m = 1 - p give
+    a0 + a1 s + a2 s**2 + ..., Mn = (-1)**n n! intensity * an, which with p
+    the occupancy and m = 1 - p give
 
         M1 = -p**2 * (1 + 2m + 3m**2) / 12,    M2 = -c * p**2 * m**2 * (1 + 3m) / 12,
+        M3 = c**2 * p**2 * (1 + 4m + 10m**2 - 45m**4) / 120;
 
-    both never positive; edge is |M1| and spread is |M2|, the next order's
-    constant (_losses). rho0 is the zero-lag coefficient this gives,
-    var(S) / (var(S) + E[Q]) with var(S) = cv2 * E[Q] + 2 |M1| (the guard
-    zone's two edges, where g = 1). Raises DomainError where that divisor
-    is below the smallest normal float (_normal): both moments underflowed.
+    M1 and M2 are never positive, M3 changes sign near occupancy 0.36.
+    edge is |M1| and spread is |M2|, the next order's constant, and third
+    is M3 itself, the order after it (_losses). rho0 is the zero-lag
+    coefficient this gives, var(S) / (var(S) + E[Q]) with
+    var(S) = cv2 * E[Q] + 2 |M1| (the guard zone's two edges, where g = 1).
+    Raises DomainError where that divisor is below the smallest normal
+    float (_normal): both moments underflowed.
     """
     occ = traffic.occupancy
     m = 1.0 - occ
     cv2 = m * m
     edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
     spread = traffic.min_gap * occ * occ * cv2 * (1.0 + 3.0 * m) / 12.0
+    third = (traffic.min_gap ** 2 * occ * occ
+             * (1.0 + m * (4.0 + m * (10.0 - 45.0 * m * m))) / 120.0)
     mean_q = 0.5 * _variance(traffic, geom)
     var_s = cv2 * mean_q + 2.0 * edge
     rho0 = var_s / _normal(var_s + mean_q, "interference variance", traffic, geom)
-    return cv2, edge, rho0, spread
+    return cv2, edge, rho0, spread, third
 
 
 def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, float],
             t: float) -> tuple[float, float, float, float]:
-    """Moments lost at lag t to the window, to leading order, and a bound
+    """Moments lost at lag t to the window, to second order, and a bound
     on the bias of rho they leave, in guard radii.
 
     The window [w_lo, w_hi], finite with w_lo < w_hi, holds the slot-0
@@ -526,36 +532,34 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     - the same-vehicle tail T_t = intensity * integral of g(x) g(x + u t)
       over the x outside the window is exact (_gain_tail per side); at
       lag 0 it is the lost E[Q];
-    - the pair terms add (cv2 - 1) * T_t and subtract |M1| * g(e) g(e + u t)
-      at each edge: the window's own pair terms carry that edge term (see
-      _far_field) and the whole line's do not.
+    - the pair terms follow the renewal expansion below.
 
-    So lost_var = (1 + cv2) * lost E[Q] - edge_var and
-    lost_cov = cv2 * T_t - edge_cov. These are the first two orders of the
-    renewal expansion of the lost pair terms. Near an edge at x = e, with
-    gains g1(x) and g2(x) of the two slots, the pairs a separation d > 0
-    apart that the window loses are those with x beyond e and those
-    straddling it, x in (e - d, e]; to second order in d their gain
-    products integrate to
+    Near an edge at x = e, with gains g1(x) and g2(x) of the two slots, the
+    pairs a separation d > 0 apart that the window loses are those with x
+    beyond e and those straddling it; their gain products integrate to
+    int_e [g1(x - d) g2(x) + g1(x) g2(x - d)] dx, which Taylor's theorem
+    and integration by parts expand as
 
-        2 int_e g1 g2 + d g1 g2(e) + d**2 (-(g1 g2)'(e) / 2 - int_e g1' g2'),
+        2 int_e g1 g2 + d g1 g2(e) + d**2 (-(g1 g2)'(e) / 2 - int_e g1' g2')
+        + d**3 (g1'' g2 + g1 g2'' - g1' g2')(e) / 6 + ...
 
-    the last from the even part of g1(x) g2(x + d) in d and the strip's
-    slope. Against h over d > 0 the three give the terms above and the
-    next order, M2 * (-(g1 g2)'(e) / 2 - int_e g1' g2') with M2 = -spread
-    (_far_field). Beyond the guard zone both addends in the bracket are
-    positive and the integral is at most eta / (2 eta + 1) < 1/2 of the
-    first (Cauchy-Schwarz, then the mean inequality), so the next-order
-    miss at each edge is at most spread * |(g1 g2)'(e)| / 2; the bound
-    allows twice that, spread * eta * (e1 e2)**-eta * (1 / e1 + 1 / e2),
-    with e1 and e2 the edge's distances at the two slots, for the orders
-    beyond. Misses dvar and dcov give rho_W - rho = (rho_W * dvar - dcov)
-    / var, both of one sign, with 0 <= rho_W <= rho0, so a bias of at
-    most max(rho0 * dvar, dcov) / E[Q_W] (E[Q_W] <= var). The expansion
-    needs the gains smooth across the pairs it moves: every lost vehicle
-    must sit past the guard zone by the deviation reach, as
-    sim.default_window's windows do. For a Poisson stream (min_gap 0)
-    cv2 = 1 and M1 = M2 = 0: the losses are exact and the bound is 0.
+    Against h over d > 0 (_far_field's moments) the first three orders
+    are added back: (cv2 - 1) * T_t, -|M1| * g1 g2(e) (the window's own
+    pair terms carry that edge term and the whole line's do not) and
+    M2 * (-(g1 g2)'(e) / 2 - int_e g1' g2') with M2 = -spread, where
+    int_e g1' g2' = eta**2 * _gain_tail(e, u t, eta + 1), one scalar call
+    per side. The bound is twice the third order's size, allowing for the
+    orders beyond: with g = e**-eta at distances e1 and e2 from the two
+    slots, M3 * (e1 e2)**-eta * (eta (eta + 1) (e1**-2 + e2**-2)
+    - eta**2 / (e1 e2)) / 6, pooled over the slots for the variance. The
+    bracket is positive, so the third-order misses dvar and dcov share
+    M3's sign; they give rho_W - rho = (rho_W * dvar - dcov) / var, with
+    0 <= rho_W <= rho0, so a bias of at most max(rho0 * |dvar|, |dcov|) /
+    E[Q_W] (E[Q_W] <= var). The expansion needs the gains smooth across
+    the pairs it moves: every lost vehicle must sit past the guard zone by
+    the deviation reach, as sim.default_window's windows do. For a Poisson
+    stream (min_gap 0) cv2 = 1 and M1 = M2 = M3 = 0: the losses are exact
+    and the bound is 0.
     """
     w_lo, w_hi = window
     shift = geom.speed * t
@@ -565,20 +569,31 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     lam = traffic.intensity
     eta = geom.pathloss_exponent
     power = 2.0 * eta - 1.0
-    cv2, edge, rho0, spread = _far_field(traffic, geom)
-    slot_0 = np.array([w_hi, -w_lo])                # nearest missing distance, each side
-    slot_t = np.array([w_hi + shift, -w_lo - shift])
-    lost_mean = 0.5 * lam * float(np.sum(slot_0 ** (1.0 - eta)
-                                         + slot_t ** (1.0 - eta))) / (eta - 1.0)
-    lost_q = 0.5 * lam * float(np.sum(slot_0 ** -power + slot_t ** -power)) / power
+    cv2, edge, rho0, spread, third = _far_field(traffic, geom)
+    # each side's nearest missing distance at slots 0 and t, in floats: the
+    # sums are over two or four terms, where numpy's per-call cost dominates
+    sides = ((w_hi, w_hi + shift), (-w_lo, -w_lo - shift))
+    dists = [e for side in sides for e in side]
+    lost_mean = 0.5 * lam * sum(e ** (1.0 - eta) for e in dists) / (eta - 1.0)
+    lost_q = 0.5 * lam * sum(e ** -power for e in dists) / power
     # one scalar tail per side: a 2-element array costs twice as much
-    same = lam * float(_gain_tail(min(w_hi, w_hi + shift), shift, eta)
-                       + _gain_tail(min(-w_lo, -w_lo - shift), shift, eta))
-    edge_cov = edge * float(np.sum((slot_0 * slot_t) ** -eta))
-    edge_var = 0.5 * edge * float(np.sum(slot_0 ** (-2.0 * eta) + slot_t ** (-2.0 * eta)))
-    next_cov = spread * eta * float(np.sum((slot_0 * slot_t) ** -eta
-                                           * (1.0 / slot_0 + 1.0 / slot_t)))
-    next_var = spread * eta * float(np.sum(slot_0 ** -(power + 2.0) + slot_t ** -(power + 2.0)))
+    near = [min(side) for side in sides]
+    same = lam * float(_gain_tail(near[0], shift, eta) + _gain_tail(near[1], shift, eta))
+    cross = eta * eta * float(_gain_tail(near[0], shift, eta + 1.0)
+                              + _gain_tail(near[1], shift, eta + 1.0))
+    product = [(e0 * et) ** -eta for e0, et in sides]
+    edge_cov = edge * sum(product)
+    edge_var = 0.5 * edge * sum(e ** (-2.0 * eta) for e in dists)
+    # second order at e0 = et = e: eta e**-(2 eta + 1) less eta**2 e**-(2 eta + 1) / (2 eta + 1)
+    second_cov = spread * (0.5 * eta * sum(p * (1.0 / e0 + 1.0 / et)
+                                           for p, (e0, et) in zip(product, sides)) - cross)
+    second_var = (0.5 * spread * eta * (eta + 1.0) / (power + 2.0)
+                  * sum(e ** -(power + 2.0) for e in dists))
+    third_cov = abs(third) * sum(
+        p * (eta * (eta + 1.0) * (e0 ** -2.0 + et ** -2.0) - eta * eta / (e0 * et))
+        for p, (e0, et) in zip(product, sides)) / 6.0
+    third_var = 0.5 * abs(third) * eta * (eta + 2.0) * sum(e ** -(power + 3.0) for e in dists) / 6.0
     kept_q = 0.5 * _variance(traffic, geom) - lost_q
-    return (lost_mean, (1.0 + cv2) * lost_q - edge_var, cv2 * same - edge_cov,
-            max(rho0 * next_var, next_cov) / kept_q)
+    return (lost_mean, (1.0 + cv2) * lost_q - edge_var - second_var,
+            cv2 * same - edge_cov - second_cov,
+            2.0 * max(rho0 * third_var, third_cov) / kept_q)

@@ -12,13 +12,14 @@ shifts u a and u b are a lag sample of the window moved by u a.
 
 Fading is never drawn: given the positions its average is known in
 closed form, and the estimators use it (Rao-Blackwellisation). The window
-reaches past the guard zone by the pair deviation's reach and a third of
-the guard radius, at both slots of every pair; what the vehicles beyond
-it carry is added back in closed form (analytic._losses), with a bound on
-the bias left. The lags served are [0, t_max] (analytic._lag_range). The
-sampler runs in guard radii (model._in_guard_radii), so rho, se_rho and
-the bias bound read only the dimensionless inputs; the moments take their
-power of r0 at the output (model._dimensional).
+reaches past the guard zone by the pair deviation's reach and one minimum
+gap, at both slots of every pair; what the vehicles beyond it carry is
+added back in closed form to second order in the renewal expansion
+(analytic._losses), with a bound on the bias left. The lags served are
+[0, t_max] (analytic._lag_range). The sampler runs in guard radii
+(model._in_guard_radii), so rho, se_rho and the bias bound read only the
+dimensionless inputs; the moments take their power of r0 at the output
+(model._dimensional).
 """
 
 from __future__ import annotations
@@ -104,23 +105,25 @@ class CorrelationEstimate:
 def default_window(traffic: TrafficModel, geom: NetworkGeometry,
                    t: float) -> tuple[float, float]:
     """Sampling window [-(W + u t), W] for lags up to t, with
-    W = guard_radius + deviation_reach * min_gap + guard_radius / 3.
+    W = guard_radius + (deviation_reach + 1) * min_gap.
 
     The pair deviation is below 1e-10 of the squared intensity beyond
     deviation_reach minimum gaps, so every correlated pair the window cuts
     has its inside vehicle past the guard zone at both slots of every lag
-    up to t, where _losses' closed forms hold; moved right by u a, the
-    window keeps both edges at least W from the receiver for any lag t'
-    with a + t' <= t, so this holds for every pair of marks too. The third
-    of a guard radius keeps _losses' bound under a tenth of the canonical
-    curve's noise at a million samples: there W is 236 m and the bound at
-    most 1.7e-5, while the residual against the exact route is below
-    1.8e-6 (scripts/window_bias.py). A Poisson stream has W = 4/3
-    guard_radius and exact losses. The window does not depend on the sample
+    up to t, by one minimum gap more, where _losses' closed forms hold
+    with strict inequalities; moved right by u a, the window keeps both
+    edges at least W from the receiver for any lag t' with a + t' <= t, so
+    this holds for every pair of marks too. With the losses carried to
+    second order, _losses' bound (twice the third-order term) stays under
+    a tenth of the canonical curve's noise at a million samples: there W
+    is 190 m and the bound at most 5.6e-7, while the residual against the
+    exact route is below 8.6e-8 (scripts/window_bias.py). A Poisson stream
+    has exact losses at any W past the guard zone; its extra gap is its
+    mean spacing, 1 / intensity. The window does not depend on the sample
     count; it grows with the reach toward a jam (2.3 km at occupancy 0.95).
     """
-    half = (geom.guard_radius + traffic.deviation_reach * traffic.min_gap
-            + geom.guard_radius / 3.0)
+    gap = traffic.min_gap or 1.0 / traffic.intensity
+    half = geom.guard_radius + traffic.deviation_reach * traffic.min_gap + gap
     return (-(half + geom.speed * t), half)
 
 
@@ -224,7 +227,14 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float]
     without pathloss's NaN and inf checks, since the positions are finite.
     Row sums are np.add.reduceat over the rows that hold a vehicle (an
     empty row sums to 0); Q_s squares the gains in place and sums them,
-    off BLAS (whose threads spin in np.vdot).
+    off BLAS (whose threads spin in np.vdot). The deviations of every mark
+    are the rows of one array D, and the product columns of every pair are
+    entries of its Gram matrix D D^T, each entry needed formed once per
+    block as one dot product of two rows (40 on the canonical grid). A
+    BLAS matrix product (syrk) would be faster still, but its entries'
+    last bits depend on the matrix's shape, which would break the
+    bit-for-bit match between a curve's lag and estimate's
+    (estimate_curve).
     """
     centre = mean_interference(traffic, geom)
     flat, counts = _stream_windows(traffic, window, n_rows, rng)
@@ -233,21 +243,23 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float]
     starts = (np.cumsum(counts) - counts)[rows]
     gains = np.empty_like(flat)
     silent = np.empty(flat.shape, dtype=bool)
-
-    def totals(shift: float) -> tuple[np.ndarray, float]:
-        np.add(flat, shift, out=gains)
+    devs = np.zeros((len(marks), n_rows))
+    q = np.empty(len(marks))
+    for i, m in enumerate(marks):
+        np.add(flat, geom.speed * m, out=gains)
         np.abs(gains, out=gains)
         _gain_in_place(gains, geom, silent)
-        sums = np.zeros(n_rows)
-        sums[rows] = np.add.reduceat(gains, starts)
-        return sums - centre, float(np.square(gains, out=gains).sum())
-
-    passes = [totals(geom.speed * m) for m in marks]
-    out = np.empty((len(pairs), 8))
-    for j, (a, b) in enumerate(pairs):
-        (da, qa), (db, qb) = passes[a], passes[b]
-        out[j] = (n_rows, da.sum(), db.sum(), da @ da, db @ db, da @ db, qa, qb)
-    return out
+        devs[i, rows] = np.add.reduceat(gains, starts)
+        q[i] = np.square(gains, out=gains).sum()
+    devs -= centre
+    gram = np.empty((len(marks), len(marks)))
+    dev_rows = list(devs)
+    for i, j in {*pairs, *((i, i) for i in range(len(marks)))}:
+        gram[i, j] = np.dot(dev_rows[i], dev_rows[j])
+    sums = devs.sum(axis=1)
+    a, b = np.array(pairs).T
+    return np.column_stack([np.full(len(pairs), float(n_rows)), sums[a], sums[b],
+                            gram[a, a], gram[b, b], gram[a, b], q[a], q[b]])
 
 
 def _moments(sums: np.ndarray, lost_var: float,

@@ -51,29 +51,29 @@ HISTOGRAM_PINS = {
 # estimate_curve(from_intensity(0.05, 4), conftest geometry, [0, 5, 30],
 # 2000 samples, SEED) by lag: (rho, se_rho, variance, covariance). Frozen
 # from realizations cut from one stream per block, on the default window
-# (-536, 236), with the closed-form losses added; compared with ==, so any
-# change to the draws or the arithmetic shows. Re-derived when the sampler
-# moved to guard-radius units (rho moved by at most 1.1e-12 relative, at
-# lag 30). The exact route gives rho 0.39388, 0.18754 and 0.01946.
+# (-490, 190), with the closed-form losses to second order added; compared
+# with ==, so any change to the draws or the arithmetic shows. Re-derived
+# when the window lost its r0 / 3 margin (it was (-536, 236)). The exact
+# route gives rho 0.39388, 0.18754 and 0.01946.
 CURVE_PINS = {
-    0.0: (0.3939924281266721, 0.007752360053334975,
-          4.3107132313347857e-13, 1.698388372971365e-13),
-    5.0: (0.18801847653009948, 0.007072954365051658,
-          4.332352387268985e-13, 8.145622956458541e-14),
-    30.0: (0.016312271618525775, 0.009569067175804913,
-           4.3237780884419983e-13, 7.053064259689605e-15),
+    0.0: (0.4051876312333073, 0.006530038132705502,
+          4.4084190225171533e-13, 1.7862368612175775e-13),
+    5.0: (0.18752900613495702, 0.007472107582237849,
+          4.3513853385090097e-13, 8.160109678408181e-14),
+    30.0: (0.004515563057061746, 0.007731931555557076,
+           4.395557328797409e-13, 1.984841628911459e-15),
 }
 
 # The largest bias bound of _losses over the 31 lags of the canonical
-# curve on its default window (-536, 236).
-BOUND_PIN = 1.716741079504846e-05
+# curve on its default window (-490, 190).
+BOUND_PIN = 5.526399672989494e-07
 
 
 def _far_field_in_metres(traffic, geom):
     """analytic._far_field on the stream and geometry in guard radii, with
-    spread (a length) back in metres."""
-    cv2, edge, rho0, spread = _far_field(*_in_guard_radii(traffic, geom))
-    return cv2, edge, rho0, spread * geom.guard_radius
+    spread (a length) and third (a squared length) back in metres."""
+    cv2, edge, rho0, spread, third = _far_field(*_in_guard_radii(traffic, geom))
+    return cv2, edge, rho0, spread * geom.guard_radius, third * geom.guard_radius ** 2
 
 
 def _losses_in_metres(traffic, geom, window, t):
@@ -183,48 +183,52 @@ class TestWindows:
     GRID = [float(t) for t in np.linspace(0.0, 30.0, 31)]
 
     def test_default_window_formula(self, geom):
-        """W = r0 + reach * c + r0 / 3 on every stream and geometry, and the
+        """W = r0 + (reach + 1) * c on every stream with a minimum gap and
+        every geometry, W = r0 + 1 / intensity on a Poisson stream, and the
         window reaches u t further left for lags up to t."""
         for lam, c in [(0.05, 4.0), (0.05, 0.0), (0.2, 4.0), (0.02, 4.0)]:
             traffic = TrafficModel.from_intensity(lam, c)
-            half = 150.0 + traffic.deviation_reach * c + 50.0
+            half = 150.0 + ((traffic.deviation_reach + 1) * c if c else 1.0 / lam)
             for t in (0.0, 5.0, 29.2, 30.0):
                 assert default_window(traffic, geom, t) == (-half - 10.0 * t, half)
         other = NetworkGeometry(guard_radius=100.0, pathloss_exponent=4.0, speed=25.0)
-        # occupancy 0.2, reach 9: W = 100 + 18 + 100 / 3
-        half = 100.0 + 9 * 2.0 + 100.0 / 3.0
+        # occupancy 0.2, reach 9: W = 100 + 10 * 2
+        half = 100.0 + 10 * 2.0
         assert default_window(TrafficModel.from_intensity(0.1, 2.0), other, 4.0) == (
             -half - 100.0, half)
 
     def test_truncation_bias_bound(self, traffic, geom):
-        """The bound is the next-order allowance max(rho0 * next_var,
-        next_cov) / E[Q_W]: |M2| times the slope of the gain product at
-        each of the four window edges seen from the two slots,
-        eta (e1 e2)**-eta (1 / e1 + 1 / e2), pooled over the slots for the
-        variance. Widening the window shrinks it toward zero."""
+        """The bound is twice the third-order term, 2 max(rho0 * third_var,
+        third_cov) / E[Q_W]: |M3| times (e1 e2)**-eta (eta (eta + 1)
+        (e1**-2 + e2**-2) - eta**2 / (e1 e2)) / 6 at each of the two window
+        edges seen from the two slots, pooled over the slots for the
+        variance (eta (eta + 2) e**(-2 eta - 2) / 6 per distance).
+        Widening the window shrinks it toward zero."""
         t = 5.0
         window = default_window(traffic, geom, t)
-        assert window == (-286.0, 236.0)
-        _, _, rho0, spread = _far_field_in_metres(traffic, geom)
-        slot_0 = np.array([236.0, 286.0])
-        slot_t = np.array([286.0, 236.0])
-        next_var = 0.5 * spread * 3.0 * np.sum(2.0 * slot_0 ** -7.0 + 2.0 * slot_t ** -7.0)
-        next_cov = spread * 3.0 * np.sum((slot_0 * slot_t) ** -3.0 * (1.0 / slot_0 + 1.0 / slot_t))
+        assert window == (-240.0, 190.0)
+        _, _, rho0, _, third = _far_field_in_metres(traffic, geom)
+        slot_0 = np.array([190.0, 240.0])
+        slot_t = np.array([240.0, 190.0])
+        third_var = 0.5 * abs(third) * 15.0 / 6.0 * np.sum(slot_0 ** -8.0 + slot_t ** -8.0)
+        third_cov = abs(third) * np.sum((slot_0 * slot_t) ** -3.0 * (
+            12.0 * (slot_0 ** -2.0 + slot_t ** -2.0) - 9.0 / (slot_0 * slot_t))) / 6.0
         lam = traffic.intensity
         kept_q = 2.0 * lam * 150.0 ** -5.0 / 5.0 - 0.5 * lam * np.sum(
             slot_0 ** -5.0 + slot_t ** -5.0) / 5.0
         bound = _losses_in_metres(traffic, geom, window, t)[3]
-        assert math.isclose(bound, max(rho0 * next_var, next_cov) / kept_q, rel_tol=1e-13)
+        assert math.isclose(bound, 2.0 * max(rho0 * third_var, third_cov) / kept_q,
+                            rel_tol=1e-13)
         wider = _losses_in_metres(traffic, geom, (-30000.0, 30000.0), t)[3]
         assert 0.0 < wider < 1e-4 * bound
 
     def test_window_pins(self, geom):
         # the canonical curve (perfbench's and the config's), check 2's
         # t = 29.2 leg and the densest sweep stream (reaches 9, 9 and 52)
-        assert default_window(TrafficModel(0.05, 4.0), geom, 30.0) == (-536.0, 236.0)
-        assert default_window(TrafficModel(0.05, 4.0), geom, 29.2) == (-528.0, 236.0)
-        assert default_window(TrafficModel(0.2, 4.0), geom, 30.0) == (-708.0, 408.0)
-        window = (-536.0, 236.0)
+        assert default_window(TrafficModel(0.05, 4.0), geom, 30.0) == (-490.0, 190.0)
+        assert default_window(TrafficModel(0.05, 4.0), geom, 29.2) == (-482.0, 190.0)
+        assert default_window(TrafficModel(0.2, 4.0), geom, 30.0) == (-662.0, 362.0)
+        window = (-490.0, 190.0)
         assert math.isclose(max(_losses_in_metres(TrafficModel(0.05, 4.0), geom, window, t)[3]
                                 for t in self.GRID), BOUND_PIN, rel_tol=1e-12)
 
@@ -290,32 +294,36 @@ class TestWindows:
         |M1| g(W)**2 per edge: the far field's own pair deviation stops at
         the edge. At W = 300 the edge term is 14% of it at occupancy 0.8,
         well clear of the noise. The window's lost variance carries the
-        same constants with the edge term subtracted: the window's own pair
-        terms carry it, and the whole line's do not."""
+        same constants with the edge term subtracted (the window's own pair
+        terms carry it, and the whole line's do not) and the signed second
+        order, M2 eta (eta + 1) / (2 eta + 1) W**(-2 eta - 1) per edge."""
         traffic = TrafficModel.from_intensity(lam, 4.0)
         half = 300.0
-        cv2, edge, _, _ = _far_field_in_metres(traffic, geom)
+        cv2, edge, _, spread, _ = _far_field_in_metres(traffic, geom)
         lost_q = 2.0 * lam * half ** -5.0 / 5.0
         edges = 2.0 * edge * half ** -6.0
+        second = 2.0 * spread * 12.0 / 7.0 * half ** -7.0
         var, se = _far_field_variance(traffic, half, 16000, SEED)
         assert abs(var - (cv2 * lost_q + edges)) <= 4.0 * se
         if lam == 0.2:
             assert var - cv2 * lost_q > 8.0 * se
         lost_var = _losses_in_metres(traffic, geom, (-half, half), 0.0)[1]
-        assert math.isclose(lost_var, (1.0 + cv2) * lost_q - edges, rel_tol=1e-13)
+        assert math.isclose(lost_var, (1.0 + cv2) * lost_q - edges - second, rel_tol=1e-13)
 
     @pytest.mark.parametrize("occupancy", [0.08, 0.2, 0.4, 0.8])
     def test_far_field_constants_are_moments_of_the_pair_density(self, occupancy, geom):
         """With h = rho2 - intensity**2, the integral of h over d > 0 is
         intensity * (cv2 - 1) / 2, that of d * h is -edge and that of
-        d**2 * h is -spread. h is taken over all 64 minimum gaps the
-        density resolves (it is 0 beyond): up to the deviation reach alone,
-        the tail of d * h left out is 3.9e-9 of edge at occupancy 0.8. The
-        weight d**2 lifts the far bands' roundoff (about 1e-14 of the
-        density) to 2.7e-8 of spread at 0.8, so that moment is integrated
-        to 1e-8 and held to 1e-7."""
+        d**2 * h is -spread and that of d**3 * h is third (M3, which
+        changes sign near occupancy 0.36). h is taken over all 64 minimum
+        gaps the density resolves (it is 0 beyond): up to the deviation
+        reach alone, the tail of d * h left out is 3.9e-9 of edge at
+        occupancy 0.8. The weight d**2 lifts the far bands' roundoff (about
+        1e-14 of the density) to 2.7e-8 of spread at 0.8, so that moment is
+        integrated to 1e-8 and held to 1e-7; d**3 lifts it to 9.9e-8 of M3
+        at 0.8 (6.8e-8 at 0.4, near M3's sign change), held to 1e-6."""
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
-        cv2, edge, _, spread = _far_field_in_metres(traffic, geom)
+        cv2, edge, _, spread, third = _far_field_in_metres(traffic, geom)
         lam = traffic.intensity
         bands = np.arange(int(_ASYMPTOTE_CUTOFF_GAPS) + 1) * traffic.min_gap
         spec = QuadratureSpec(rel_tol=1e-11)
@@ -330,6 +338,9 @@ class TestWindows:
         assert math.isclose(integrate_finite(lambda d: d * d * h(d), bands,
                                              QuadratureSpec(rel_tol=1e-8)),
                             -spread, rel_tol=1e-7)
+        assert math.isclose(integrate_finite(lambda d: d ** 3 * h(d), bands,
+                                             QuadratureSpec(rel_tol=1e-8)),
+                            third, rel_tol=1e-6)
 
     def test_bound_is_a_tenth_of_the_noise(self, traffic, geom):
         """At the curve's default window the residual bound is a tenth of
@@ -350,9 +361,10 @@ class TestWindows:
         scipy.special only); adding _losses' closed forms back must leave
         |rho_W - rho| <= their bound at every lag. The tolerance is the
         bound itself, fixed before measuring. Measured on the windows
-        r0 + reach c + r0 / 3, the residual is 3.4e-9 to 3.6e-6, at most
-        0.28 of the bound, while the uncorrected bias reaches 1.7e-2 at
-        eta 3 (2.9e-2 at eta 2.05)."""
+        r0 + (reach + 1) c, with the losses to second order, the residual
+        is 3.3e-10 to 2.9e-7, at most 0.48 of the bound (twice the third
+        order), while the uncorrected bias reaches 5.3e-2 at eta 3 (6.4e-2
+        at eta 2.05). Without the signed second order every case fails."""
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
         var = (same_vehicle_term(0.0, traffic, geom)
@@ -409,7 +421,7 @@ class TestSampling:
         sums, counts = zip(*(_window_sums(traffic, geom, window, 2000, SEED, k)
                              for k in range(40)))
         sums, counts = np.array(sums), np.array(counts)
-        cv2, edge, _, _ = _far_field_in_metres(traffic, geom)
+        cv2, edge, _, _, _ = _far_field_in_metres(traffic, geom)
         count_var = lam * 800.0 * cv2 + 2.0 * edge
         first, rest = counts[:, 0].mean(), counts[:, 1:].mean()
         assert abs(first - rest) <= 4.0 * math.sqrt(count_var / 40)
@@ -803,10 +815,14 @@ class TestEstimate:
 
     def test_window_shift_does_not_move_rho(self, traffic, geom):
         """Mirroring the window flips every realization; the stream's law
-        is reflection invariant, so the estimates must agree statistically."""
+        is reflection invariant, so the estimates must agree statistically.
+        The window is the default one reaching u t further right, so that
+        its mirror image still covers the guard zone at slot t, and 100 m
+        further left, so that the mirror image differs from it."""
         t = 5.0
         w_lo, w_hi = default_window(traffic, geom, t)
-        a = estimate(traffic, geom, t, 20000, SEED)
+        w_lo, w_hi = w_lo - 100.0, w_hi + geom.speed * t
+        a = estimate(traffic, geom, t, 20000, SEED, window=(w_lo, w_hi))
         b = estimate(traffic, geom, t, 20000, SEED, window=(-w_hi, -w_lo))
         assert abs(a.rho - b.rho) <= 3.0 * math.hypot(a.se_rho, b.se_rho)
 
