@@ -9,12 +9,13 @@ closed-form losses, and the bias the corrected window leaves.
    term.
 2. Residual. For each benchmark stream (perfbench's canonical-run and
    occupancy-sweep traffic and lags) this prints its deviation reach and
-   the curve's default window, W = r0 + (reach + 1) * c on each side of
-   the guard zone (r0 + 1 / lambda on the Poisson stream), and then for
-   each lag, deterministically, the bias of rho in the window before the
-   correction, the residual after analytic._losses' closed forms (to
-   second order in the renewal expansion) are added back, and their bias
-   bound, twice the third-order term. The windowed moments are the exact
+   the curve's default window, W = r0 + max((reach + 1) * c, r0 / 5) on
+   each side of the guard zone (r0 + r0 / 5 on the Poisson stream), and
+   then for each lag, deterministically, the bias of rho in the window
+   before the correction, the residual after analytic._losses' closed
+   forms (to second order in the renewal expansion) are added back, and
+   their bias bound, twice the third-order term with M3 taken at its
+   majorant (analytic._far_field). The windowed moments are the exact
    route's less the losses tests/oracles.py integrates by scipy
    quadrature, out to the reach; the window clears the guard zone by the
    reach and one minimum gap, as the oracle requires.

@@ -494,9 +494,13 @@ def _far_field(traffic: TrafficModel,
         M1 = -p**2 * (1 + 2m + 3m**2) / 12,    M2 = -c * p**2 * m**2 * (1 + 3m) / 12,
         M3 = c**2 * p**2 * (1 + 4m + 10m**2 - 45m**4) / 120;
 
-    M1 and M2 are never positive, M3 changes sign near occupancy 0.36.
-    edge is |M1| and spread is |M2|, the next order's constant, and third
-    is M3 itself, the order after it (_losses). rho0 is the zero-lag
+    M1 and M2 are never positive. edge is |M1| and spread is |M2|, the
+    next order's constant (_losses). M3 changes sign near occupancy
+    0.3565, so third, the size _losses gives the order after, is its
+    majorant with every coefficient's magnitude,
+    c**2 * p**2 * (1 + 4m + 10m**2 + 45m**4) / 120 >= |M3|, which stays
+    above c**2 * p**2 / 120 where M3 vanishes and the orders beyond it
+    do not. rho0 is the zero-lag
     coefficient this gives, var(S) / (var(S) + E[Q]) with
     var(S) = cv2 * E[Q] + 2 |M1| (the guard zone's two edges, where g = 1).
     Raises DomainError where that divisor is below the smallest normal
@@ -508,7 +512,7 @@ def _far_field(traffic: TrafficModel,
     edge = occ * occ * (1.0 + 2.0 * m + 3.0 * m * m) / 12.0
     spread = traffic.min_gap * occ * occ * cv2 * (1.0 + 3.0 * m) / 12.0
     third = (traffic.min_gap ** 2 * occ * occ
-             * (1.0 + m * (4.0 + m * (10.0 - 45.0 * m * m))) / 120.0)
+             * (1.0 + m * (4.0 + m * (10.0 + 45.0 * m * m))) / 120.0)
     mean_q = 0.5 * _variance(traffic, geom)
     var_s = cv2 * mean_q + 2.0 * edge
     rho0 = var_s / _normal(var_s + mean_q, "interference variance", traffic, geom)
@@ -550,15 +554,17 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
     int_e g1' g2' = eta**2 * _gain_tail(e, u t, eta + 1), one scalar call
     per side. The bound is twice the third order's size, allowing for the
     orders beyond: with g = e**-eta at distances e1 and e2 from the two
-    slots, M3 * (e1 e2)**-eta * (eta (eta + 1) (e1**-2 + e2**-2)
-    - eta**2 / (e1 e2)) / 6, pooled over the slots for the variance. The
-    bracket is positive, so the third-order misses dvar and dcov share
-    M3's sign; they give rho_W - rho = (rho_W * dvar - dcov) / var, with
-    0 <= rho_W <= rho0, so a bias of at most max(rho0 * |dvar|, |dcov|) /
-    E[Q_W] (E[Q_W] <= var). The expansion needs the gains smooth across
+    slots, the third order is M3 * (e1 e2)**-eta * (eta (eta + 1)
+    (e1**-2 + e2**-2) - eta**2 / (e1 e2)) / 6, pooled over the slots for
+    the variance, and the bound takes _far_field's third >= |M3| for M3,
+    so it does not vanish where M3 changes sign. The bracket is positive,
+    so the misses dvar and dcov share a sign to that order; they give
+    rho_W - rho = (rho_W * dvar - dcov) / var, with 0 <= rho_W <= rho0,
+    so a bias of at most max(rho0 * |dvar|, |dcov|) / E[Q_W]
+    (E[Q_W] <= var). The expansion needs the gains smooth across
     the pairs it moves: every lost vehicle must sit past the guard zone by
     the deviation reach, as sim.default_window's windows do. For a Poisson
-    stream (min_gap 0) cv2 = 1 and M1 = M2 = M3 = 0: the losses are exact
+    stream (min_gap 0) cv2 = 1 and every Mn is 0: the losses are exact
     and the bound is 0.
     """
     w_lo, w_hi = window
@@ -589,10 +595,10 @@ def _losses(traffic: TrafficModel, geom: NetworkGeometry, window: tuple[float, f
                                            for p, (e0, et) in zip(product, sides)) - cross)
     second_var = (0.5 * spread * eta * (eta + 1.0) / (power + 2.0)
                   * sum(e ** -(power + 2.0) for e in dists))
-    third_cov = abs(third) * sum(
+    third_cov = third * sum(
         p * (eta * (eta + 1.0) * (e0 ** -2.0 + et ** -2.0) - eta * eta / (e0 * et))
         for p, (e0, et) in zip(product, sides)) / 6.0
-    third_var = 0.5 * abs(third) * eta * (eta + 2.0) * sum(e ** -(power + 3.0) for e in dists) / 6.0
+    third_var = 0.5 * third * eta * (eta + 2.0) * sum(e ** -(power + 3.0) for e in dists) / 6.0
     kept_q = 0.5 * _variance(traffic, geom) - lost_q
     return (lost_mean, (1.0 + cv2) * lost_q - edge_var - second_var,
             cv2 * same - edge_cov - second_cov,

@@ -13,13 +13,13 @@ shifts u a and u b are a lag sample of the window moved by u a.
 Fading is never drawn: given the positions its average is known in
 closed form, and the estimators use it (Rao-Blackwellisation). The window
 reaches past the guard zone by the pair deviation's reach and one minimum
-gap, at both slots of every pair; what the vehicles beyond it carry is
-added back in closed form to second order in the renewal expansion
-(analytic._losses), with a bound on the bias left. The lags served are
-[0, t_max] (analytic._lag_range). The sampler runs in guard radii
-(model._in_guard_radii), so rho, se_rho and the bias bound read only the
-dimensionless inputs; the moments take their power of r0 at the output
-(model._dimensional).
+gap, and by at least a fifth of the guard radius, at both slots of every
+pair; what the vehicles beyond it carry is added back in closed form to
+second order in the renewal expansion (analytic._losses), with a bound on
+the bias left. The lags served are [0, t_max] (analytic._lag_range). The
+sampler runs in guard radii (model._in_guard_radii), so rho, se_rho and
+the bias bound read only the dimensionless inputs; the moments take their
+power of r0 at the output (model._dimensional).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class CorrelationEstimate:
 def default_window(traffic: TrafficModel, geom: NetworkGeometry,
                    t: float) -> tuple[float, float]:
     """Sampling window [-(W + u t), W] for lags up to t, with
-    W = guard_radius + (deviation_reach + 1) * min_gap.
+    W = guard_radius + max((deviation_reach + 1) * min_gap, guard_radius / 5).
 
     The pair deviation is below 1e-10 of the squared intensity beyond
     deviation_reach minimum gaps, so every correlated pair the window cuts
@@ -116,14 +116,20 @@ def default_window(traffic: TrafficModel, geom: NetworkGeometry,
     this holds for every pair of marks too. With the losses carried to
     second order, _losses' bound (twice the third-order term) stays under
     a tenth of the canonical curve's noise at a million samples: there W
-    is 190 m and the bound at most 5.6e-7, while the residual against the
-    exact route is below 8.6e-8 (scripts/window_bias.py). A Poisson stream
-    has exact losses at any W past the guard zone; its extra gap is its
-    mean spacing, 1 / intensity. The window does not depend on the sample
-    count; it grows with the reach toward a jam (2.3 km at occupancy 0.95).
+    is 190 m and the bound at most 2.1e-6, while the residual against the
+    exact route is below 8.6e-8 (scripts/window_bias.py). The floor, a
+    fifth of the guard radius, serves the streams whose reach and gap are
+    short: a Poisson stream, whose losses are exact at any W past the
+    guard zone, and a minimum gap tending to 0, which it joins
+    continuously. It keeps the share of the variance the sample holds,
+    1 - (r0 / W)**(2 eta - 1) at the window's edge, at 60% or more at
+    eta 3 whatever the intensity, and it is below every benchmark stream's
+    (reach + 1) c (32 m at occupancy 0.08), so it moves none of them. The
+    window does not depend on the sample count; it grows with the reach
+    toward a jam (2.3 km at occupancy 0.95).
     """
-    gap = traffic.min_gap or 1.0 / traffic.intensity
-    half = geom.guard_radius + traffic.deviation_reach * traffic.min_gap + gap
+    r0 = geom.guard_radius
+    half = r0 + max((traffic.deviation_reach + 1) * traffic.min_gap, r0 / 5.0)
     return (-(half + geom.speed * t), half)
 
 
@@ -228,11 +234,10 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float]
     Row sums are np.add.reduceat over the rows that hold a vehicle (an
     empty row sums to 0); Q_s squares the gains in place and sums them,
     off BLAS (whose threads spin in np.vdot). The deviations of every mark
-    are the rows of one array D, and the product columns of every pair are
-    entries of its Gram matrix D D^T, each entry needed formed once per
-    block as one dot product of two rows (40 on the canonical grid). A
-    BLAS matrix product (syrk) would be faster still, but its entries'
-    last bits depend on the matrix's shape, which would break the
+    are the rows of one array; each mark's square and each pair's cross
+    product is one np.dot of two rows per block (10 + 31 on the canonical
+    grid). A BLAS matrix product D D^T would form them at once, but its
+    entries' last bits depend on the matrix's shape, which would break the
     bit-for-bit match between a curve's lag and estimate's
     (estimate_curve).
     """
@@ -252,14 +257,12 @@ def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float]
         devs[i, rows] = np.add.reduceat(gains, starts)
         q[i] = np.square(gains, out=gains).sum()
     devs -= centre
-    gram = np.empty((len(marks), len(marks)))
-    dev_rows = list(devs)
-    for i, j in {*pairs, *((i, i) for i in range(len(marks)))}:
-        gram[i, j] = np.dot(dev_rows[i], dev_rows[j])
     sums = devs.sum(axis=1)
+    sq = np.array([np.dot(d, d) for d in devs])
+    cross = [np.dot(devs[a], devs[b]) for a, b in pairs]
     a, b = np.array(pairs).T
     return np.column_stack([np.full(len(pairs), float(n_rows)), sums[a], sums[b],
-                            gram[a, a], gram[b, b], gram[a, b], q[a], q[b]])
+                            sq[a], sq[b], cross, q[a], q[b]])
 
 
 def _moments(sums: np.ndarray, lost_var: float,

@@ -11,6 +11,9 @@ from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
                       integrate_semi_infinite, mean_interference,
                       normalized_pair_correlation, pair_correlation, pathloss, rho)
 from roadcorr.model import _pair_correlation_array, _settled_reach
+from roadcorr.sim import default_window, estimate
+
+from conftest import SEED
 
 
 class TestTrafficModel:
@@ -371,6 +374,24 @@ class TestVanishingMinimumGap:
                                 rel_tol=1e-15)
         assert stream.deviation_reach <= 2
         assert stream.deviation_reach * c <= 2.0 * c
+
+    @pytest.mark.parametrize("c", (5e-324, 1e-20))
+    def test_simulation(self, c, geom, traffic_ppp):
+        """The simulator serves the stream on the Poisson stream's window,
+        a fifth of the guard radius past the guard zone, and at the same
+        seed draws its estimate: the gaps' min_gap is lost to rounding in
+        the positions. Another seed's estimate agrees within 4 combined
+        standard errors, and the bias bound is the Poisson stream's 0 or
+        negligible (it scales as min_gap**2)."""
+        stream = TrafficModel.from_intensity(traffic_ppp.intensity, c)
+        assert default_window(stream, geom, 5.0) == default_window(traffic_ppp, geom, 5.0)
+        est = estimate(stream, geom, 5.0, 2000, SEED)
+        same = estimate(traffic_ppp, geom, 5.0, 2000, SEED)
+        other = estimate(traffic_ppp, geom, 5.0, 2000, SEED + 1)
+        assert math.isclose(est.rho, same.rho, rel_tol=1e-12)
+        assert math.isclose(est.se_rho, same.se_rho, rel_tol=1e-12)
+        assert abs(est.rho - other.rho) <= 4.0 * math.hypot(est.se_rho, other.se_rho)
+        assert 0.0 <= est.bias_bound < 1e-80
 
 
 class TestDensityArrays:

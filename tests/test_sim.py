@@ -66,7 +66,7 @@ CURVE_PINS = {
 
 # The largest bias bound of _losses over the 31 lags of the canonical
 # curve on its default window (-490, 190).
-BOUND_PIN = 5.526399672989494e-07
+BOUND_PIN = 2.0485499911418663e-06
 
 
 def _far_field_in_metres(traffic, geom):
@@ -183,12 +183,16 @@ class TestWindows:
     GRID = [float(t) for t in np.linspace(0.0, 30.0, 31)]
 
     def test_default_window_formula(self, geom):
-        """W = r0 + (reach + 1) * c on every stream with a minimum gap and
-        every geometry, W = r0 + 1 / intensity on a Poisson stream, and the
-        window reaches u t further left for lags up to t."""
-        for lam, c in [(0.05, 4.0), (0.05, 0.0), (0.2, 4.0), (0.02, 4.0)]:
+        """W = r0 + max((reach + 1) * c, r0 / 5) on every stream and every
+        geometry, and the window reaches u t further left for lags up to
+        t. The floor r0 / 5 = 30 m serves the Poisson stream at every
+        intensity and a minimum gap tending to 0, and is below every
+        benchmark stream's (reach + 1) c (32 m at occupancy 0.08)."""
+        for lam, c, half in [(0.05, 4.0, 190.0), (0.05, 0.0, 180.0), (1.0, 0.0, 180.0),
+                             (0.2, 4.0, 362.0), (0.02, 4.0, 182.0), (0.05, 1e-20, 180.0),
+                             (0.05, 5e-324, 180.0), (0.01, 2.0, 180.0)]:
             traffic = TrafficModel.from_intensity(lam, c)
-            half = 150.0 + ((traffic.deviation_reach + 1) * c if c else 1.0 / lam)
+            assert half == 150.0 + max((traffic.deviation_reach + 1) * c, 30.0)
             for t in (0.0, 5.0, 29.2, 30.0):
                 assert default_window(traffic, geom, t) == (-half - 10.0 * t, half)
         other = NetworkGeometry(guard_radius=100.0, pathloss_exponent=4.0, speed=25.0)
@@ -199,7 +203,7 @@ class TestWindows:
 
     def test_truncation_bias_bound(self, traffic, geom):
         """The bound is twice the third-order term, 2 max(rho0 * third_var,
-        third_cov) / E[Q_W]: |M3| times (e1 e2)**-eta (eta (eta + 1)
+        third_cov) / E[Q_W]: third (>= |M3|) times (e1 e2)**-eta (eta (eta + 1)
         (e1**-2 + e2**-2) - eta**2 / (e1 e2)) / 6 at each of the two window
         edges seen from the two slots, pooled over the slots for the
         variance (eta (eta + 2) e**(-2 eta - 2) / 6 per distance).
@@ -210,8 +214,8 @@ class TestWindows:
         _, _, rho0, _, third = _far_field_in_metres(traffic, geom)
         slot_0 = np.array([190.0, 240.0])
         slot_t = np.array([240.0, 190.0])
-        third_var = 0.5 * abs(third) * 15.0 / 6.0 * np.sum(slot_0 ** -8.0 + slot_t ** -8.0)
-        third_cov = abs(third) * np.sum((slot_0 * slot_t) ** -3.0 * (
+        third_var = 0.5 * third * 15.0 / 6.0 * np.sum(slot_0 ** -8.0 + slot_t ** -8.0)
+        third_cov = third * np.sum((slot_0 * slot_t) ** -3.0 * (
             12.0 * (slot_0 ** -2.0 + slot_t ** -2.0) - 9.0 / (slot_0 * slot_t))) / 6.0
         lam = traffic.intensity
         kept_q = 2.0 * lam * 150.0 ** -5.0 / 5.0 - 0.5 * lam * np.sum(
@@ -314,8 +318,10 @@ class TestWindows:
     def test_far_field_constants_are_moments_of_the_pair_density(self, occupancy, geom):
         """With h = rho2 - intensity**2, the integral of h over d > 0 is
         intensity * (cv2 - 1) / 2, that of d * h is -edge and that of
-        d**2 * h is -spread and that of d**3 * h is third (M3, which
-        changes sign near occupancy 0.36). h is taken over all 64 minimum
+        d**2 * h is -spread and that of d**3 * h is M3, which changes sign
+        near occupancy 0.3565; third is M3 with its m**4 coefficient's sign
+        turned, c**2 p**2 (1 + 4m + 10m**2 + 45m**4) / 120, so it exceeds M3
+        by 3 c**2 p**2 m**4 / 4. h is taken over all 64 minimum
         gaps the density resolves (it is 0 beyond): up to the deviation
         reach alone, the tail of d * h left out is 3.9e-9 of edge at
         occupancy 0.8. The weight d**2 lifts the far bands' roundoff (about
@@ -338,9 +344,10 @@ class TestWindows:
         assert math.isclose(integrate_finite(lambda d: d * d * h(d), bands,
                                              QuadratureSpec(rel_tol=1e-8)),
                             -spread, rel_tol=1e-7)
-        assert math.isclose(integrate_finite(lambda d: d ** 3 * h(d), bands,
-                                             QuadratureSpec(rel_tol=1e-8)),
-                            third, rel_tol=1e-6)
+        m3 = integrate_finite(lambda d: d ** 3 * h(d), bands, QuadratureSpec(rel_tol=1e-8))
+        c, p = traffic.min_gap, traffic.occupancy
+        assert math.isclose(m3, third - 0.75 * (c * p) ** 2 * (1.0 - p) ** 4, rel_tol=1e-6)
+        assert third >= abs(m3)
 
     def test_bound_is_a_tenth_of_the_noise(self, traffic, geom):
         """At the curve's default window the residual bound is a tenth of
@@ -352,8 +359,9 @@ class TestWindows:
         worst = max(_losses_in_metres(traffic, geom, window, t)[3] for t in grid)
         assert worst <= 0.1 * min(est.se_rho for est in curve) * math.sqrt(2000 / 10 ** 6)
 
-    @pytest.mark.parametrize("eta,occupancy", [(3.0, 0.08), (3.0, 0.2), (3.0, 0.4),
-                                               (3.0, 0.8), (2.05, 0.2), (6.0, 0.2)])
+    @pytest.mark.parametrize("eta,occupancy", [(3.0, 0.08), (3.0, 0.2), (3.0, 0.3565),
+                                               (3.0, 0.4), (3.0, 0.8), (2.05, 0.2),
+                                               (6.0, 0.2)])
     def test_corrected_rho_meets_the_bound(self, eta, occupancy):
         """Deterministic residual of the correction at the default window.
         The windowed moments are the exact route's less the losses
@@ -361,10 +369,13 @@ class TestWindows:
         scipy.special only); adding _losses' closed forms back must leave
         |rho_W - rho| <= their bound at every lag. The tolerance is the
         bound itself, fixed before measuring. Measured on the windows
-        r0 + (reach + 1) c, with the losses to second order, the residual
-        is 3.3e-10 to 2.9e-7, at most 0.48 of the bound (twice the third
-        order), while the uncorrected bias reaches 5.3e-2 at eta 3 (6.4e-2
-        at eta 2.05). Without the signed second order every case fails."""
+        r0 + (reach + 1) c, with the losses to second order, the largest
+        residual over the lags is 2.6e-9 to 2.9e-7, at most 0.45 of the
+        bound (twice the third order), while the uncorrected bias reaches
+        5.3e-2 at eta 3 (6.4e-2 at eta 2.05). Without the signed second
+        order every case fails. Occupancy 0.3565 is where M3 vanishes: a
+        bound on |M3| rather than on _far_field's majorant would read
+        under 1e-10 there against a residual of 4.9e-9."""
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
         var = (same_vehicle_term(0.0, traffic, geom)
