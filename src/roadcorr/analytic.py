@@ -323,6 +323,7 @@ def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry
     return _dimensional(occ * (2.0 + occ) * _same_vehicle(t, *unit), geom, 2)
 
 
+@functools.lru_cache(maxsize=256)
 def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                          spec: QuadratureSpec, part: str) -> float:
     """Two-sided pair integral against the exact pair correlation, in guard radii.
@@ -336,6 +337,9 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     the deviation reach (_settled_reach) by the density minus the squared
     intensity. Band edges and K's kinks are breakpoints, so every piece is
     smooth. Bands of no width (min_gap 0 in guard radii, or reach 0) give 0.
+    Cached, 256 entries, a grid's worth of both parts: the pcf-approx and
+    exact routes share the "close" part at every lag, so a curve by both
+    integrates it once per lag.
     """
     eta = geom.pathloss_exponent
     shift = t * geom.speed

@@ -36,7 +36,7 @@ from numpy.random import Generator, Philox
 from .analytic import _losses, _require_lag
 from .errors import DomainError, EstimationError, ParameterError
 from .model import (NetworkGeometry, TrafficModel, _dimensional, _gain_in_place,
-                    _in_guard_radii, _mean, _pair_density_scale, mean_interference)
+                    _in_guard_radii, _mean, _pair_density_scale)
 
 __all__ = [
     "CorrelationEstimate",
@@ -215,60 +215,74 @@ def _shift_schedule(lags: Sequence[float]) -> tuple[list[float], list[tuple[int,
 
 
 def _block_sums(traffic: TrafficModel, geom: NetworkGeometry, marks: list[float],
-                pairs: list[tuple[int, int]], n_rows: int, window: tuple[float, float],
-                rng: Generator) -> np.ndarray:
-    """Additive moment sums of n_rows realizations, one row of sums per pair
-    of marks (see _shift_schedule), in the caller's unit of length.
+                pairs: np.ndarray, centre: float, n_rows: int, window: tuple[float, float],
+                rng: Generator, out: np.ndarray) -> None:
+    """Additive moment sums of n_rows realizations into out, one row of
+    sums per pair of marks, in the caller's unit of length.
 
-    Given the positions, fading averages out: with S_s = sum g(x + u s) and
-    Q_s = sum g(x + u s)**2, E[I_a I_b | X] = S_a S_b (the slots fade
-    independently, even when a == b) and E[I_b**2 | X] = S_b**2 + Q_b. For
-    the pair (a, b) the columns are n, sum d_a, sum d_b, sum d_a**2,
-    sum d_b**2, sum d_a d_b, sum Q_a and sum Q_b, d_s = S_s -
-    mean_interference (which keeps the later subtractions from cancelling
-    digits): the lag-(b - a) sums of the window moved by u a. One position
-    draw serves every pair: the rows are consecutive windows of one stream
-    (_stream_windows), laid end to end less their offsets. Each mark
-    shifts them into one gain buffer and runs model._gain_in_place there,
-    without pathloss's NaN and inf checks, since the positions are finite.
-    Row sums are np.add.reduceat over the rows that hold a vehicle (an
-    empty row sums to 0); Q_s squares the gains in place and sums them,
-    off BLAS (whose threads spin in np.vdot). The deviations of every mark
-    are the rows of one array; each mark's square and each pair's cross
-    product is one np.dot of two rows per block (10 + 31 on the canonical
-    grid). A BLAS matrix product D D^T would form them at once, but its
-    entries' last bits depend on the matrix's shape, which would break the
-    bit-for-bit match between a curve's lag and estimate's
-    (estimate_curve).
+    pairs is a (2, lags) index array, the first and second mark of each
+    lag (see _shift_schedule), and centre the mean interference; out is a
+    (lags, 8) array, which may be a strided view. Given the positions,
+    fading averages out: with S_s = sum g(x + u s) and Q_s = sum
+    g(x + u s)**2, E[I_a I_b | X] = S_a S_b (the slots fade independently,
+    even when a == b) and E[I_b**2 | X] = S_b**2 + Q_b. For the pair
+    (a, b) the columns are n, sum d_a, sum d_b, sum d_a**2, sum d_b**2,
+    sum d_a d_b, sum Q_a and sum Q_b, d_s = S_s - centre (which keeps the
+    later subtractions from cancelling digits): the lag-(b - a) sums of
+    the window moved by u a. One position draw serves every pair: the rows
+    are consecutive windows of one stream (_stream_windows), laid end to
+    end less their offsets. Each mark shifts them into one gain buffer and
+    runs model._gain_in_place there, without pathloss's NaN and inf
+    checks, since the positions are finite. Row sums are np.add.reduceat
+    over the rows that hold a vehicle, written straight into the mark's
+    row of the deviations; where a row is empty, into a (marks, non-empty
+    rows) array scattered into the deviations once per block (an empty
+    row sums to 0), which the common case does without. Q_s squares the
+    gains in place and sums them, off BLAS (whose threads spin in
+    np.vdot). The deviations of every mark are the rows of one array; each
+    mark's square and each pair's cross product is one np.dot of two rows
+    per block (10 + 31 on the canonical grid). A BLAS matrix product D D^T
+    would form them at once, but its entries' last bits depend on the
+    matrix's shape, which would break the bit-for-bit match between a
+    curve's lag and estimate's (estimate_curve).
     """
-    centre = mean_interference(traffic, geom)
     flat, counts = _stream_windows(traffic, window, n_rows, rng)
     flat -= np.repeat((window[1] - window[0]) * np.arange(n_rows), counts)
     rows = np.flatnonzero(counts)  # reduceat would give an empty segment the next gain
     starts = (np.cumsum(counts) - counts)[rows]
     gains = np.empty_like(flat)
-    silent = np.empty(flat.shape, dtype=bool)
+    audible = np.empty(flat.shape, dtype=bool)
     devs = np.zeros((len(marks), n_rows))
+    held = devs if rows.size == n_rows else np.empty((len(marks), rows.size))
     q = np.empty(len(marks))
     for i, m in enumerate(marks):
         np.add(flat, geom.speed * m, out=gains)
         np.abs(gains, out=gains)
-        _gain_in_place(gains, geom, silent)
-        devs[i, rows] = np.add.reduceat(gains, starts)
+        _gain_in_place(gains, geom, audible)
+        np.add.reduceat(gains, starts, out=held[i])
         q[i] = np.square(gains, out=gains).sum()
+    if held is not devs:
+        devs[:, rows] = held
     devs -= centre
     sums = devs.sum(axis=1)
     sq = np.array([np.dot(d, d) for d in devs])
-    cross = [np.dot(devs[a], devs[b]) for a, b in pairs]
-    a, b = np.array(pairs).T
-    return np.column_stack([np.full(len(pairs), float(n_rows)), sums[a], sums[b],
-                            sq[a], sq[b], cross, q[a], q[b]])
+    a, b = pairs
+    out[:, 0] = n_rows
+    out[:, 1], out[:, 2] = sums[a], sums[b]
+    out[:, 3], out[:, 4] = sq[a], sq[b]
+    out[:, 5] = [np.dot(devs[i], devs[j]) for i, j in pairs.T]
+    out[:, 6], out[:, 7] = q[a], q[b]
 
 
-def _moments(sums: np.ndarray, lost_var: float,
-             lost_cov: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moments(sums: np.ndarray, lost_var: np.ndarray,
+             lost_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variance and covariance, each with the window's loss added, and the
-    mean deviation, from block sums (last axis)."""
+    mean deviation, from block sums (last axis): a (lags, 8) array of
+    totals or a (lags, blocks, 8) one of leave-one-outs, with the losses
+    per lag, shaped to broadcast against the leading axes. Every
+    operation is elementwise, so each entry has the bits the same sums
+    alone would give. Raises EstimationError where any lag's variance is
+    degenerate."""
     n, a0, at, a00, att, a0t, q0, qt = np.moveaxis(sums, -1, 0)
     s00 = (a00 - a0 * a0 / n) / (n - 1.0)
     stt = (att - at * at / n) / (n - 1.0)
@@ -277,6 +291,14 @@ def _moments(sums: np.ndarray, lost_var: float,
     if not np.all((q0 + qt > 0.0) & np.isfinite(var) & (var > 0.0)):
         raise EstimationError("degenerate sample variance; no vehicle outside the guard zone?")
     return var + lost_var, cov + lost_cov, 0.5 * (a0 + at) / n
+
+
+def _jackknife(values: np.ndarray) -> np.ndarray:
+    """Leave-one-block-out standard error of each row's statistic: each
+    row holds one lag's N_BLOCKS leave-one-out values, contiguous, so the
+    row reductions add in the order a 1-D sum of that row would."""
+    spread = values - values.mean(axis=1, keepdims=True)
+    return np.sqrt((N_BLOCKS - 1) / N_BLOCKS * np.square(spread, out=spread).sum(axis=1))
 
 
 def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
@@ -290,17 +312,21 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     largest lag (default_window unless given) and runs one gain pass per
     mark of the grid's _shift_schedule; each lag t is formed from its pair
     of marks (a, b), b - a = t, on the window moved by u a, so the curve's
-    errors are correlated across lags. The moments lost outside the moved
-    window are added back in closed form (analytic._losses), to the totals
-    and every leave-one-out alike, so the window must cover the guard zone
-    at both slots of the largest lag; each bias_bound is _losses' bound for
-    its lag on its moved window. A lag whose pair is (0, t), as lag 0, the
-    largest lag and estimate's single lag, is estimate(t) on the same
-    window bit for bit; any other is what its two marks give alone.
-    Standard errors are a leave-one-block-out jackknife. Raises
-    DomainError, before sampling, where the moments' prefactor r0**(-2 eta)
-    is not a normal float or a block would hold more than
-    _MAX_BLOCK_VEHICLES vehicles (near a jam, or a huge sample count).
+    errors are correlated across lags. The blocks write their sums into
+    one (lags, blocks, 8) array, and the moments of every lag come from
+    one _moments pass over the totals and one over the leave-one-outs,
+    each lag's leave-one-outs a contiguous row. The moments lost outside
+    the moved window are added back in closed form (analytic._losses), to
+    the totals and every leave-one-out alike, so the window must cover
+    the guard zone at both slots of the largest lag; each bias_bound is
+    _losses' bound for its lag on its moved window. A lag whose pair is
+    (0, t), as lag 0, the largest lag and estimate's single lag, is
+    estimate(t) on the same window bit for bit; any other is what its two
+    marks give alone. Standard errors are a leave-one-block-out jackknife.
+    Raises DomainError, before sampling, where the moments' prefactor
+    r0**(-2 eta) is not a normal float or a block would hold more than
+    _MAX_BLOCK_VEHICLES vehicles (near a jam, or a huge sample count), and
+    EstimationError where any lag's sample variance is degenerate.
     """
     try:
         grid = list(t_grid)
@@ -321,8 +347,8 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
     w_lo, w_hi = (edge / geom.guard_radius for edge in window)      # in guard radii too
     marks, pairs = _shift_schedule(lags)
     shifts = [unit_geom.speed * marks[a] for a, _ in pairs]
-    losses = [_losses(unit_traffic, unit_geom, (w_lo + s, w_hi + s), t)
-              for s, t in zip(shifts, lags)]
+    losses = np.array([_losses(unit_traffic, unit_geom, (w_lo + s, w_hi + s), t)
+                       for s, t in zip(shifts, lags)])
     base, rem = divmod(n_samples, N_BLOCKS)
     rows = base + (1 if rem else 0)                     # the largest block's
     block = unit_traffic.intensity * (w_hi - w_lo) * rows
@@ -330,31 +356,29 @@ def estimate_curve(traffic: TrafficModel, geom: NetworkGeometry,
         raise DomainError(f"a block of {rows} windows of {window[1] - window[0]!r} m would "
                           f"hold about {block:.3g} vehicles, more than {_MAX_BLOCK_VEHICLES} "
                           f"(occupancy {traffic.occupancy!r})")
-    blocks = np.stack([
-        _block_sums(unit_traffic, unit_geom, marks, pairs, base + (1 if k < rem else 0),
-                    (w_lo, w_hi), _block_rng(seed, k))
-        for k in range(N_BLOCKS)])
     centre = _mean(unit_traffic, unit_geom)
-    scale = (N_BLOCKS - 1) / N_BLOCKS
-    out = []
-    for j, (lost_mean, lost_var, lost_cov, bias_bound) in enumerate(losses):
-        sums = blocks[:, j]
-        total = sums.sum(axis=0)
-        variance, covariance, mean_dev = _moments(total, lost_var, lost_cov)
-        loo_var, loo_cov, _ = _moments(total - sums, lost_var, lost_cov)
-        loo_rho = loo_cov / loo_var
-        out.append(CorrelationEstimate(
-            n=n_samples,
-            mean=_dimensional(centre + float(mean_dev) + lost_mean, geom, 1),
-            variance=_dimensional(float(variance), geom, 2),
-            covariance=_dimensional(float(covariance), geom, 2),
-            rho=float(covariance / variance),
-            se_rho=math.sqrt(scale * float(np.sum((loo_rho - loo_rho.mean()) ** 2))),
-            se_variance=_dimensional(
-                math.sqrt(scale * float(np.sum((loo_var - loo_var.mean()) ** 2))), geom, 2),
-            bias_bound=bias_bound,
-        ))
-    return out
+    index = np.array(pairs).T
+    blocks = np.empty((len(lags), N_BLOCKS, 8))
+    for k in range(N_BLOCKS):
+        _block_sums(unit_traffic, unit_geom, marks, index, centre, base + (1 if k < rem else 0),
+                    (w_lo, w_hi), _block_rng(seed, k), blocks[:, k])
+    total = blocks.sum(axis=1)
+    lost_mean, lost_var, lost_cov, bias_bound = losses.T
+    variance, covariance, mean_dev = _moments(total, lost_var, lost_cov)
+    loo_var, loo_cov, _ = _moments(total[:, None] - blocks, lost_var[:, None],
+                                   lost_cov[:, None])
+    se_rho = _jackknife(loo_cov / loo_var)
+    se_variance = _jackknife(loo_var)
+    return [CorrelationEstimate(
+        n=n_samples,
+        mean=_dimensional(centre + float(mean_dev[j]) + float(lost_mean[j]), geom, 1),
+        variance=_dimensional(float(variance[j]), geom, 2),
+        covariance=_dimensional(float(covariance[j]), geom, 2),
+        rho=float(covariance[j] / variance[j]),
+        se_rho=float(se_rho[j]),
+        se_variance=_dimensional(float(se_variance[j]), geom, 2),
+        bias_bound=float(bias_bound[j]),
+    ) for j in range(len(lags))]
 
 
 def estimate(traffic: TrafficModel, geom: NetworkGeometry, t: float,

@@ -172,7 +172,8 @@ def close_pairs_grid_sum(t: float, traffic: TrafficModel,
 
     A 10^4 x 10^3 midpoint grid on the truncated outer range plus a
     transformed grid for the tail, refined once with a Richardson step to
-    cancel the leading quadratic discretization error.
+    cancel the leading quadratic discretization error. The x rows are
+    evaluated 256 at a time, which keeps the arrays to a few megabytes.
     """
     lam, c, rate = traffic.intensity, traffic.min_gap, traffic.gap_rate
     r0, eta, u = geom.guard_radius, geom.pathloss_exponent, geom.speed
@@ -184,12 +185,17 @@ def close_pairs_grid_sum(t: float, traffic: TrafficModel,
         v = 0.5 * (edges_v[1:] + edges_v[:-1])[None, :]
         hv = c / ny
 
-        def band_sum(x):
+        def band_rows(x):
             x = x[:, None]
             gains = (np.abs(x + c + v + shift) ** -eta
                      + np.where(np.abs(x - c - v + shift) > r0,
                                 np.abs(x - c - v + shift) ** -eta, 0.0))
             return ((x ** -eta) * gains * np.exp(-rate * v)).sum(axis=1) * hv
+
+        def band_sum(x):
+            # each row's sum alone, so a chunk of 256 rows (4 MB at ny 2000)
+            # gives the bits the whole grid at once would
+            return np.concatenate([band_rows(x[i:i + 256]) for i in range(0, x.size, 256)])
 
         edges_x = np.linspace(r0, x_split, nx + 1)
         xm = 0.5 * (edges_x[1:] + edges_x[:-1])

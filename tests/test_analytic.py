@@ -8,11 +8,13 @@ import pytest
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
 import oracles
+from roadcorr import analytic
 from roadcorr.analytic import (
     _TAIL_CAPS,
     COVARIANCE_METHODS,
     CovarianceBreakdown,
     _distant_excess_exact,
+    _exact_pair_integral,
     _gain_kernel,
     _gain_tail,
     _lag_range,
@@ -31,7 +33,7 @@ from roadcorr.errors import ConvergenceError, DomainError, ParameterError
 from roadcorr.model import (NetworkGeometry, TrafficModel, _dimensional, _in_guard_radii,
                             mean_interference)
 from roadcorr.sim import estimate_curve
-from roadcorr.specfun import QuadratureSpec, hyp2f1
+from roadcorr.specfun import QuadratureSpec, hyp2f1, integrate_finite
 
 # Reference values for the canonical configuration (intensity 0.05 /m,
 # minimum gap 4 m, guard radius 150 m, exponent 3, speed 10 m/s),
@@ -450,9 +452,33 @@ class TestClosePairs:
 
     @pytest.mark.parametrize("t", [0.8, 5.0, 29.2])
     def test_routes_share_the_band_integral(self, t, traffic, geom):
+        """The same value from either route, each integrating it afresh."""
+        _exact_pair_integral.cache_clear()
         exact = covariance(t, traffic, geom, "exact-quadrature")
+        _exact_pair_integral.cache_clear()
         approx = covariance(t, traffic, geom, "pcf-approx")
         assert exact.close_pairs == approx.close_pairs
+
+    def test_exact_route_reuses_the_band_of_pcf_approx(self, traffic, geom, monkeypatch):
+        """After a pcf-approx rho at a lag, the exact covariance at that lag
+        integrates only its deviation part (whose first breakpoint is 0;
+        the band's is one minimum gap): _exact_pair_integral is cached, and
+        the cached breakdown is the one integrated afresh."""
+        starts = []
+
+        def counted(f, points, spec):
+            starts.append(float(points[0]))
+            return integrate_finite(f, points, spec)
+
+        _exact_pair_integral.cache_clear()
+        monkeypatch.setattr(analytic, "integrate_finite", counted)
+        rho(5.0, traffic, geom, "pcf-approx")
+        assert starts == [traffic.min_gap / geom.guard_radius]
+        cached = covariance(5.0, traffic, geom, "exact-quadrature")
+        assert starts[1:] == [0.0]
+        _exact_pair_integral.cache_clear()
+        assert covariance(5.0, traffic, geom, "exact-quadrature") == cached
+        assert len(starts) == 4
 
     def test_numeric_matches_brute_force_grid(self, traffic, geom):
         grid = oracles.close_pairs_grid_sum(1.0, traffic, geom)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import roadcorr.analytic
 import roadcorr.model
 from roadcorr import (ConvergenceError, DomainError, NetworkGeometry,
                       ParameterError, TrafficModel, covariance,
@@ -292,7 +293,9 @@ class TestDeviationReach:
             return omega(z)
 
         monkeypatch.setattr(roadcorr.model, "_wright_omega", counted)
-        roadcorr.model._in_guard_radii.cache_clear()   # a stream seen before is solved already
+        # a stream seen before is solved already, and its pair integrals are cached
+        roadcorr.model._in_guard_radii.cache_clear()
+        roadcorr.analytic._exact_pair_integral.cache_clear()
         stream = TrafficModel.from_intensity(0.1, 4.0)
         for t in np.linspace(0.0, 30.0, 31):
             covariance(float(t), stream, geom, "exact-quadrature")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo sampling and estimation routines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,16 +18,19 @@ from roadcorr.model import (
     TrafficModel,
     _dimensional,
     _in_guard_radii,
+    _mean,
     _pair_correlation_array,
     mean_interference,
     pair_correlation,
     pathloss,
 )
 from roadcorr.sim import (
+    N_BLOCKS,
     CorrelationEstimate,
     _block_rng,
     _block_sums,
     _equilibrium_delay,
+    _moments,
     _shift_schedule,
     _stream_windows,
     default_window,
@@ -110,6 +114,16 @@ def _loop_windows(traffic, window, n_windows, rng):
     return windows, chunks
 
 
+def _block_sums_of(traffic, geom, lags, n_rows, window, rng):
+    """_block_sums on the schedule of lags, in metres: one block's (lags, 8)
+    sums, centred on mean_interference."""
+    marks, pairs = _shift_schedule(lags)
+    out = np.empty((len(pairs), 8))
+    _block_sums(traffic, geom, marks, np.array(pairs).T, mean_interference(traffic, geom),
+                n_rows, window, rng, out)
+    return out
+
+
 def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
     """_block_sums on the schedule of lags, rebuilt on the oracle: the
     loop-cut windows, each less its offset, laid end to end and row-summed
@@ -138,6 +152,51 @@ def _reference_block_sums(traffic, geom, lags, n_rows, window, rng):
         out[j] = (n_rows, da.sum(), db.sum(), da @ da, db @ db, da @ db,
                   float(np.square(ga).sum()), float(np.square(gb).sum()))
     return out
+
+
+def _per_lag_curve(traffic, geom, lags, n_samples, seed):
+    """estimate_curve on its default window by the per-lag tail it had
+    before its one-pass form: the blocks' _block_sums rows laid out
+    (blocks, lags, 8), then for each lag its (blocks, 8) slice summed,
+    _moments on the totals and on the 1-D row of leave-one-outs, and the
+    jackknife as 1-D sums, every field formed in Python floats."""
+    unit_traffic, unit_geom = _in_guard_radii(traffic, geom)
+    w_lo, w_hi = (edge / geom.guard_radius for edge in default_window(traffic, geom, max(lags)))
+    marks, pairs = _shift_schedule(lags)
+    centre = _mean(unit_traffic, unit_geom)
+    base, rem = divmod(n_samples, N_BLOCKS)
+    blocks = np.empty((N_BLOCKS, len(lags), 8))
+    for k in range(N_BLOCKS):
+        _block_sums(unit_traffic, unit_geom, marks, np.array(pairs).T, centre,
+                    base + (1 if k < rem else 0), (w_lo, w_hi), _block_rng(seed, k), blocks[k])
+    scale = (N_BLOCKS - 1) / N_BLOCKS
+    out = []
+    for j, ((a, _), t) in enumerate(zip(pairs, lags)):
+        shift = unit_geom.speed * marks[a]
+        lost_mean, lost_var, lost_cov, bound = _losses(unit_traffic, unit_geom,
+                                                       (w_lo + shift, w_hi + shift), t)
+        sums = blocks[:, j]
+        total = sums.sum(axis=0)
+        variance, covariance, mean_dev = _moments(total, lost_var, lost_cov)
+        loo_var, loo_cov, _ = _moments(total - sums, lost_var, lost_cov)
+        loo_rho = loo_cov / loo_var
+        out.append(CorrelationEstimate(
+            n=n_samples,
+            mean=_dimensional(centre + float(mean_dev) + lost_mean, geom, 1),
+            variance=_dimensional(float(variance), geom, 2),
+            covariance=_dimensional(float(covariance), geom, 2),
+            rho=float(covariance / variance),
+            se_rho=math.sqrt(scale * float(np.sum((loo_rho - loo_rho.mean()) ** 2))),
+            se_variance=_dimensional(
+                math.sqrt(scale * float(np.sum((loo_var - loo_var.mean()) ** 2))), geom, 2),
+            bias_bound=bound))
+    return out
+
+
+def _bits(est):
+    """Every field of an estimate, each float by its hex form (so -0.0 and
+    0.0 differ, and a NaN equals itself)."""
+    return tuple(v if isinstance(v, int) else float(v).hex() for v in dataclasses.astuple(est))
 
 
 def _loop_histogram(traffic, window, n_realizations, bins, seed, bin_width):
@@ -501,9 +560,8 @@ class TestAgainstFirstMoments:
         m = mean_interference(traffic_ppp, geom)
         raw = []
         for k in range(30):
-            n, a0, at, _, _, a0t, _, _ = _block_sums(
-                traffic_ppp, geom, *_shift_schedule([t]), 1200, self.WIDE,
-                _block_rng(SEED, k))[0]
+            n, a0, at, _, _, a0t, _, _ = _block_sums_of(
+                traffic_ppp, geom, [t], 1200, self.WIDE, _block_rng(SEED, k))[0]
             raw.append(a0t / n + m * (a0 + at) / n + m * m)
         raw = np.array(raw)
         want = same_vehicle_term(t, traffic_ppp, geom) + m * m
@@ -521,8 +579,7 @@ class TestBlockSums:
         grid = [0.0, 0.8, 5.0, 15.0, 29.2, 30.0]
         for window in (default_window(traffic, geom, 30.0), (-1100.0, 800.0)):
             for k in range(2):
-                got = _block_sums(traffic, geom, *_shift_schedule(grid), 500, window,
-                                  _block_rng(SEED, k))
+                got = _block_sums_of(traffic, geom, grid, 500, window, _block_rng(SEED, k))
                 want = _reference_block_sums(traffic, geom, grid, 500, window,
                                              _block_rng(SEED, k))
                 assert np.array_equal(got, want)
@@ -535,15 +592,13 @@ class TestBlockSums:
         grid = [0.0, 5.0, 30.0]
         counts = _stream_windows(traffic, window, 50, _block_rng(SEED, 4))[1]
         assert counts[-1] == 0 and np.any(counts[:-1] == 0) and np.any(counts > 0)
-        got = _block_sums(traffic, geom, *_shift_schedule(grid), 50, window,
-                          _block_rng(SEED, 4))
+        got = _block_sums_of(traffic, geom, grid, 50, window, _block_rng(SEED, 4))
         assert np.array_equal(got, _reference_block_sums(traffic, geom, grid, 50, window,
                                                          _block_rng(SEED, 4)))
         # a one-window block whose window is empty: every deviation is -mean, Q is 0
         assert _stream_windows(traffic, window, 1, _block_rng(SEED, 0))[1][0] == 0
         centre = mean_interference(traffic, geom)
-        one = _block_sums(traffic, geom, *_shift_schedule(grid), 1, window,
-                          _block_rng(SEED, 0))
+        one = _block_sums_of(traffic, geom, grid, 1, window, _block_rng(SEED, 0))
         assert np.array_equal(one, np.tile(
             [1.0, -centre, -centre, centre ** 2, centre ** 2, centre ** 2, 0.0, 0.0],
             (len(grid), 1)))
@@ -554,8 +609,7 @@ class TestBlockSums:
         traffic = TrafficModel.from_intensity(0.002, 4.0)
         window = (-300.0, 300.0)
         assert _loop_windows(traffic, window, 5, _block_rng(SEED, 12))[1] == 2
-        got = _block_sums(traffic, geom, *_shift_schedule([0.0, 5.0]), 5, window,
-                          _block_rng(SEED, 12))
+        got = _block_sums_of(traffic, geom, [0.0, 5.0], 5, window, _block_rng(SEED, 12))
         assert np.array_equal(got, _reference_block_sums(traffic, geom, [0.0, 5.0], 5, window,
                                                          _block_rng(SEED, 12)))
 
@@ -565,7 +619,7 @@ class TestBlockSums:
         its special path."""
         grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
         window = default_window(traffic, geom, 30.0)
-        _block_sums(traffic, geom, *_shift_schedule(grid), 500, window, _block_rng(SEED, 0))
+        _block_sums_of(traffic, geom, grid, 500, window, _block_rng(SEED, 0))
         in_window = int(_stream_windows(traffic, window, 500, _block_rng(SEED, 0))[1].sum())
         # the sampler's equilibrium delay takes one log per block, of a 0-d base
         gain_bases = [base for base in power_bases if base.ndim == 1]
@@ -573,6 +627,30 @@ class TestBlockSums:
         for base in gain_bases:
             assert base.size == in_window
             assert np.all(np.isfinite(base) & (base >= np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("grid", [
+        [float(t) for t in np.linspace(0.0, 30.0, 31)],
+        [float(t) for t in np.linspace(0.0, 30.0, 7)],
+        [29.2, 0.8, 5.0, 0.8, 15.0, 0.0]], ids=["canonical", "sweep", "unsorted"])
+    def test_one_pass_tail_matches_per_lag_loop(self, grid, traffic, traffic_ppp, geom):
+        """The moments of every lag from one array pass give each field of
+        each estimate the bits of the per-lag loop (_per_lag_curve), on the
+        canonical grid, the sweep's, and an unsorted one with a repeat."""
+        for stream in (traffic, traffic_ppp):
+            curve = estimate_curve(stream, geom, grid, 2000, SEED)
+            want = _per_lag_curve(stream, geom, grid, 2000, SEED)
+            assert [_bits(est) for est in curve] == [_bits(est) for est in want]
+
+    def test_one_degenerate_lag_raises(self):
+        """One lag whose sums leave no variance raises EstimationError
+        though the others are sound: the pass over every lag checks them
+        all."""
+        sound = [20.0, 1.0, -2.0, 3.0, 4.0, 0.5, 2.0, 2.0]
+        empty = [20.0, 1.0, 1.0, 0.05, 0.05, 0.05, 0.0, 0.0]   # a00 = a0**2 / n, Q = 0
+        _moments(np.array([sound, sound]), 0.0, 0.0)
+        for sums in ([sound, empty, sound], [[sound, empty], [sound, sound]]):
+            with pytest.raises(EstimationError):
+                _moments(np.array(sums), 0.0, 0.0)
 
     def test_curve_pinned(self, traffic, geom):
         grid = list(CURVE_PINS)
@@ -751,6 +829,8 @@ class TestEstimate:
         sparse = TrafficModel.from_intensity(1e-9, 4.0)
         with pytest.raises(EstimationError):
             estimate(sparse, geom, 0.0, 1000, SEED)
+        with pytest.raises(EstimationError):
+            estimate_curve(sparse, geom, [0.0, 5.0, 29.2], 1000, SEED)
 
     # rho at occupancy 0.9 (t = 0) and 0.95 (t = 29.2) from the simulations
     # at earlier re-anchors (40 000 and 60 000 samples on wider windows)
