@@ -18,7 +18,7 @@ wrappers add about a microsecond per call, a few hundred calls per curve.
 Usage:
   python scripts/sim_layers.py [REPEATS]
 
-REPEATS defaults to 10 (seeds 1 to REPEATS). Takes about 10 s on one core
+REPEATS defaults to 10 (seeds 1 to REPEATS). Takes about 2 s on one core
 at the default.
 """
 

@@ -115,8 +115,8 @@ def _loop_windows(traffic, window, n_windows, rng):
 
 
 def _block_sums_of(traffic, geom, lags, n_rows, window, rng):
-    """_block_sums on the schedule of lags, in metres: one block's (lags, 8)
-    sums, centred on mean_interference."""
+    """_block_sums on the schedule of lags, in the unit of traffic and geom:
+    one block's (lags, 8) sums, centred on mean_interference."""
     marks, pairs = _shift_schedule(lags)
     out = np.empty((len(pairs), 8))
     _block_sums(traffic, geom, marks, np.array(pairs).T, mean_interference(traffic, geom),
@@ -163,12 +163,11 @@ def _per_lag_curve(traffic, geom, lags, n_samples, seed):
     unit_traffic, unit_geom = _in_guard_radii(traffic, geom)
     w_lo, w_hi = (edge / geom.guard_radius for edge in default_window(traffic, geom, max(lags)))
     marks, pairs = _shift_schedule(lags)
-    centre = _mean(unit_traffic, unit_geom)
     base, rem = divmod(n_samples, N_BLOCKS)
-    blocks = np.empty((N_BLOCKS, len(lags), 8))
-    for k in range(N_BLOCKS):
-        _block_sums(unit_traffic, unit_geom, marks, np.array(pairs).T, centre,
-                    base + (1 if k < rem else 0), (w_lo, w_hi), _block_rng(seed, k), blocks[k])
+    blocks = np.stack([_block_sums_of(unit_traffic, unit_geom, lags, base + (1 if k < rem else 0),
+                                      (w_lo, w_hi), _block_rng(seed, k))
+                       for k in range(N_BLOCKS)])
+    centre = _mean(unit_traffic, unit_geom)
     scale = (N_BLOCKS - 1) / N_BLOCKS
     out = []
     for j, ((a, _), t) in enumerate(zip(pairs, lags)):
@@ -631,11 +630,14 @@ class TestBlockSums:
     @pytest.mark.parametrize("grid", [
         [float(t) for t in np.linspace(0.0, 30.0, 31)],
         [float(t) for t in np.linspace(0.0, 30.0, 7)],
-        [29.2, 0.8, 5.0, 0.8, 15.0, 0.0]], ids=["canonical", "sweep", "unsorted"])
+        [29.2, 0.8, 5.0, 0.8, 15.0, 0.0],
+        [float(t) for t in np.linspace(0.0, 30.0, 601)]],
+        ids=["canonical", "sweep", "unsorted", "601"])
     def test_one_pass_tail_matches_per_lag_loop(self, grid, traffic, traffic_ppp, geom):
         """The moments of every lag from one array pass give each field of
         each estimate the bits of the per-lag loop (_per_lag_curve), on the
-        canonical grid, the sweep's, and an unsorted one with a repeat."""
+        canonical grid, the sweep's, an unsorted one with a repeat, and 601
+        lags."""
         for stream in (traffic, traffic_ppp):
             curve = estimate_curve(stream, geom, grid, 2000, SEED)
             want = _per_lag_curve(stream, geom, grid, 2000, SEED)
