@@ -5,8 +5,9 @@ Prints a digest for each of:
 - canonical-run/run: `roadcorr run` on perfbench's canonical-run config;
 - occupancy-sweep/run and occupancy-sweep/pcf: `roadcorr run` and
   `roadcorr pcf` on perfbench's occupancy-sweep config;
-- exact-dense/covariance: every field of the exact-quadrature covariance
-  breakdown over perfbench's exact-dense stream and lags;
+- exact-dense/covariance and exact-dense/rho: every field of the
+  exact-quadrature covariance breakdown, and the exact-quadrature rho,
+  over perfbench's exact-dense stream and lags;
 - edges/run: `roadcorr run` with all four methods on 151 lags over [0, 30]
   and streams at c = 0, 4, r0 / 2 and just past it, so every method's
   valid/invalid decision at t_lo, t_hi and t_max, and on a stream whose lag
@@ -16,7 +17,9 @@ Prints a digest for each of:
   covers the JSON writer;
 - method/<method>: the curve files of one method (`curve_<method>_*`)
   across every run tree above, so a change that moves one method's
-  numbers shows which curves moved and which stayed byte-identical;
+  numbers shows which curves moved and which stayed byte-identical. No
+  run above lists exact-quadrature, so method/exact-quadrature is the
+  digest of no file, e3b0c442...; exact-dense/rho covers that route;
 - canonical-run/values and canonical-run/scaled-values: the
   t,value,stderr,method,valid columns of the canonical-run curves, with
   the config as given and with every length times 2**40 (guard radius,
@@ -118,16 +121,20 @@ def values_digest(out_dir: Path) -> str:
     return digest.hexdigest()
 
 
-def dense_digest() -> str:
+def dense_digests() -> tuple[str, str]:
+    """sha256 over the exact-quadrature covariance breakdowns, and over the
+    exact-quadrature rho values, at perfbench's exact-dense lags."""
     traffic = TrafficModel.from_intensity(*workloads.DENSE_TRAFFIC)
     g = workloads.GEOMETRY
     geom = NetworkGeometry(guard_radius=g["r0"], pathloss_exponent=g["eta"], speed=g["u"])
-    digest = hashlib.sha256()
+    breakdowns, rhos = hashlib.sha256(), hashlib.sha256()
     for t in np.linspace(*workloads.DENSE_LAGS):
         b = analytic.covariance(float(t), traffic, geom, "exact-quadrature")
         fields = (b.same_vehicle, b.distant_pairs, b.close_pairs, b.mean_sq, b.covariance)
-        digest.update(",".join(repr(float(v)) for v in fields).encode() + b"\n")
-    return digest.hexdigest()
+        breakdowns.update(",".join(repr(float(v)) for v in fields).encode() + b"\n")
+        rhos.update(repr(analytic.rho(float(t), traffic, geom, "exact-quadrature")).encode()
+                    + b"\n")
+    return breakdowns.hexdigest(), rhos.hexdigest()
 
 
 def main(argv: list[str]) -> None:
@@ -146,7 +153,8 @@ def main(argv: list[str]) -> None:
             out_dir = run_cli(f"scaled-{k}", "run", "csv", scaled_config_text(text, k),
                               Path(scratch))
             print(f"canonical-run/{label}", values_digest(out_dir))
-    print("exact-dense/covariance", dense_digest())
+    for label, digest in zip(("covariance", "rho"), dense_digests()):
+        print(f"exact-dense/{label}", digest)
 
 
 if __name__ == "__main__":

@@ -67,8 +67,7 @@ def far_field(traffic, half, n_rows, seed):
 
 def residuals(traffic, t, window):
     """Bias of rho in the window before and after the correction, and the bound."""
-    var = (analytic.same_vehicle_term(0.0, traffic, GEOM)
-           + analytic.covariance(0.0, traffic, GEOM, "exact-quadrature").covariance)
+    var = analytic.variance(traffic, GEOM, "exact-quadrature")
     cov = analytic.covariance(t, traffic, GEOM, "exact-quadrature").covariance
     lost_var, lost_cov = oracles.lost_moments_defining(t, traffic, GEOM, window)
     r0 = GEOM.guard_radius

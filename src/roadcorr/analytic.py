@@ -19,9 +19,9 @@ distant-pair closed form read the same tail, so no route sums a
 hypergeometric series. The exact route's pair terms are one convolution of
 the pair density against K, out to the stream's deviation reach. The
 far-field constants and the moments a finite window loses, which the
-simulator adds back, are closed forms too (_losses). One rule, _lag_range,
-in the caller's units, decides which lags each route serves; every lag
-check and the CLI's valid column read it. Every route computes on the
+simulator adds back, are closed forms too (_losses). One table, _ROUTES,
+gives each route its lags, which _lag_range applies for every lag check
+and the CLI's valid column, and its variance. Every route computes on the
 pair restated in guard radii (model._in_guard_radii): intensity * r0,
 min_gap / r0, the exponent and the shift speed * t / r0. rho forms no
 dimensional quantity; a covariance takes its r0**(-2 eta) at the output.
@@ -58,10 +58,6 @@ __all__ = [
     "rho",
 ]
 
-COVARIANCE_METHODS = ("exact-quadrature", "pcf-approx", "expansion")
-RHO_METHODS = ("ppp", "expansion", "pcf-approx")
-
-
 @dataclass(frozen=True)
 class CovarianceBreakdown:
     """Interference covariance at one lag, split by contribution: covariance
@@ -94,16 +90,16 @@ def _lag_range(route: str, traffic: TrafficModel | None,
     bands have cleared their zero-lag overlap, t_hi = 2 (guard_radius -
     min_gap) / speed the lag at which a neighbor band first reaches the far
     guard boundary, and t_max = 2 guard_radius / speed the lag at which a
-    vehicle can cross the whole guard zone. The closed pair forms
-    ("expansion", "pcf-approx") hold on [t_lo, t_hi]; every other route
-    serves [0, t_max]: "ppp" on any stream, and "exact-quadrature",
-    "simulation" and the same-vehicle term. Except for "ppp", raises
-    DomainError where the window is empty (min_gap above half the guard
-    radius) or t_max is not finite. Otherwise 0 <= t_lo <= t_hi <= t_max:
+    vehicle can cross the whole guard zone. A route's lags (_ROUTES) are
+    [t_lo, t_hi] for "band", [0, t_max] on any stream for "any", and
+    [0, t_max] for any other route (as the simulation). Except on "any",
+    raises DomainError where the window is empty (min_gap above half the
+    guard radius) or t_max is not finite. Otherwise 0 <= t_lo <= t_hi <= t_max:
     rounding is monotone, so min_gap <= r0 / 2 keeps r0 - min_gap >= min_gap.
     """
     t_max = 2.0 * geom.guard_radius / geom.speed
-    if route == "ppp":
+    lags = _ROUTES[route][0] if route in _ROUTES else "full"
+    if lags == "any":
         return 0.0, t_max
     c = traffic.min_gap
     if c > geom.guard_radius / 2.0:
@@ -112,7 +108,7 @@ def _lag_range(route: str, traffic: TrafficModel | None,
     if not math.isfinite(t_max):
         raise DomainError(f"lag window [0, {t_max!r}] is not finite: guard radius "
                           f"{geom.guard_radius!r} over speed {geom.speed!r} overflows")
-    if route in ("expansion", "pcf-approx"):
+    if lags == "band":
         return 2.0 * c / geom.speed, 2.0 * (geom.guard_radius - c) / geom.speed
     return 0.0, t_max
 
@@ -285,31 +281,19 @@ def _distant_excess_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry
 
 
 def distant_pairs_exact(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
-    """Pair contribution from separations above two minimum gaps.
-
-    Closed form of the squared mean minus the squared-intensity weight of
-    the excluded near band, valid for lags in [t_lo, t_hi]. The stream
-    beyond two minimum gaps is replaced by its squared-intensity far field,
-    which is what the pcf-approx covariance route uses.
-    """
-    _require_lag(t, "pcf-approx", traffic, geom, "distant_pairs_exact")
-    unit = _in_guard_radii(traffic, geom)
-    mean = _mean(*unit)
-    return _dimensional(mean * mean + _distant_excess_exact(t, *unit), geom, 2)
+    """Pair contribution from separations above two minimum gaps, on
+    [t_lo, t_hi]: the pcf-approx covariance's closed form, the squared mean
+    less the squared-intensity weight of the excluded near band."""
+    return covariance(t, traffic, geom, "pcf-approx").distant_pairs
 
 
 def close_pairs_numeric(t: float, traffic: TrafficModel, geom: NetworkGeometry,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Pair contribution from neighbor separations below two minimum gaps.
-
-    Quadrature of the first-neighbor band (only first neighbors sit closer
-    than two minimum gaps) against the exact pair correlation, over
-    reference vehicles on both sides of the receiver: the exact route's
-    integral, held to [t_lo, t_hi] like the distant-pair closed form.
-    """
-    _require_lag(t, "pcf-approx", traffic, geom, "close_pairs_numeric")
-    return _dimensional(_exact_pair_integral(t, *_in_guard_radii(traffic, geom), spec, "close"),
-                        geom, 2)
+    """Pair contribution from neighbor separations below two minimum gaps,
+    on [t_lo, t_hi]: the pcf-approx covariance's quadrature of the
+    first-neighbor band (only first neighbors sit closer than two minimum
+    gaps) against the exact pair correlation, the exact route's integral."""
+    return covariance(t, traffic, geom, "pcf-approx", spec).close_pairs
 
 
 def close_pairs_expansion(t: float, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -362,9 +346,30 @@ def _exact_pair_integral(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     return integrate_finite(integrand, points, spec)
 
 
-def _variance(traffic: TrafficModel, geom: NetworkGeometry) -> float:
+def _variance(traffic: TrafficModel, geom: NetworkGeometry, spec=None) -> float:
     """The Poisson-stream variance in guard radii, 4 intensity / (2 eta - 1)."""
     return 4.0 * traffic.intensity / (2.0 * geom.pathloss_exponent - 1.0)
+
+
+def _thinned_variance(traffic: TrafficModel, geom: NetworkGeometry, spec=None) -> float:
+    """The closed pair forms' variance in guard radii: the Poisson one times 1 - occupancy."""
+    return (1.0 - traffic.occupancy) * _variance(traffic, geom)
+
+
+@functools.lru_cache(maxsize=64)
+def _exact_variance(traffic: TrafficModel, geom: NetworkGeometry, spec: QuadratureSpec) -> float:
+    """The exact route's variance in guard radii: same-vehicle term plus covariance at lag 0."""
+    return _same_vehicle(0.0, traffic, geom) + _breakdown(0.0, traffic, geom,
+                                                          "exact-quadrature", spec)[-1]
+
+
+# Each route's lags (_lag_range) and variance in guard radii, rho's divisor; ppp
+# has no pair breakdown, and variance() names the pair forms' variance "approx".
+_ROUTES = {"ppp": ("any", _variance), "expansion": ("band", _thinned_variance),
+           "pcf-approx": ("band", _thinned_variance), "exact-quadrature": ("full", _exact_variance)}
+RHO_METHODS = tuple(_ROUTES)
+COVARIANCE_METHODS = tuple(m for m, (lags, _) in _ROUTES.items() if lags != "any")
+VARIANCE_METHODS = ("approx", *(m for m, (_, v) in _ROUTES.items() if v is not _thinned_variance))
 
 
 def _normal(value: float, what: str, traffic: TrafficModel, geom: NetworkGeometry) -> float:
@@ -381,12 +386,16 @@ def variance(traffic: TrafficModel, geom: NetworkGeometry, method: str = "approx
     """Interference variance (zero-lag).
 
     "approx" includes the hardcore thinning factor (1 - occupancy);
-    "ppp" is the Poisson-stream variance at the same intensity.
+    "ppp" is the Poisson-stream variance at the same intensity;
+    "exact-quadrature" is the exact route's, its rho's divisor (_exact_variance).
     """
-    if method not in ("approx", "ppp"):
-        raise ParameterError(f"unknown variance method {method!r}; expected 'approx' or 'ppp'")
-    base = _dimensional(_variance(*_in_guard_radii(traffic, geom)), geom, 2)
-    return (1.0 - traffic.occupancy) * base if method == "approx" else base
+    if method not in VARIANCE_METHODS:
+        raise ParameterError(f"unknown variance method {method!r}; expected {VARIANCE_METHODS}")
+    unit = _in_guard_radii(traffic, geom)
+    if method == "approx":
+        return (1.0 - traffic.occupancy) * _dimensional(_variance(*unit), geom, 2)
+    _require_lag(0.0, method, traffic, geom, f"variance ({method})")
+    return _dimensional(_ROUTES[method][1](*unit, DEFAULT_QUADRATURE), geom, 2)
 
 
 def _breakdown(t: float, traffic: TrafficModel, geom: NetworkGeometry, method: str,
@@ -456,25 +465,26 @@ def rho(t: float, traffic: TrafficModel, geom: NetworkGeometry,
     """Temporal correlation coefficient of the interference at lag t.
 
     "ppp" ignores the hardcore structure; "expansion" scales the Poisson
-    coefficient by (1 - occupancy); "pcf-approx" divides the pcf-approx
-    covariance by the thinned variance, both in guard radii. The latter
-    two are valid on [t_lo, t_hi]. Each reads only the dimensionless
-    inputs. "pcf-approx" raises DomainError where the squared mean is not
-    finite (_breakdown), or the variance falls below the smallest normal
-    float (intensity * r0 below about 1e-307): a subnormal divisor has
-    lost its digits, and a zero one has none.
+    coefficient by (1 - occupancy); "pcf-approx" and "exact-quadrature"
+    divide the route's covariance by its variance (_ROUTES), both in guard
+    radii. Each is valid on its _lag_range and reads only the
+    dimensionless inputs, so exact rho evaluates at eta 500 (r0 150): it is
+    -2.3e-4 at t_lo, and the closed routes, which state no range in eta,
+    miss up to all of it (README). The ratios raise DomainError where the
+    squared mean is not finite (_breakdown), or the variance falls below
+    the smallest normal float (intensity * r0 below about 1e-307): a
+    subnormal divisor has lost its digits, and a zero one has none.
     """
+    if method not in _ROUTES:
+        raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
     if method == "ppp":
         return rho_ppp(t, geom)
+    _require_lag(t, method, traffic, geom, f"rho ({method})")
+    unit = _in_guard_radii(traffic, geom)
     if method == "expansion":
-        _require_lag(t, "expansion", traffic, geom, "rho (expansion)")
-        return (1.0 - _in_guard_radii(traffic, geom)[0].occupancy) * rho_ppp(t, geom)
-    if method == "pcf-approx":
-        _require_lag(t, "pcf-approx", traffic, geom, "rho (pcf-approx)")
-        unit = _in_guard_radii(traffic, geom)
-        cov = _breakdown(t, *unit, "pcf-approx", spec)[-1]
-        return cov / _normal((1.0 - unit[0].occupancy) * _variance(*unit), "variance", *unit)
-    raise ParameterError(f"unknown rho method {method!r}; expected one of {RHO_METHODS}")
+        return (1.0 - unit[0].occupancy) * rho_ppp(t, geom)
+    return (_breakdown(t, *unit, method, spec)[-1]
+            / _normal(_ROUTES[method][1](*unit, spec), "variance", *unit))
 
 
 def _far_field(traffic: TrafficModel,

@@ -57,7 +57,7 @@ class RunConfig:
     t_lo: float = 0.0
     t_hi: float = 30.0
     t_points: int = 31
-    methods: tuple[str, ...] = KNOWN_METHODS
+    methods: tuple[str, ...] = ("ppp", "expansion", "pcf-approx", "simulation")
     n_samples: int = 100_000
     seed: int = 20260816
     out_dir: str = "results"

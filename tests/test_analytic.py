@@ -44,6 +44,8 @@ SAME_VEHICLE_ZERO_LAG = 2.6337448559670783e-13
 VARIANCE_APPROX = 4.2139917695473253e-13
 VARIANCE_PPP = 5.267489711934157e-13
 VARIANCE_EXACT = 4.345222080952946e-13
+# variance(..., "exact-quadrature") itself, at the default quadrature
+VARIANCE_EXACT_ROUTE = 4.3452220809588e-13
 
 RHO_PCF = {
     0.8: 0.3524110818351474,
@@ -162,17 +164,6 @@ GAIN_TAIL = {
 }
 
 
-def exact_variance(traffic, geom):
-    """Zero-lag variance assembled from the exact-quadrature route.
-
-    The variance keeps the squared fading of each vehicle with itself,
-    so it exceeds the zero-lag covariance (which refreshes the fading)
-    by exactly one same-vehicle term.
-    """
-    zero_lag = covariance(0.0, traffic, geom, "exact-quadrature").covariance
-    return same_vehicle_term(0.0, traffic, geom) + zero_lag
-
-
 class TestFrozenValues:
     def test_mean_interference(self, traffic, geom):
         assert math.isclose(mean_interference(traffic, geom), MEAN_CANONICAL,
@@ -189,8 +180,9 @@ class TestFrozenValues:
                             rel_tol=1e-12)
 
     def test_variance_exact_route(self, traffic, geom):
-        assert math.isclose(exact_variance(traffic, geom), VARIANCE_EXACT,
-                            rel_tol=1e-6)
+        got = variance(traffic, geom, "exact-quadrature")
+        assert math.isclose(got, VARIANCE_EXACT, rel_tol=1e-6)
+        assert math.isclose(got, VARIANCE_EXACT_ROUTE, rel_tol=1e-13)
 
     @pytest.mark.parametrize("t", sorted(RHO_PCF))
     def test_rho_pcf(self, t, traffic, geom):
@@ -203,9 +195,8 @@ class TestFrozenValues:
 
     @pytest.mark.parametrize("t", sorted(RHO_EXACT))
     def test_rho_exact_route(self, t, traffic, geom):
-        value = (covariance(t, traffic, geom, "exact-quadrature").covariance
-                 / exact_variance(traffic, geom))
-        assert math.isclose(value, RHO_EXACT[t], rel_tol=1e-8)
+        assert math.isclose(rho(t, traffic, geom, "exact-quadrature"), RHO_EXACT[t],
+                            rel_tol=1e-8)
 
     @pytest.mark.parametrize("intensity,t", sorted(EXACT_DENSE))
     def test_exact_route_dense_streams(self, intensity, t, geom):
@@ -529,6 +520,13 @@ class TestVariance:
         with pytest.raises(ParameterError):
             variance(traffic, geom, "exact")
 
+    def test_exact_route_needs_its_lag_window(self, geom):
+        """Past half the guard radius the exact route serves no lag, 0
+        included, so its variance refuses as its covariance does."""
+        wide = TrafficModel.from_intensity(0.005, 80.0)
+        with pytest.raises(DomainError, match="half the guard radius"):
+            variance(wide, geom, "exact-quadrature")
+
 
 class TestCovariance:
     def test_breakdown_identity_enforced(self):
@@ -637,6 +635,22 @@ class TestCovariance:
         with pytest.raises(DomainError, match=want):
             rho(5.0, traffic, geom, "pcf-approx")
 
+    @pytest.mark.parametrize("lam,c", [(1e160, 1e-200), (1e200, 1e-250)])
+    def test_pair_terms_refuse_an_overflowing_squared_mean(self, lam, c, geom):
+        """Above intensity * r0 of about 1.3e154 the squared mean overflows.
+        The pcf-approx pair terms, which are fields of that covariance,
+        raise its DomainError, not a ConvergenceError from a non-finite
+        integrand or a NaN from inf - inf. The expansion's close-pair term
+        forms no squared mean and stays finite."""
+        traffic = TrafficModel.from_intensity(lam, c)
+        for call in (distant_pairs_exact, close_pairs_numeric,
+                     partial(rho, method="exact-quadrature")):
+            with pytest.raises(DomainError, match=r"^squared mean interference inf "):
+                call(5.0, traffic, geom)
+        with pytest.raises(DomainError, match=r"^squared mean interference inf "):
+            variance(traffic, geom, "exact-quadrature")
+        assert math.isfinite(close_pairs_expansion(5.0, traffic, geom))
+
 
 class TestRho:
     def test_ppp_at_zero_lag_is_half(self, geom):
@@ -671,6 +685,26 @@ class TestRho:
     def test_unknown_method_rejected(self, traffic, geom):
         with pytest.raises(ParameterError):
             rho(5.0, traffic, geom, "monte-carlo")
+
+    def test_exact_is_ppp_without_gap(self, traffic_ppp, geom):
+        """At min gap 0 the pair terms vanish, so exact rho is the Poisson
+        coefficient."""
+        for t in np.linspace(0.0, 30.0, 61):
+            exact = rho(float(t), traffic_ppp, geom, "exact-quadrature")
+            assert math.isclose(exact, rho_ppp(float(t), geom), rel_tol=1e-15)
+
+    @pytest.mark.parametrize("occupancy", [0.2, 0.4, 0.8])
+    def test_exact_is_the_dimensional_ratio(self, occupancy, geom):
+        """Exact rho, formed in guard radii, is the dimensional covariance
+        over the same-vehicle term plus the zero-lag covariance, to
+        rounding, on the canonical 31 lags."""
+        traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
+        cov0 = covariance(0.0, traffic, geom, "exact-quadrature").covariance
+        var = same_vehicle_term(0.0, traffic, geom) + cov0
+        for t in np.linspace(0.0, 30.0, 31):
+            cov = covariance(float(t), traffic, geom, "exact-quadrature").covariance
+            assert math.isclose(rho(float(t), traffic, geom, "exact-quadrature"), cov / var,
+                                rel_tol=1e-15)
 
     REFUSALS = {
         1e300: r"^squared mean interference inf in guard radii is not finite at intensity "

@@ -163,6 +163,30 @@ class TestRunCommand:
                     assert float(row["value"]) == rho(t, traffic, geom, method)
                     assert row["valid"] == "true"
 
+    def test_exact_curve_is_rho_where_the_route_serves(self, tmp_path):
+        """exact-quadrature runs through the same curve code as every
+        analytic method: on the canonical stream it is valid at each of the
+        31 default lags and equals rho bit for bit; on a stream with c
+        above r0 / 2, which leaves the route no lag window, every point is
+        invalid."""
+        code, out = self.run_main(tmp_path, "traffic = lambda=0.05 c=4\n"
+                                            "traffic = lambda=0.005 c=80\n"
+                                            "methods = exact-quadrature\n")
+        assert code == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        traffic = TrafficModel.from_intensity(0.05, 4.0)
+        geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=3.0, speed=10.0)
+        rows = read_csv(out / "curve_exact-quadrature_lam0.05_c4.0.csv")
+        assert len(rows) == 31
+        assert files["curve_exact-quadrature_lam0.05_c4.0.csv"]["invalid_points"] == []
+        for row in rows:
+            assert row["valid"] == "true"
+            assert float(row["value"]) == rho(float(row["t"]), traffic, geom, "exact-quadrature")
+        assert files["curve_exact-quadrature_lam0.005_c80.0.csv"]["invalid_points"] \
+            == list(range(31))
+        assert all(row["valid"] == "false" and row["value"] == ""
+                   for row in read_csv(out / "curve_exact-quadrature_lam0.005_c80.0.csv"))
+
     def test_ppp_curve_ignores_traffic(self, tmp_path):
         code, out = self.run_main(
             tmp_path,

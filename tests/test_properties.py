@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from roadcorr import (DomainError, NetworkGeometry, TrafficModel, close_pairs_expansion,
                       close_pairs_numeric, distant_pairs_exact, estimate_curve,
                       mean_interference, rho, variance)
-from roadcorr.analytic import (COVARIANCE_METHODS, RHO_METHODS, _far_field, _lag_range,
-                               _lags_served, covariance, rho_ppp, same_vehicle_term)
+from roadcorr.analytic import (COVARIANCE_METHODS, RHO_METHODS, VARIANCE_METHODS, _far_field,
+                               _lag_range, _lags_served, covariance, rho_ppp, same_vehicle_term)
 from roadcorr.model import _in_guard_radii
 
 # Derandomised, so every run draws the same examples, and few of them: an
@@ -28,10 +28,6 @@ PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=
 def _stream(eta, c, occupancy):
     geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
     return TrafficModel.from_intensity(occupancy / c, c), geom
-
-
-def _exact_cov(t, traffic, geom):
-    return covariance(t, traffic, geom, "exact-quadrature").covariance
 
 
 @PROFILE
@@ -48,8 +44,7 @@ def test_poisson_model_overstates_the_exact_correlation(eta, c, occupancy, where
     traffic, geom = _stream(eta, c, occupancy)
     t_lo, t_hi = _lag_range("pcf-approx", traffic, geom)
     t = t_lo + where * (t_hi - t_lo)
-    var = same_vehicle_term(0.0, traffic, geom) + _exact_cov(0.0, traffic, geom)
-    exact = _exact_cov(t, traffic, geom) / var
+    exact = rho(t, traffic, geom, "exact-quadrature")
     assert -1.0 <= exact <= 1.0
     assert rho_ppp(t, geom) >= exact
 
@@ -65,8 +60,7 @@ def test_exact_correlation_is_a_coefficient_up_to_eta_6(eta, c, occupancy, where
     traffic, geom = _stream(eta, c, occupancy)
     t_lo, t_max = _lag_range("exact-quadrature", traffic, geom)
     t = t_lo + where * (t_max - t_lo)
-    var = same_vehicle_term(0.0, traffic, geom) + _exact_cov(0.0, traffic, geom)
-    assert -1.0 <= _exact_cov(t, traffic, geom) / var <= 1.0
+    assert -1.0 <= rho(t, traffic, geom, "exact-quadrature") <= 1.0
 
 
 @PROFILE
@@ -79,8 +73,7 @@ def test_far_field_rho0_tracks_the_exact_zero_lag_coefficient(eta, c, occupancy)
     eta 3). The miss grows with the gap, to 9e-2 at c 75, so c is kept
     small."""
     traffic, geom = _stream(eta, c, occupancy)
-    cov = _exact_cov(0.0, traffic, geom)
-    exact = cov / (same_vehicle_term(0.0, traffic, geom) + cov)
+    exact = rho(0.0, traffic, geom, "exact-quadrature")
     assert abs(_far_field(*_in_guard_radii(traffic, geom))[2] - exact) <= 3e-3 * exact
 
 
@@ -144,7 +137,7 @@ def _moments(traffic, geom):
     """Every dimensional output, as (order, call), at each canonical lag
     that serves it; a call gives a float or a breakdown's fields."""
     out = [(1, partial(mean_interference, traffic, geom))]
-    out += [(2, partial(variance, traffic, geom, m)) for m in ("approx", "ppp")]
+    out += [(2, partial(variance, traffic, geom, m)) for m in VARIANCE_METHODS]
     out += [(2, partial(same_vehicle_term, t, traffic, geom)) for t in _lags()]
     for method in COVARIANCE_METHODS:
         out += [(2, partial(_breakdown, t, traffic, geom, method))

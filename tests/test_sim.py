@@ -436,8 +436,7 @@ class TestWindows:
         under 1e-10 there against a residual of 4.9e-9."""
         geom = NetworkGeometry(guard_radius=150.0, pathloss_exponent=eta, speed=10.0)
         traffic = TrafficModel.from_intensity(occupancy / 4.0, 4.0)
-        var = (same_vehicle_term(0.0, traffic, geom)
-               + covariance(0.0, traffic, geom, "exact-quadrature").covariance)
+        var = variance(traffic, geom, "exact-quadrature")
         for t in (0.0, 0.8, 5.0, 15.0, 29.2, 30.0):
             window = default_window(traffic, geom, t)
             cov = covariance(t, traffic, geom, "exact-quadrature").covariance
